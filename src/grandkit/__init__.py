@@ -19,7 +19,6 @@ from .noise_models import (
     shannon_entropy_rate,
 )
 from .guesswork import (
-    GuessEnumerator,
     RateFunctionTable,
     cumulative_binomial_layers,
     guess_rank,

@@ -285,9 +285,19 @@ def exponent_report(
 # ---------------------------------------------------------------------------
 
 
-def _layer_log2_exponent(l_plus_one: int, log2_c: float) -> float:
-    """log2 of (l+1) * c without forming huge floats."""
-    return math.log2(l_plus_one) + log2_c
+def _weight_layers(n: int, p):
+    """Hamming-weight layers of Bernoulli(p) noise on n bits, k = 0..n.
+
+    Yields (size, l_prev, l_k, q_k): the size = C(n, k) sequences of weight k
+    hold ranks (l_prev, l_k], each with probability q_k = p^k (1-p)^(n-k),
+    computed in the arithmetic of ``p`` (float or mpmath).
+    """
+    l_prev = 0
+    for k in range(n + 1):
+        size = comb(n, k)
+        l_k = l_prev + size
+        yield size, l_prev, l_k, p**k * (1 - p) ** (n - k)
+        l_prev = l_k
 
 
 def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
@@ -305,51 +315,24 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
     c = 2.0**log2_c
     denom = -math.expm1(-c)
     total = 0.0
-    prev_l = 0
-    for k in range(n + 1):
-        l_k = prev_l + comb(n, k)
-        if _layer_log2_exponent(prev_l + 1, log2_c) > 11.0:
+    for _, l_prev, l_k, q_k in _weight_layers(n, p):
+        log2_lo = math.log2(l_prev + 1) + log2_c
+        if log2_lo > 11.0:
             break
-        q_k = p**k * (1.0 - p) ** (n - k)
-        e_lo = math.exp(-2.0 ** _layer_log2_exponent(prev_l + 1, log2_c))
-        e_hi = math.exp(-2.0 ** _layer_log2_exponent(l_k + 1, log2_c))
+        e_lo = math.exp(-(2.0**log2_lo))
+        e_hi = math.exp(-(2.0 ** (math.log2(l_k + 1) + log2_c)))
         total += q_k * (e_lo - e_hi) / denom
-        prev_l = l_k
     return total
-
-
-def bsc_success_prob_fine_exact(n: int, R: float, p: float, dps: int = 80) -> float:
-    """Same sum in extended precision with exact layer integers; reference
-    path for validating the float implementation."""
-    with mpmath.workdps(dps):
-        c = mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
-        denom = -mpmath.expm1(-c)
-        pp = mpmath.mpf(p)
-        total = mpmath.mpf(0)
-        prev_l = 0
-        for k in range(n + 1):
-            l_k = prev_l + comb(n, k)
-            q_k = pp**k * (1 - pp) ** (n - k)
-            e_lo = mpmath.e ** (-(prev_l + 1) * c)
-            e_hi = mpmath.e ** (-(l_k + 1) * c)
-            total += q_k * (e_lo - e_hi) / denom
-            prev_l = l_k
-        return float(total)
 
 
 def _bsc_guess_survival_mp(n: int, p, t: int):
     """P(G > t) under Bernoulli(p) noise, as an mpmath value (0 <= t <= 2^n)."""
-    pp = mpmath.mpf(p)
     tail = mpmath.mpf(1)
-    prev_l = 0
-    for k in range(n + 1):
-        q_k = pp**k * (1 - pp) ** (n - k)
-        l_k = prev_l + comb(n, k)
+    for size, _, l_k, q_k in _weight_layers(n, mpmath.mpf(p)):
         if t <= l_k:
             # within layer k: survival interpolates linearly in the rank
-            return (tail - comb(n, k) * q_k) + (l_k - t) * q_k
-        tail -= comb(n, k) * q_k
-        prev_l = l_k
+            return (tail - size * q_k) + (l_k - t) * q_k
+        tail -= size * q_k
     return mpmath.mpf(0)
 
 
@@ -358,18 +341,14 @@ def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie in (0, 1)")
     with mpmath.workdps(60):
-        pp = mpmath.mpf(p)
         target = mpmath.mpf(prob)
         cdf = mpmath.mpf(0)
-        prev_l = 0
-        for k in range(n + 1):
-            q_k = pp**k * (1 - pp) ** (n - k)
-            layer_mass = comb(n, k) * q_k
+        for size, l_prev, _, q_k in _weight_layers(n, mpmath.mpf(p)):
+            layer_mass = size * q_k
             if cdf + layer_mass >= target:
                 need = (target - cdf) / q_k
-                return prev_l + int(mpmath.ceil(need))
+                return l_prev + int(mpmath.ceil(need))
             cdf += layer_mass
-            prev_l += comb(n, k)
         return 2**n
 
 
@@ -395,15 +374,10 @@ def expected_queries_fine(
         c = mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
         r = mpmath.e**-c
         one_minus_r = -mpmath.expm1(-c)
-        pp = mpmath.mpf(p)
         expectation = mpmath.mpf(0)
         tail = mpmath.mpf(1)  # P(W > k-1) entering layer k
-        prev_l = 0
-        for k in range(n + 1):
-            q_k = pp**k * (1 - pp) ** (n - k)
-            l_k = prev_l + comb(n, k)
-            tail_k = tail - comb(n, k) * q_k  # P(W > k)
-            a = prev_l
+        for size, a, l_k, q_k in _weight_layers(n, mpmath.mpf(p)):
+            tail_k = tail - size * q_k  # P(W > k)
             b = min(l_k, T) - 1
             if a * c > mpmath.mpf(5000):
                 break
@@ -416,7 +390,6 @@ def expected_queries_fine(
                 ) / one_minus_r**2
                 expectation += tail_k * s0 + q_k * (l_k * s0 - s1)
             tail = tail_k
-            prev_l = l_k
             if l_k >= T:
                 break
         if not conditional:

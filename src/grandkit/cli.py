@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
-
-import numpy as np
 
 from . import analysis, simulator
 from .codebook import (
@@ -25,14 +24,9 @@ from .codebook import (
     load_codebook,
     save_codebook,
 )
-from .decoder import DecodeStatus, abandonment_threshold, grand_decode
-from .guesswork import GuessEnumerator
-from .noise_models import (
-    BinaryMarkovNoise,
-    IIDNoise,
-    bsc,
-    shannon_entropy_rate,
-)
+from .decoder import grand_decode
+from .guesswork import iter_guesses
+from .noise_models import BinaryMarkovNoise, IIDNoise, bsc, model_error_probability
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -81,16 +75,18 @@ def _parse_word(text: str, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_guess_order(args) -> None:
-    model = _build_model(args)
-    enum = GuessEnumerator(model, args.n)
+    guesses = iter_guesses(_build_model(args), args.n)
     writer = csv.writer(sys.stdout)
     writer.writerow(["rank", "sequence", "log_prob"])
-    for rank in range(1, args.limit + 1):
-        item = enum.next_guess()
-        if item is None:
-            break
-        z, lp = item
+    for rank, (z, lp) in enumerate(itertools.islice(guesses, args.limit), 1):
         writer.writerow([rank, "".join(str(s) for s in z), repr(lp)])
 
 
@@ -115,7 +111,7 @@ def _cmd_exponents(args) -> None:
     if args.auto_delta:
         if args.p_abandon is None or args.n is None:
             raise SystemExit("--auto-delta requires --p-abandon and --n")
-        p_err = simulator._model_error_probability(model)
+        p_err = model_error_probability(model)
         delta = analysis.select_delta(model, args.n, args.p_abandon, p_err)
     grid = _parse_rate_grid(args.rate_grid)
     cap = analysis.capacity(model)
@@ -195,7 +191,7 @@ def _cmd_figure_sweep(args) -> None:
     if args.auto_delta:
         if args.p_abandon is None:
             raise SystemExit("--auto-delta requires --p-abandon")
-        p_err = simulator._model_error_probability(model)
+        p_err = model_error_probability(model)
         delta = analysis.select_delta(model, args.n, args.p_abandon, p_err)
     simulator.figure_sweep(
         model,
@@ -235,7 +231,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("guess-order", help="print the guess order as CSV")
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_non_negative_int, required=True)
     p.set_defaults(func=_cmd_guess_order)
 
     p = sub.add_parser("decode", help="decode one received word")

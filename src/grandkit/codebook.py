@@ -324,17 +324,37 @@ def save_codebook(cb: Codebook, path: str) -> None:
 
 
 def load_codebook(path: str) -> Codebook:
-    """Read a codebook written by :func:`save_codebook`."""
+    """Read a codebook written by :func:`save_codebook`.
+
+    Raises ValueError unless the file is one complete codebook: a known magic,
+    a whole header, exactly the body length the header implies, and (for
+    alphabets other than binary) no symbol outside the alphabet.
+    """
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC_EXPLICIT))
-        if magic == _MAGIC_EXPLICIT:
-            n, m, seed, rate, a = struct.unpack("<IQQdH", f.read(30))
-            words = _unpack_words(f.read(), m, n, a)
-            return ExplicitCodebook(
-                n=n, rate=rate, seed=seed, alphabet_size=a, words=words
-            )
-        if magic == _MAGIC_LINEAR:
-            n, k, seed = struct.unpack("<IIQ", f.read(16))
-            rows = _unpack_words(f.read(), k, n, 2)
-            return LinearCodebook(rows, seed=seed)
-    raise ValueError(f"{path} is not a recognized codebook file")
+        data = f.read()
+    magic = data[: len(_MAGIC_EXPLICIT)]
+    if magic not in (_MAGIC_EXPLICIT, _MAGIC_LINEAR):
+        raise ValueError(f"{path} is not a recognized codebook file")
+    fmt = "<IQQdH" if magic == _MAGIC_EXPLICIT else "<IIQ"
+    start = len(magic) + struct.calcsize(fmt)
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated codebook header")
+    fields = struct.unpack_from(fmt, data, len(magic))
+    if magic == _MAGIC_EXPLICIT:
+        n, count, seed, rate, a = fields
+    else:
+        n, count, seed = fields
+        a = 2
+    bits = count * n
+    expected = (bits + 7) // 8 if a == 2 else bits
+    body = data[start:]
+    if len(body) != expected:
+        raise ValueError(
+            f"{path}: codebook body has {len(body)} bytes, header implies {expected}"
+        )
+    if a != 2 and body and max(body) >= a:
+        raise ValueError(f"{path}: codeword symbol outside the alphabet of size {a}")
+    words = _unpack_words(body, count, n, a)
+    if magic == _MAGIC_EXPLICIT:
+        return ExplicitCodebook(n=n, rate=rate, seed=seed, alphabet_size=a, words=words)
+    return LinearCodebook(words, seed=seed)

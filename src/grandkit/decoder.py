@@ -65,8 +65,6 @@ def grand_decode(
     if max_queries is not None and max_queries < 1:
         raise ValueError("max_queries must be >= 1")
     a = model.alphabet_size
-    # lazy class-walk iteration: same order as GuessEnumerator but O(n)
-    # memory, so long decodes do not accumulate a frontier
     queries = 0
     for z, lp in iter_guesses(model, cb.n):
         queries += 1

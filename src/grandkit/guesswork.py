@@ -1,7 +1,7 @@
 """Noise-sequence enumeration in likelihood order and its large-deviation analytics.
 
-The enumerator emits every length-n sequence exactly once, from most likely to
-least likely, breaking probability ties by ascending numeric value of the
+``iter_guesses`` emits every length-n sequence exactly once, from most likely
+to least likely, breaking probability ties by ascending numeric value of the
 sequence read as a base-|A| integer (most significant symbol first). The same
 order is computed without enumeration by ``guess_rank``, which counts whole
 probability classes at once, so ranks stay exact even when they are
@@ -15,6 +15,7 @@ bit-identical floats everywhere in this module.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,18 +25,16 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .noise_models import (
-    BinaryMarkovNoise,
     IIDNoise,
     NoiseModel,
-    _iid_class_log_prob,
-    _markov_class_log_prob,
+    _class_key,
+    _class_log_prob,
     min_entropy_rate,
     renyi_entropy_rate,
     shannon_entropy_rate,
 )
 
 __all__ = [
-    "GuessEnumerator",
     "iter_guesses",
     "guess_rank",
     "cumulative_binomial_layers",
@@ -49,73 +48,6 @@ __all__ = [
 # Upper limit for the argument when chasing the supremum of x*alpha - Lambda(alpha);
 # beyond this the objective has numerically flat-lined for every x < 1.
 _ALPHA_CAP = 1e8
-
-
-class GuessEnumerator:
-    """Best-first emission of noise sequences in non-increasing probability order.
-
-    Works for both model kinds by expanding prefixes on a max-priority frontier;
-    extending a prefix can only lower its probability, so a complete sequence is
-    in final position once popped. Memory grows with (emitted x alphabet)
-    frontier entries, which is the scaling limit of enumeration; use
-    ``guess_rank`` for large block lengths.
-    """
-
-    def __init__(self, model: NoiseModel, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.model = model
-        self.n = n
-        self.emitted_count = 0
-        self.total = model.alphabet_size**n
-        a = model.alphabet_size
-        # Heap entries: (-log_prob, value padded with zeros to length n, length,
-        # sequence, stats). Shorter prefixes sort before equal-probability
-        # completions so they are expanded in time.
-        self._heap = []
-        for s in range(a):
-            seq = (s,)
-            lp = self._prefix_log_prob(seq)
-            heapq.heappush(
-                self._heap, (-lp, s * a ** (n - 1), 1, seq)
-            )
-
-    def _prefix_log_prob(self, seq: tuple[int, ...]) -> float:
-        if isinstance(self.model, IIDNoise):
-            counts = [0] * self.model.alphabet_size
-            for s in seq:
-                counts[s] += 1
-            return _iid_class_log_prob(self.model, tuple(counts))
-        trans = [0, 0, 0, 0]
-        for prev, cur in zip(seq, seq[1:]):
-            trans[2 * prev + cur] += 1
-        return _markov_class_log_prob(self.model, seq[0], tuple(trans))
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple[tuple[int, ...], float]:
-        a = self.model.alphabet_size
-        while self._heap:
-            neg_lp, padded, length, seq = heapq.heappop(self._heap)
-            if length == self.n:
-                self.emitted_count += 1
-                return seq, -neg_lp
-            shift = a ** (self.n - length - 1)
-            for s in range(a):
-                child = seq + (s,)
-                lp = self._prefix_log_prob(child)
-                heapq.heappush(
-                    self._heap, (-lp, padded + s * shift, length + 1, child)
-                )
-        raise StopIteration
-
-    def next_guess(self) -> tuple[tuple[int, ...], float] | None:
-        """Next sequence and its log probability, or None when exhausted."""
-        try:
-            return next(self)
-        except StopIteration:
-            return None
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +116,7 @@ def _class_table(model: NoiseModel, n: int):
         a = model.alphabet_size
         for counts in _iid_compositions(n, a):
             size = _multinomial(n, counts)
-            lp = _iid_class_log_prob(model, counts)
-            entries.append((lp, counts, size))
+            entries.append((_class_log_prob(model, counts), counts, size))
     else:
         m = n - 1
         for first in (0, 1):
@@ -200,8 +131,8 @@ def _class_table(model: NoiseModel, n: int):
                         size = _markov_path_count(first, trans)
                         if size == 0:
                             continue
-                        lp = _markov_class_log_prob(model, first, trans)
-                        entries.append((lp, (first, trans), size))
+                        key = (first, trans)
+                        entries.append((_class_log_prob(model, key), key, size))
     entries.sort(key=lambda e: (-e[0], e[1]))
     cum = []
     total = 0
@@ -211,7 +142,7 @@ def _class_table(model: NoiseModel, n: int):
     return entries, cum, total
 
 
-def _iid_count_less(model: IIDNoise, counts: tuple[int, ...], z: tuple[int, ...]) -> int:
+def _iid_count_less(counts: tuple[int, ...], z: tuple[int, ...]) -> int:
     """Sequences in the IID class ``counts`` that are numerically below ``z``."""
     n = len(z)
     remaining = list(counts)
@@ -230,10 +161,10 @@ def _iid_count_less(model: IIDNoise, counts: tuple[int, ...], z: tuple[int, ...]
     return less
 
 
-def _markov_count_less(
-    first: int, trans: tuple[int, int, int, int], z: tuple[int, ...]
-) -> int:
-    """Sequences in the Markov class that are numerically below ``z``."""
+def _markov_count_less(key, z: tuple[int, ...]) -> int:
+    """Sequences in the Markov class ``key`` = (first symbol, transition
+    counts) that are numerically below ``z``."""
+    first, trans = key
     if first < z[0]:
         return _markov_path_count(first, trans)
     if first > z[0]:
@@ -278,9 +209,10 @@ def _iid_class_sequences(counts):
     yield from rec(0)
 
 
-def _markov_class_sequences(first, trans):
-    """All binary sequences with the given first symbol and transition
-    counts, ascending numeric order; infeasible branches are pruned."""
+def _markov_class_sequences(key):
+    """All binary sequences of the class ``key`` = (first symbol, transition
+    counts), ascending numeric order; infeasible branches are pruned."""
+    first, trans = key
     n = 1 + sum(trans)
     remaining = list(trans)
     prefix = [0] * n
@@ -304,35 +236,25 @@ def _markov_class_sequences(first, trans):
 
 
 def iter_guesses(model: NoiseModel, n: int):
-    """Lazy guess-order iteration in O(n) memory.
+    """Lazy iterator over (sequence, log_prob) in guess order, O(n) memory.
 
-    Emits the same (sequence, log_prob) stream as :class:`GuessEnumerator`
-    but walks the probability-class table instead of keeping a frontier, so
-    long decodes do not accumulate state. Within a class, sequences appear in
+    Walks the probability-class table instead of keeping a frontier, so long
+    decodes do not accumulate state. Within a class, sequences appear in
     ascending numeric order; equal-probability classes are merged so the
     combined stream is numerically ascending too, matching the tie-break.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     entries, _, _ = _class_table(model, n)
     if isinstance(model, IIDNoise):
-        def class_gen(key):
-            return _iid_class_sequences(key)
+        class_gen = _iid_class_sequences
     else:
-        def class_gen(key):
-            return _markov_class_sequences(*key)
-
-    i = 0
-    while i < len(entries):
-        lp = entries[i][0]
-        j = i + 1
-        while j < len(entries) and entries[j][0] == lp:
-            j += 1
-        if j == i + 1:
-            stream = class_gen(entries[i][1])
-        else:
-            stream = heapq.merge(*(class_gen(entries[k][1]) for k in range(i, j)))
-        for seq in stream:
-            yield seq, lp
-        i = j
+        class_gen = _markov_class_sequences
+    return (
+        (seq, lp)
+        for lp, group in itertools.groupby(entries, key=lambda e: e[0])
+        for seq in heapq.merge(*(class_gen(key) for _, key, _ in group))
+    )
 
 
 def guess_rank(model: NoiseModel, z) -> int:
@@ -343,40 +265,25 @@ def guess_rank(model: NoiseModel, z) -> int:
     enumeration of predecessors takes place.
     """
     z = tuple(int(s) for s in z)
-    n = len(z)
-    if n == 0:
-        raise ValueError("empty sequence")
-    entries, cum, _ = _class_table(model, n)
-    if isinstance(model, IIDNoise):
-        counts = [0] * model.alphabet_size
-        for s in z:
-            counts[s] += 1
-        lp_z = _iid_class_log_prob(model, tuple(counts))
-    else:
-        trans = [0, 0, 0, 0]
-        for prev, cur in zip(z, z[1:]):
-            trans[2 * prev + cur] += 1
-        lp_z = _markov_class_log_prob(model, z[0], tuple(trans))
-
-    # Binary search to the first class in z's tie group.
-    lps = [e[0] for e in entries]
+    lp_z = _class_log_prob(model, _class_key(model, z))
+    entries, cum, _ = _class_table(model, len(z))
+    # binary search to the first class in z's tie group
     lo, hi = 0, len(entries)
     while lo < hi:
         mid = (lo + hi) // 2
-        if lps[mid] > lp_z:
+        if entries[mid][0] > lp_z:
             lo = mid + 1
         else:
             hi = mid
-    rank = cum[lo] if lo < len(entries) else 0
-    i = lo
-    while i < len(entries) and entries[i][0] == lp_z:
-        key = entries[i][1]
-        if isinstance(model, IIDNoise):
-            rank += _iid_count_less(model, key, z)
-        else:
-            rank += _markov_count_less(key[0], key[1], z)
-        i += 1
-    return rank + 1
+    rank = cum[lo] + 1
+    if isinstance(model, IIDNoise):
+        count_less = _iid_count_less
+    else:
+        count_less = _markov_count_less
+    while lo < len(entries) and entries[lo][0] == lp_z:
+        rank += count_less(entries[lo][1], z)
+        lo += 1
+    return rank
 
 
 def cumulative_binomial_layers(n: int, k: int) -> int:

@@ -9,7 +9,7 @@ logs never leave this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "shannon_entropy_rate",
     "renyi_entropy_rate",
     "min_entropy_rate",
+    "model_error_probability",
     "sequence_log_prob",
     "sample_noise",
 ]
@@ -171,50 +172,54 @@ def min_entropy_rate(model: NoiseModel) -> float:
     return -math.log2(max(1.0 - a, 1.0 - b, math.sqrt(a * b)))
 
 
+def model_error_probability(model: NoiseModel) -> float:
+    """Per-symbol probability that the noise is non-zero."""
+    if isinstance(model, IIDNoise):
+        return 1.0 - model.pmf[0]
+    return model.stationary_flip_probability
+
+
 def sequence_log_prob(model: NoiseModel, z) -> float:
     """Base-|A| log probability of the symbol sequence ``z`` under ``model``.
 
-    Computed canonically from sufficient statistics (symbol counts, or first
-    symbol plus transition counts) so that sequences in the same probability
-    class get bit-identical values.
+    Computed canonically from the sequence's probability class, so sequences
+    in the same class get bit-identical values.
     """
     z = tuple(int(s) for s in z)
+    return _class_log_prob(model, _class_key(model, z))
+
+
+def _class_key(model: NoiseModel, z: tuple[int, ...]):
+    """Probability class of the int tuple ``z``: its symbol counts for IID
+    noise, or (first symbol, (c00, c01, c10, c11) transition counts) for
+    Markov noise."""
     if not z:
         raise ValueError("empty sequence")
-    if isinstance(model, IIDNoise):
-        a = model.alphabet_size
-        if any(s < 0 or s >= a for s in z):
-            raise ValueError("symbol outside alphabet")
-        counts = [0] * a
-        for s in z:
-            counts[s] += 1
-        return _iid_class_log_prob(model, tuple(counts))
-    if any(s not in (0, 1) for s in z):
+    a = model.alphabet_size
+    if min(z) < 0 or max(z) >= a:
         raise ValueError("symbol outside alphabet")
+    if isinstance(model, IIDNoise):
+        return tuple(z.count(s) for s in range(a))
     trans = [0, 0, 0, 0]
     for prev, cur in zip(z, z[1:]):
         trans[2 * prev + cur] += 1
-    return _markov_class_log_prob(model, z[0], tuple(trans))
+    return z[0], tuple(trans)
 
 
-def _iid_class_log_prob(model: IIDNoise, counts: tuple[int, ...]) -> float:
-    logs = model.symbol_log_probs
-    lp = 0.0
+def _class_log_prob(model: NoiseModel, key) -> float:
+    """Base-|A| log probability shared by every sequence of class ``key``,
+    summed in a fixed order."""
+    if isinstance(model, IIDNoise):
+        lp = 0.0
+        counts, logs = key, model.symbol_log_probs
+    else:
+        first, counts = key
+        init = model.initial_dist[first]
+        if init <= 0.0:
+            return -math.inf
+        lp = math.log2(init)
+        logs = model.transition_log_probs
     for c, l in zip(counts, logs):
-        if c:
-            lp += c * l
-    return lp
-
-
-def _markov_class_log_prob(
-    model: BinaryMarkovNoise, first: int, trans: tuple[int, int, int, int]
-) -> float:
-    init = model.initial_dist[first]
-    if init <= 0.0:
-        return -math.inf
-    lp = math.log2(init)
-    logs = model.transition_log_probs
-    for c, l in zip(trans, logs):
         if c:
             lp += c * l
     return lp

@@ -40,8 +40,8 @@ from .codebook import (
 from .decoder import DecodeStatus, abandonment_threshold, grand_decode
 from .guesswork import guess_rank
 from .noise_models import (
-    IIDNoise,
     NoiseModel,
+    model_error_probability,
     renyi_entropy_rate,
     sample_noise_with,
     shannon_entropy_rate,
@@ -74,6 +74,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not 0.0 < self.rate < 1.0:
+            raise ValueError("rate must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.mode not in ("explicit", "linear", "race"):
@@ -82,6 +86,10 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if self.abandon_after is not None and self.p_abandon is not None:
             raise ValueError("give either a fixed budget or p_abandon, not both")
+        if self.abandon_after is not None and self.abandon_after < 1:
+            raise ValueError("abandon_after must be >= 1")
+        if self.p_abandon is not None and not 0.0 < self.p_abandon < 1.0:
+            raise ValueError("p_abandon must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -115,20 +123,13 @@ class SimReport:
         }
 
 
-def _model_error_probability(model: NoiseModel) -> float:
-    """Per-symbol probability that the noise is non-zero."""
-    if isinstance(model, IIDNoise):
-        return 1.0 - model.pmf[0]
-    return model.stationary_flip_probability
-
-
 def resolve_abandonment(cfg: SimConfig) -> int | None:
     """Query budget implied by the config: fixed, derived from the
     abandonment-probability rule, or none."""
     if cfg.abandon_after is not None:
         return cfg.abandon_after
     if cfg.p_abandon is not None:
-        p = _model_error_probability(cfg.model)
+        p = model_error_probability(cfg.model)
         delta = select_delta(cfg.model, cfg.n, cfg.p_abandon, p)
         return abandonment_threshold(cfg.n, shannon_entropy_rate(cfg.model), delta)
     return None

@@ -21,7 +21,7 @@ import grandkit
 from grandkit import analysis as an
 from grandkit.codebook import UHitModel, build_uniform_codebook, u_survival_approx, u_survival_exact
 from grandkit.decoder import brute_force_ml, grand_decode
-from grandkit.guesswork import GuessEnumerator, guess_rank, rate_function_value
+from grandkit.guesswork import guess_rank, iter_guesses, rate_function_value
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     bsc,
@@ -119,7 +119,7 @@ def test_criterion_5_guess_order_correctness():
         n = 12
         emitted = []
         prev_lp = math.inf
-        for z, lp in GuessEnumerator(model, n):
+        for z, lp in iter_guesses(model, n):
             ok = ok and lp <= prev_lp + 1e-12
             prev_lp = lp
             emitted.append(z)
@@ -245,7 +245,7 @@ def test_criterion_9_capacity_fraction_headlines():
     )
 
 
-def _run_cli(*args: str) -> bytes:
+def _run_cli(*args: str, cwd=None) -> bytes:
     """Run ``python -m grandkit`` on the imported package; return its stdout.
 
     The child's ``PYTHONPATH`` starts with the directory that holds the
@@ -259,7 +259,7 @@ def _run_cli(*args: str) -> bytes:
         "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else ""),
     }
     cmd = [sys.executable, "-m", "grandkit", *args]
-    proc = subprocess.run(cmd, capture_output=True, env=env)
+    proc = subprocess.run(cmd, capture_output=True, env=env, cwd=cwd)
     assert proc.returncode == 0, (
         f"{' '.join(cmd)} exited with {proc.returncode}:\n"
         f"{proc.stderr.decode(errors='replace')}"

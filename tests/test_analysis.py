@@ -14,6 +14,8 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
+from .oracles import bsc_success_prob_fine_exact
+
 SMOOTH_MODELS = [bsc(0.1), bsc(0.01), BinaryMarkovNoise(0.002, 0.2)]
 
 
@@ -219,7 +221,7 @@ def test_block_error_fine_headline_values():
 def test_block_error_float_path_matches_extended_precision():
     for n, R, p in [(20, 0.5, 0.1), (30, 0.7, 0.05), (25, 0.3, 0.2)]:
         fast = an.bsc_success_prob_fine(n, R, p)
-        slow = an.bsc_success_prob_fine_exact(n, R, p)
+        slow = bsc_success_prob_fine_exact(n, R, p)
         assert fast == pytest.approx(slow, rel=1e-12)
 
 

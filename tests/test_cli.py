@@ -23,6 +23,24 @@ def test_guess_order_csv(capsys):
     assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4"]
 
 
+def test_guess_order_limit_zero_prints_header_only(capsys):
+    out = run_cli(
+        capsys, "guess-order", "--model", "bsc", "--p", "0.1", "--n", "3",
+        "--limit", "0",
+    )
+    assert out == "rank,sequence,log_prob\r\n"
+
+
+def test_guess_order_rejects_negative_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["guess-order", "--model", "bsc", "--p", "0.1", "--n", "3",
+             "--limit", "-3"]
+        )
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_guess_order_markov(capsys):
     out = run_cli(
         capsys, "guess-order", "--model", "markov", "--a", "0.1", "--b", "0.4",

@@ -1,8 +1,13 @@
 import itertools
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grandkit.codebook import (
     ExplicitCodebook,
@@ -241,4 +246,53 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a codebook")
     with pytest.raises(ValueError):
+        load_codebook(str(path))
+
+
+@st.composite
+def small_codebooks(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    if draw(st.booleans()):
+        return build_linear_codebook(n, draw(st.integers(1, n)), seed)
+    rate = draw(st.floats(min_value=0.0, max_value=0.6))
+    return build_uniform_codebook(n, rate, seed, alphabet_size=draw(st.sampled_from((2, 3))))
+
+
+@given(cb=small_codebooks())
+@settings(max_examples=30, deadline=None)
+def test_load_roundtrips_and_rejects_every_truncation(cb):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cb.bin"
+        save_codebook(cb, str(path))
+        data = path.read_bytes()
+        loaded = load_codebook(str(path))
+        if isinstance(cb, LinearCodebook):
+            assert loaded.generator == cb.generator
+        else:
+            assert loaded.words == cb.words
+            assert loaded.alphabet_size == cb.alphabet_size
+        for bad in [data[:cut] for cut in range(len(data))] + [data + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError):
+                load_codebook(str(path))
+
+
+def test_load_rejects_header_body_mismatch(tmp_path):
+    path = tmp_path / "cb.bin"
+    save_codebook(build_linear_codebook(16, 8, seed=2), str(path))
+    data = path.read_bytes()
+    n, k, seed = struct.unpack_from("<IIQ", data, 7)
+    path.write_bytes(data[:7] + struct.pack("<IIQ", n, k + 1, seed) + data[23:])
+    with pytest.raises(ValueError, match="header implies"):
+        load_codebook(str(path))
+
+
+def test_load_rejects_symbol_outside_alphabet(tmp_path):
+    path = tmp_path / "cb.bin"
+    save_codebook(build_uniform_codebook(4, 0.5, seed=1, alphabet_size=3), str(path))
+    data = bytearray(path.read_bytes())
+    data[-1] = 3
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="alphabet"):
         load_codebook(str(path))

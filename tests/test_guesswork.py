@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grandkit.guesswork import (
-    GuessEnumerator,
     cumulative_binomial_layers,
     guess_rank,
     iter_guesses,
@@ -26,6 +25,8 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
+from .oracles import GuessEnumerator
+
 MODELS = [
     bsc(0.1),
     bsc(0.3),
@@ -42,54 +43,72 @@ def brute_force_order(model, n):
 
 
 def test_first_guess_is_all_zeros():
-    z, lp = next(GuessEnumerator(bsc(0.1), 3))
+    z, lp = next(iter_guesses(bsc(0.1), 3))
     assert z == (0, 0, 0)
     assert lp == pytest.approx(3 * math.log2(0.9), abs=1e-12)
 
 
 def test_weight_one_layer_ascending_numeric():
-    enum = GuessEnumerator(bsc(0.1), 3)
-    emitted = [z for z, _ in itertools.islice(enum, 4)]
+    emitted = [z for z, _ in itertools.islice(iter_guesses(bsc(0.1), 3), 4)]
     assert emitted == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_uniform_noise_emits_numeric_order():
-    enum = GuessEnumerator(bsc(0.5), 2)
-    assert [z for z, _ in enum] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    emitted = [z for z, _ in iter_guesses(bsc(0.5), 2)]
+    assert emitted == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_enumeration_matches_sorted_order(model):
     n = 7 if model.alphabet_size == 2 else 5
-    enum = GuessEnumerator(model, n)
-    emitted = [z for z, _ in enum]
+    emitted = [z for z, _ in iter_guesses(model, n)]
     assert emitted == brute_force_order(model, n)
     assert len(emitted) == model.alphabet_size**n
-    assert enum.next_guess() is None
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_lazy_iteration_matches_enumerator(model):
     n = 7 if model.alphabet_size == 2 else 5
     lazy = list(iter_guesses(model, n))
-    eager = list(GuessEnumerator(model, n))
+    enum = GuessEnumerator(model, n)
+    eager = list(enum)
     assert [z for z, _ in lazy] == [z for z, _ in eager]
     # log-probabilities must agree bit for bit (canonical per-class values)
     assert [lp for _, lp in lazy] == [lp for _, lp in eager]
+    # oracle self-check: the heap enumerator stops after all |A|^n sequences
+    assert enum.next_guess() is None
+    assert enum.emitted_count == model.alphabet_size**n
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_log_probs_non_increasing(model):
     n = 6 if model.alphabet_size == 2 else 4
-    lps = [lp for _, lp in GuessEnumerator(model, n)]
+    lps = [lp for _, lp in iter_guesses(model, n)]
     assert all(x >= y - 1e-12 for x, y in zip(lps, lps[1:]))
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_rank_agrees_with_emission_position(model):
     n = 7 if model.alphabet_size == 2 else 4
-    for i, (z, _) in enumerate(GuessEnumerator(model, n)):
+    for i, (z, _) in enumerate(iter_guesses(model, n)):
         assert guess_rank(model, z) == i + 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_iter_guesses_rejects_empty_length(model):
+    with pytest.raises(ValueError):
+        iter_guesses(model, 0)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_rank_and_log_prob_reject_symbols_outside_alphabet(model):
+    a = model.alphabet_size
+    for bad in (-1, a):
+        z = (0, bad, 0, 0)
+        with pytest.raises(ValueError):
+            guess_rank(model, z)
+        with pytest.raises(ValueError):
+            sequence_log_prob(model, z)
 
 
 def test_rank_spot_values():

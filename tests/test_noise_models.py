@@ -11,6 +11,7 @@ from grandkit.noise_models import (
     IIDNoise,
     bsc,
     min_entropy_rate,
+    model_error_probability,
     renyi_entropy_rate,
     sample_noise,
     sequence_log_prob,
@@ -105,6 +106,13 @@ def test_sequence_log_prob_markov_spot():
     assert sequence_log_prob(m, (0, 0)) == pytest.approx(
         math.log2(0.5 * 0.8), abs=1e-12
     )
+
+
+def test_model_error_probability():
+    assert model_error_probability(bsc(0.1)) == pytest.approx(0.1, abs=1e-15)
+    assert model_error_probability(IIDNoise((0.7, 0.2, 0.1))) == pytest.approx(0.3)
+    # stationary share of 1 symbols: a / (a + b)
+    assert model_error_probability(BinaryMarkovNoise(0.1, 0.3)) == pytest.approx(0.25)
 
 
 def test_sequence_log_prob_rejects_empty():

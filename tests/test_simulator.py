@@ -32,6 +32,19 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 0), ("n", -3), ("rate", 0.0), ("rate", 1.0), ("rate", 1.5), ("rate", -0.2),
+     ("p_abandon", 0.0), ("p_abandon", 1.0), ("p_abandon", 2.0),
+     ("abandon_after", 0), ("abandon_after", -5)],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    kwargs = dict(model=bsc(0.1), n=8, rate=0.5, trials=10)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SimConfig(**kwargs)
+
+
 def test_reports_reproducible_bit_for_bit():
     cfg = SimConfig(model=bsc(0.1), n=10, rate=0.5, trials=500, mode="race", seed=3)
     r1, r2 = run_race(cfg), run_race(cfg)
