@@ -20,7 +20,6 @@ from .noise_models import (
 )
 from .guesswork import (
     RateFunctionTable,
-    cumulative_binomial_layers,
     guess_rank,
     rate_function_I_N,
     rate_function_value,

@@ -189,10 +189,13 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
 def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float:
     """Abandonment margin delta(n) meeting a target abandonment probability.
 
-    Solves I_N(H + delta) = -log(p_abandon * min(p n, 1)) / n (base |A|), so
-    the abandonment probability is at most ``p_abandon`` times the expected
-    uncoded block error probability.
+    Solves I_N(H + delta) = -log2(p_abandon * min(p n, 1)) / n, so the
+    abandonment probability is at most ``p_abandon`` times the expected
+    uncoded block error probability. The target is in bits, so only binary
+    alphabets are accepted: larger ones raise ValueError.
     """
+    if model.alphabet_size > 2:
+        raise ValueError("the abandonment budget rule supports binary alphabets only")
     if not 0.0 < p_abandon < 1.0:
         raise ValueError("p_abandon must lie in (0, 1)")
     if n < 1:

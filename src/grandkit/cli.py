@@ -43,14 +43,14 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 def _build_model(args):
     if args.model == "bsc":
         if args.p is None:
-            raise SystemExit("--model bsc requires --p")
+            raise ValueError("--model bsc requires --p")
         return bsc(args.p)
     if args.model == "markov":
         if args.a is None or args.b is None:
-            raise SystemExit("--model markov requires --a and --b")
+            raise ValueError("--model markov requires --a and --b")
         return BinaryMarkovNoise(args.a, args.b)
     if args.pmf is None:
-        raise SystemExit("--model iid requires --pmf")
+        raise ValueError("--model iid requires --pmf")
     return IIDNoise(tuple(float(x) for x in args.pmf.split(",")))
 
 
@@ -58,7 +58,9 @@ def _parse_rate_grid(spec: str):
     try:
         start, step, stop = (float(x) for x in spec.split(":"))
     except ValueError:
-        raise SystemExit("--rate-grid must be start:step:stop")
+        raise ValueError("--rate-grid must be start:step:stop") from None
+    if step <= 0.0 or start > stop:
+        raise ValueError("--rate-grid needs step > 0 and start <= stop")
     grid = []
     r = start
     while r <= stop + 1e-12:
@@ -71,7 +73,7 @@ def _parse_word(text: str, n: int) -> tuple[int, ...]:
     """Hex string -> length-n bit tuple (most significant bit first)."""
     value = int(text, 16)
     if value >= 1 << n:
-        raise SystemExit(f"word 0x{text} does not fit in {n} bits")
+        raise ValueError(f"word 0x{text} does not fit in {n} bits")
     return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
 
 
@@ -105,41 +107,41 @@ def _cmd_decode(args) -> None:
     print(json.dumps(out, sort_keys=True))
 
 
+def _delta(args, model):
+    """Abandonment margin: ``--delta``, or the one ``--auto-delta`` selects."""
+    if not args.auto_delta:
+        if args.p_abandon is not None:
+            raise ValueError("--p-abandon requires --auto-delta")
+        return args.delta
+    if args.delta is not None:
+        raise ValueError("give either --delta or --auto-delta, not both")
+    if args.p_abandon is None or args.n is None:
+        raise ValueError("--auto-delta requires --p-abandon and --n")
+    p_err = model_error_probability(model)
+    return analysis.select_delta(model, args.n, args.p_abandon, p_err)
+
+
 def _cmd_exponents(args) -> None:
     model = _build_model(args)
-    delta = args.delta
-    if args.auto_delta:
-        if args.p_abandon is None or args.n is None:
-            raise SystemExit("--auto-delta requires --p-abandon and --n")
-        p_err = model_error_probability(model)
-        delta = analysis.select_delta(model, args.n, args.p_abandon, p_err)
-    grid = _parse_rate_grid(args.rate_grid)
-    cap = analysis.capacity(model)
-    rows = []
-    for R in grid:
-        grand_exp, grandab_exp = analysis.complexity_exponents(model, R, delta)
-        rows.append(
-            {
-                "R": repr(R),
-                "epsilon": repr(analysis.error_exponent(model, R)),
-                "s": repr(analysis.success_exponent(model, R)),
-                "epsilon_AB": repr(
-                    analysis.grandab_error_exponent(model, R, delta)
-                )
-                if delta is not None and R < cap
-                else "",
-                "grand_complexity_exp": repr(grand_exp),
-                "grandab_complexity_exp": repr(grandab_exp),
-                "x_star": repr(analysis.critical_rate_x_star(model)),
-                "y_star": repr(analysis.supercritical_threshold_y_star(model, R)),
-                "capacity": repr(cap),
-            }
-        )
+    delta = _delta(args, model)
+    reports = [
+        analysis.exponent_report(model, R, delta)
+        for R in _parse_rate_grid(args.rate_grid)
+    ]
+    # each column is the ExponentReport field of the same name
+    columns = (
+        "R", "epsilon", "s", "epsilon_AB", "grand_complexity_exp",
+        "grandab_complexity_exp", "x_star", "y_star", "capacity",
+    )
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(target, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(target)
+        writer.writerow(columns)
+        for rep in reports:
+            row = [repr(getattr(rep, col)) for col in columns]
+            if rep.epsilon_AB is None:
+                row[3] = ""
+            writer.writerow(row)
     finally:
         if args.out:
             target.close()
@@ -163,6 +165,8 @@ def _cmd_blerr(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    if (args.abandon == "auto") != (args.p_abandon is not None):
+        raise ValueError("--abandon auto and --p-abandon go together")
     model = _build_model(args)
     cfg = simulator.SimConfig(
         model=model,
@@ -171,7 +175,7 @@ def _cmd_simulate(args) -> None:
         trials=args.trials,
         mode=args.mode,
         abandon_after=args.abandon_after,
-        p_abandon=args.p_abandon if args.abandon == "auto" else None,
+        p_abandon=args.p_abandon,
         seed=args.seed,
         workers=args.workers,
     )
@@ -187,12 +191,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_figure_sweep(args) -> None:
     model = _build_model(args)
-    delta = args.delta
-    if args.auto_delta:
-        if args.p_abandon is None:
-            raise SystemExit("--auto-delta requires --p-abandon")
-        p_err = model_error_probability(model)
-        delta = analysis.select_delta(model, args.n, args.p_abandon, p_err)
+    delta = _delta(args, model)
     simulator.figure_sweep(
         model,
         args.n,
@@ -296,6 +295,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_make_codebook)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     return 0
 

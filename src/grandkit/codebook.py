@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -33,8 +34,10 @@ __all__ = [
     "load_codebook",
 ]
 
-# Default guard: explicit storage capped at 1 GiB of packed word bits.
-_DEFAULT_MEMORY_LIMIT_BITS = 8 * 2**30
+# Explicit storage cap. A stored word takes 8 bytes per symbol (40 above the
+# shared small ints 0..256) plus about 120 for its tuple header, its slot in
+# ``words``, its info index and its ``_index`` entry (measured with tracemalloc).
+_MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
 _MAGIC_LINEAR = b"GKCBL1\n"
@@ -174,25 +177,25 @@ Codebook = ExplicitCodebook | LinearCodebook
 
 
 def build_uniform_codebook(
-    n: int,
-    rate: float,
-    seed: int,
-    alphabet_size: int = 2,
-    memory_limit_bits: int = _DEFAULT_MEMORY_LIMIT_BITS,
+    n: int, rate: float, seed: int, alphabet_size: int = 2
 ) -> ExplicitCodebook:
-    """Draw M_n = floor(|A|^(n R)) words uniformly with replacement."""
+    """Draw M_n = floor(|A|^(n R)) words uniformly with replacement.
+
+    Raises ExplicitModeTooLargeError, before drawing, when the stored words
+    and their index would take more than 1 GiB.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = codebook_size(alphabet_size, n, rate)
-    bits_per_symbol = max(1.0, math.log2(alphabet_size))
-    if m * n * bits_per_symbol > memory_limit_bits:
+    symbol_bytes = 8 if alphabet_size <= 257 else 40
+    if m * (n * symbol_bytes + 120) > _MEMORY_LIMIT_BYTES:
         raise ExplicitModeTooLargeError(
             f"explicit codebook needs {m} words of length {n}; "
             "use a linear codebook or race-mode simulation"
         )
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, alphabet_size, size=(m, n), dtype=np.int64)
-    words = tuple(tuple(int(s) for s in row) for row in draws)
+    words = tuple(tuple(row.tolist()) for row in draws)
     return ExplicitCodebook(
         n=n, rate=rate, seed=seed, alphabet_size=alphabet_size, words=words
     )
@@ -228,7 +231,7 @@ class UHitModel:
     rate: float
     alphabet_size: int = 2
 
-    @property
+    @cached_property
     def M_n(self) -> int:
         return codebook_size(self.alphabet_size, self.n, self.rate)
 

@@ -28,6 +28,9 @@ __all__ = [
     "brute_force_ml",
 ]
 
+# Largest budget exponent abandonment_threshold accepts.
+_EXPONENT_CAP = 64.0
+
 
 class DecodeStatus(Enum):
     DECODED = "decoded"
@@ -93,23 +96,21 @@ def grandab_decode(
     return grand_decode(cb, y, model, max_queries=max_queries)
 
 
-def abandonment_threshold(
-    n: int, H: float, delta: float, exponent_cap: float = 64.0
-) -> int:
-    """Query budget ceil(|A|^(n(H + delta))), clamped to |A|^n.
+def abandonment_threshold(n: int, H: float, delta: float) -> int:
+    """Query budget ceil(2^(n(H + delta))), clamped to 2^n.
 
-    ``H`` and ``delta`` are in base-|A| units for a binary alphabet (the only
-    one the budget rule is used with). The cap bounds the exponent of the
-    returned integer so a typo cannot request astronomical budgets.
+    For binary alphabets only, like :func:`select_delta`, which rejects
+    larger ones: ``H`` and ``delta`` are in bits. The exponent is capped at
+    64 so a typo cannot request astronomical budgets.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     exponent = n * min(H + delta, 1.0)
-    if exponent > exponent_cap:
+    if exponent > _EXPONENT_CAP:
         raise ValueError(
-            f"abandonment exponent {exponent:.1f} exceeds cap {exponent_cap}"
+            f"abandonment exponent {exponent:.1f} exceeds cap {_EXPONENT_CAP}"
         )
     with mpmath.workdps(40):
         t = int(mpmath.ceil(mpmath.mpf(2) ** exponent))

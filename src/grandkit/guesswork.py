@@ -37,7 +37,6 @@ from .noise_models import (
 __all__ = [
     "iter_guesses",
     "guess_rank",
-    "cumulative_binomial_layers",
     "scgf_lambda_N",
     "scgf_derivative",
     "rate_function_value",
@@ -55,12 +54,12 @@ _ALPHA_CAP = 1e8
 # ---------------------------------------------------------------------------
 
 
-def _multinomial(n: int, counts) -> int:
-    out = 1
-    rem = n
+def _multinomial(counts) -> int:
+    """Number of sequences with the given symbol counts."""
+    out, rem = 1, 0
     for c in counts:
+        rem += c
         out *= comb(rem, c)
-        rem -= c
     return out
 
 
@@ -106,7 +105,8 @@ def _markov_path_count(start: int, trans: tuple[int, int, int, int]) -> int:
 @lru_cache(maxsize=64)
 def _class_table(model: NoiseModel, n: int):
     """Probability classes of length-n sequences, sorted by decreasing
-    probability: list of (log_prob, class_key, size) plus cumulative sizes.
+    probability: list of (log_prob, class_key, size), and the number of
+    sequences in the classes before each one.
 
     IID class keys are symbol-count vectors; Markov class keys are
     (first_symbol, transition-count 4-tuple).
@@ -115,7 +115,7 @@ def _class_table(model: NoiseModel, n: int):
     if isinstance(model, IIDNoise):
         a = model.alphabet_size
         for counts in _iid_compositions(n, a):
-            size = _multinomial(n, counts)
+            size = _multinomial(counts)
             entries.append((_class_log_prob(model, counts), counts, size))
     else:
         m = n - 1
@@ -134,79 +134,59 @@ def _class_table(model: NoiseModel, n: int):
                         key = (first, trans)
                         entries.append((_class_log_prob(model, key), key, size))
     entries.sort(key=lambda e: (-e[0], e[1]))
-    cum = []
-    total = 0
-    for _, _, size in entries:
-        cum.append(total)
-        total += size
-    return entries, cum, total
+    return entries, list(itertools.accumulate((e[2] for e in entries), initial=0))
 
 
-def _iid_count_less(counts: tuple[int, ...], z: tuple[int, ...]) -> int:
-    """Sequences in the IID class ``counts`` that are numerically below ``z``."""
-    n = len(z)
-    remaining = list(counts)
-    less = 0
-    for i, sym in enumerate(z):
-        rem_len = n - i - 1
-        for c in range(sym):
-            if remaining[c] == 0:
-                continue
-            remaining[c] -= 1
-            less += _multinomial(rem_len, remaining)
-            remaining[c] += 1
-        if remaining[sym] == 0:
-            return less
-        remaining[sym] -= 1
-    return less
-
-
-def _markov_count_less(key, z: tuple[int, ...]) -> int:
-    """Sequences in the Markov class ``key`` = (first symbol, transition
-    counts) that are numerically below ``z``."""
+def _class_walk(model: NoiseModel, key):
+    """What the rank walk needs to know about the class ``key``: the prefix
+    every member starts with, the counts left after it, the stride that maps
+    a step from ``prev`` to ``s`` onto the count ``stride * prev + s`` it
+    spends, and how many ways there are to finish once ``s`` is placed."""
+    if isinstance(model, IIDNoise):
+        return (), list(key), 0, lambda s, rest: _multinomial(rest)
     first, trans = key
-    if first < z[0]:
-        return _markov_path_count(first, trans)
-    if first > z[0]:
-        return 0
-    remaining = list(trans)
+    return (first,), list(trans), 2, lambda s, rest: _markov_path_count(s, tuple(rest))
+
+
+def _count_less(model: NoiseModel, key, z: tuple[int, ...]) -> int:
+    """Sequences in the class ``key`` that are numerically below ``z``."""
+    head, remaining, stride, ways = _class_walk(model, key)
+    lead = z[: len(head)]
+    if head != lead:
+        return ways(head[-1], remaining) if head < lead else 0
     less = 0
-    prev = first
-    for sym in z[1:]:
+    prev = head[-1] if head else 0
+    for sym in z[len(head) :]:
+        base = stride * prev
         for c in range(sym):
-            idx = 2 * prev + c
-            if remaining[idx] == 0:
-                continue
-            remaining[idx] -= 1
-            less += _markov_path_count(c, tuple(remaining))
-            remaining[idx] += 1
-        idx = 2 * prev + sym
-        if remaining[idx] == 0:
+            if remaining[base + c]:
+                remaining[base + c] -= 1
+                less += ways(c, remaining)
+                remaining[base + c] += 1
+        if remaining[base + sym] == 0:
             return less
-        remaining[idx] -= 1
+        remaining[base + sym] -= 1
         prev = sym
     return less
 
 
 def _iid_class_sequences(counts):
-    """All sequences with the given symbol counts, ascending numeric order."""
-    a = len(counts)
-    remaining = list(counts)
-    n = sum(counts)
-    prefix = [0] * n
-
-    def rec(i):
-        if i == n:
-            yield tuple(prefix)
+    """All sequences with the given symbol counts, ascending numeric order:
+    each is the lexicographic successor of the one before."""
+    seq = [s for s, c in enumerate(counts) for _ in range(c)]
+    last = len(seq) - 1
+    while True:
+        yield tuple(seq)
+        i = last - 1
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for s in range(a):
-            if remaining[s]:
-                remaining[s] -= 1
-                prefix[i] = s
-                yield from rec(i + 1)
-                remaining[s] += 1
-
-    yield from rec(0)
+        j = last
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = seq[: i : -1]
 
 
 def _markov_class_sequences(key):
@@ -245,7 +225,7 @@ def iter_guesses(model: NoiseModel, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries, _, _ = _class_table(model, n)
+    entries, _ = _class_table(model, n)
     if isinstance(model, IIDNoise):
         class_gen = _iid_class_sequences
     else:
@@ -266,7 +246,7 @@ def guess_rank(model: NoiseModel, z) -> int:
     """
     z = tuple(int(s) for s in z)
     lp_z = _class_log_prob(model, _class_key(model, z))
-    entries, cum, _ = _class_table(model, len(z))
+    entries, cum = _class_table(model, len(z))
     # binary search to the first class in z's tie group
     lo, hi = 0, len(entries)
     while lo < hi:
@@ -276,24 +256,10 @@ def guess_rank(model: NoiseModel, z) -> int:
         else:
             hi = mid
     rank = cum[lo] + 1
-    if isinstance(model, IIDNoise):
-        count_less = _iid_count_less
-    else:
-        count_less = _markov_count_less
     while lo < len(entries) and entries[lo][0] == lp_z:
-        rank += count_less(entries[lo][1], z)
+        rank += _count_less(model, entries[lo][1], z)
         lo += 1
     return rank
-
-
-def cumulative_binomial_layers(n: int, k: int) -> int:
-    """l_k: number of binary strings of length n with Hamming weight <= k.
-
-    Exact arbitrary-precision integer; ``k = -1`` gives 0.
-    """
-    if k < -1 or k > n:
-        raise ValueError("k must lie in [-1, n]")
-    return sum(comb(n, j) for j in range(k + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from grandkit import analysis as an
 from grandkit.guesswork import rate_function_value
 from grandkit.noise_models import (
     BinaryMarkovNoise,
+    IIDNoise,
     bsc,
     min_entropy_rate,
     renyi_entropy_rate,
@@ -207,6 +208,12 @@ def test_select_delta_rejects_unattainable_target():
     # an absurdly small target probability needs an exponent beyond I_N's range
     with pytest.raises(ValueError):
         an.select_delta(bsc(0.3), 10, 1e-9, 0.3)
+
+
+def test_select_delta_rejects_non_binary_alphabet():
+    # the target exponent is in bits while a ternary entropy rate is in trits
+    with pytest.raises(ValueError, match="binary"):
+        an.select_delta(IIDNoise((0.9, 0.05, 0.05)), 20, 0.01, 0.1)
 
 
 def test_block_error_fine_headline_values():

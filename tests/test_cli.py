@@ -169,3 +169,67 @@ def test_model_flag_validation():
             ["guess-order", "--model", "markov", "--a", "0.1", "--n", "3",
              "--limit", "2"]
         )
+
+
+BSC = ("--model", "bsc", "--p", "0.01")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("blerr", "--p", "0.01", "--n", "75", "--rate", "1.5"), "R must lie in (0, 1)"),
+        (("guess-order", *BSC, "--n", "0", "--limit", "3"), "n must be >= 1"),
+        (("guess-order", "--model", "bsc", "--n", "3", "--limit", "3"),
+         "--model bsc requires --p"),
+        (("guess-order", "--model", "iid", "--pmf", "0.5,x", "--n", "3", "--limit", "3"),
+         "could not convert"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2"), "--rate-grid must be start:step:stop"),
+        (("exponents", *BSC, "--rate-grid", "0.9:0.1:0.1"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0:0.9"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--p-abandon", "0.01"),
+         "--p-abandon requires --auto-delta"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--auto-delta", "--n", "75"),
+         "--auto-delta requires --p-abandon and --n"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--delta", "0.1",
+          "--auto-delta", "--p-abandon", "0.01", "--n", "75"),
+         "either --delta or --auto-delta"),
+        (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0.1:0.2:0.9",
+          "--p-abandon", "0.01", "--out", "unused.csv"),
+         "--p-abandon requires --auto-delta"),
+        (("simulate", *BSC, "--mode", "race", "--n", "20", "--rate", "0.5",
+          "--trials", "10", "--p-abandon", "0.01"),
+         "--abandon auto and --p-abandon go together"),
+        (("simulate", *BSC, "--mode", "race", "--n", "20", "--rate", "0.5",
+          "--trials", "10", "--abandon", "auto"),
+         "--abandon auto and --p-abandon go together"),
+        (("simulate", "--model", "iid", "--pmf", "0.9,0.05,0.05", "--mode", "race",
+          "--n", "20", "--rate", "0.5", "--trials", "10", "--abandon", "auto",
+          "--p-abandon", "0.01"),
+         "binary alphabets only"),
+    ],
+)
+def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "grandkit: error:" in err
+    assert message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [("xyz", "invalid literal for int() with base 16"), ("80", "does not fit in 7 bits")],
+)
+def test_decode_bad_word_is_an_argparse_error(capsys, tmp_path, word, message):
+    path = tmp_path / "cb.bin"
+    run_cli(
+        capsys, "make-codebook", "--kind", "linear", "--n", "7", "--k", "4",
+        "--out", str(path),
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", *BSC, "--codebook", str(path), "--y", word])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -60,6 +60,14 @@ def test_memory_guard():
         build_uniform_codebook(100, 0.9, seed=0)
 
 
+def test_memory_guard_counts_stored_words(monkeypatch):
+    # 2^22 words of 24 bits pack into 12.6 MB but take over 1 GiB as tuples
+    # and index; the guard must refuse before any word is drawn
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ExplicitModeTooLargeError):
+        build_uniform_codebook(24, 22 / 24, seed=0)
+
+
 def test_explicit_membership_exhaustive():
     cb = build_uniform_codebook(8, 0.5, seed=9)
     members = set(cb.words)

@@ -145,7 +145,7 @@ def test_threshold_validation():
     with pytest.raises(ValueError):
         abandonment_threshold(10, 0.1, 0.0)
     with pytest.raises(ValueError):
-        abandonment_threshold(100, 0.9, 0.1, exponent_cap=64.0)
+        abandonment_threshold(100, 0.9, 0.1)
 
 
 def test_brute_force_trivialities():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grandkit.analysis import _weight_layers
+from grandkit.codebook import build_linear_codebook
+from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
-    cumulative_binomial_layers,
     guess_rank,
     iter_guesses,
     rate_function_I_N,
@@ -31,6 +33,8 @@ MODELS = [
     bsc(0.1),
     bsc(0.3),
     IIDNoise((0.5, 0.2, 0.3)),
+    # tied symbol probabilities: several classes share each log-probability
+    IIDNoise((0.4, 0.4, 0.1, 0.1)),
     BinaryMarkovNoise(0.1, 0.3),
     BinaryMarkovNoise(0.2, 0.2),
 ]
@@ -149,16 +153,38 @@ def test_rank_is_emission_position_markov_property(a, b, data):
             break
 
 
+def layer_counts(n):
+    """l_{-1}, l_0, ..., l_n: strings of Hamming weight <= k, k = -1..n."""
+    layers = list(_weight_layers(n, 0.5))
+    return [layers[0][1]] + [l_k for _, _, l_k, _ in layers]
+
+
 def test_layer_counts():
-    assert cumulative_binomial_layers(4, -1) == 0
-    assert cumulative_binomial_layers(4, 0) == 1
-    assert cumulative_binomial_layers(4, 1) == 5
-    assert cumulative_binomial_layers(4, 2) == 11
-    assert cumulative_binomial_layers(20, 20) == 2**20
+    assert layer_counts(4)[:4] == [0, 1, 5, 11]
+    assert layer_counts(20)[-1] == 2**20
     # exact big-integer arithmetic at large n
-    assert cumulative_binomial_layers(700, 10) == sum(
-        math.comb(700, j) for j in range(11)
-    )
+    assert layer_counts(700)[11] == sum(math.comb(700, j) for j in range(11))
+
+
+def test_iter_guesses_long_block():
+    n = 1000
+    first = [z for z, _ in itertools.islice(iter_guesses(bsc(1e-3), n), n + 2)]
+    assert first[0] == (0,) * n
+    # the weight-one layer, ascending numerically: the last bit moves left
+    assert first[1] == (0,) * (n - 1) + (1,)
+    assert first[n] == (1,) + (0,) * (n - 1)
+    assert first[n + 1] == (0,) * (n - 2) + (1, 1)
+
+
+def test_decode_long_block_one_bit_error():
+    cb = build_linear_codebook(1000, 990, seed=1)
+    info = tuple(int(b) for b in np.random.default_rng(4).integers(0, 2, size=990))
+    c = cb.encode(info)
+    y = list(c)
+    y[417] ^= 1
+    res = grand_decode(cb, y, bsc(1e-3))
+    assert res.decoded == c
+    assert res.queries == guess_rank(bsc(1e-3), [int(i == 417) for i in range(1000)])
 
 
 def test_scgf_zero_at_zero():

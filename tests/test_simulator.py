@@ -158,6 +158,15 @@ def test_auto_abandonment_threshold_and_rate():
     assert rep.block_error_rate >= rep.abandonment_rate
 
 
+def test_auto_abandonment_rejects_non_binary_alphabet():
+    cfg = SimConfig(
+        model=IIDNoise((0.9, 0.05, 0.05)), n=20, rate=0.5, trials=10,
+        mode="race", p_abandon=0.01,
+    )
+    with pytest.raises(ValueError, match="binary"):
+        run_simulation(cfg)
+
+
 def test_fixed_abandonment_caps_queries():
     cfg = SimConfig(
         model=bsc(0.3), n=10, rate=0.2, trials=500, mode="race",
