@@ -17,12 +17,7 @@ from math import comb
 import mpmath
 from scipy.optimize import brentq, minimize_scalar
 
-from .guesswork import (
-    RateFunctionTable,
-    rate_function_I_N,
-    rate_function_value,
-    scgf_derivative,
-)
+from .guesswork import rate_function_value, scgf_derivative
 from .noise_models import (
     NoiseModel,
     min_entropy_rate,
@@ -240,15 +235,12 @@ class ExponentReport:
     epsilon_AB: float | None
     grand_complexity_exp: float
     grandab_complexity_exp: float
-    I_N: RateFunctionTable | None = None
-    I_GRAND: tuple[float, ...] | None = None
 
 
 def exponent_report(
     model: NoiseModel,
     R: float,
     delta: float | None = None,
-    x_grid=None,
 ) -> ExponentReport:
     """Assemble every exponent-level quantity for one rate point."""
     H = shannon_entropy_rate(model)
@@ -256,8 +248,6 @@ def exponent_report(
     eps_ab = None
     if delta is not None and R < 1.0 - H:
         eps_ab = grandab_error_exponent(model, R, delta)
-    table = rate_function_I_N(model, x_grid) if x_grid is not None else None
-    i_grand = grand_rate_function(model, R, x_grid) if x_grid is not None else None
     return ExponentReport(
         model_summary=repr(model),
         R=R,
@@ -272,8 +262,6 @@ def exponent_report(
         epsilon_AB=eps_ab,
         grand_complexity_exp=grand_exp,
         grandab_complexity_exp=grandab_exp,
-        I_N=table,
-        I_GRAND=i_grand,
     )
 
 
@@ -310,6 +298,8 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
     probability is one minus this value. Sub-second even at n in the
     hundreds because the weight loop terminates once survival underflows.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     if not 0.0 < R < 1.0:
@@ -369,6 +359,8 @@ def expected_queries_fine(
     count of blocks that produce a decoding). Uses the exponential
     accidental-hit law and closed-form geometric sums per weight layer.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if conditional and max_queries is None:
         raise ValueError("conditional mean requires a query budget")
     total_seq = 2**n

@@ -19,6 +19,7 @@ import sys
 
 from . import analysis, simulator
 from .codebook import (
+    ExplicitModeTooLargeError,
     build_linear_codebook,
     build_uniform_codebook,
     load_codebook,
@@ -206,6 +207,9 @@ def _cmd_figure_sweep(args) -> None:
 
 
 def _cmd_make_codebook(args) -> None:
+    if args.rate is None and (args.kind == "explicit" or args.k is None):
+        needs = "--rate" if args.kind == "explicit" else "--k or --rate"
+        raise ValueError(f"--kind {args.kind} requires {needs}")
     if args.kind == "explicit":
         cb = build_uniform_codebook(args.n, args.rate, args.seed)
     else:
@@ -297,7 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, ExplicitModeTooLargeError) as exc:
         parser.error(str(exc))
     return 0
 

@@ -156,8 +156,6 @@ class LinearCodebook:
         w = np.asarray(word, dtype=np.uint8)
         if w.shape != (self.n,):
             raise ValueError("word length mismatch")
-        if self.k == self.n:
-            return True
         return not np.any((self._h @ w) % 2)
 
     def encode(self, info_word) -> tuple[int, ...]:
@@ -289,7 +287,7 @@ def sample_u_exact(m: UHitModel, v: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pack_words(words, n: int, alphabet_size: int) -> bytes:
+def _pack_words(words, alphabet_size: int) -> bytes:
     if alphabet_size == 2:
         flat = np.array([s for w in words for s in w], dtype=np.uint8)
         return np.packbits(flat).tobytes()
@@ -319,11 +317,11 @@ def save_codebook(cb: Codebook, path: str) -> None:
                     "<IQQdH", cb.n, cb.size, cb.seed, cb.rate, cb.alphabet_size
                 )
             )
-            f.write(_pack_words(cb.words, cb.n, cb.alphabet_size))
+            f.write(_pack_words(cb.words, cb.alphabet_size))
         else:
             f.write(_MAGIC_LINEAR)
             f.write(struct.pack("<IIQ", cb.n, cb.k, cb.seed))
-            f.write(_pack_words(cb.generator, cb.n, 2))
+            f.write(_pack_words(cb.generator, 2))
 
 
 def load_codebook(path: str) -> Codebook:

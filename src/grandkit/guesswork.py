@@ -73,33 +73,21 @@ def _iid_compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-def _markov_path_count(start: int, trans: tuple[int, int, int, int]) -> int:
+def _markov_path_count(start: int, trans) -> int:
     """Number of binary strings starting at ``start`` with the given counts of
-    (00, 01, 10, 11) transitions. Zero when no such path exists."""
-    c00, c01, c10, c11 = trans
-    if start == 0:
-        if c01 == c10:
-            r0, r1 = c01 + 1, c01
-        elif c01 == c10 + 1:
-            r0, r1 = c01, c01
-        else:
-            return 0
-    else:
-        if c10 == c01:
-            r0, r1 = c10, c10 + 1
-        elif c10 == c01 + 1:
-            r0, r1 = c10, c10
-        else:
-            return 0
-    if r0 == 0:
-        zeros = 1 if c00 == 0 else 0
-    else:
-        zeros = comb(c00 + r0 - 1, r0 - 1)
-    if r1 == 0:
-        ones = 1 if c11 == 0 else 0
-    else:
-        ones = comb(c11 + r1 - 1, r1 - 1)
-    return zeros * ones
+    (00, 01, 10, 11) transitions, given as a tuple or a list. Zero when no
+    such path exists.
+
+    Complementing a string swaps 00 with 11 and 01 with 10, so a string that
+    starts at 1 is counted as a start-0 string of the reversed counts.
+    """
+    c00, c01, c10, c11 = trans[::-1] if start else trans
+    if c01 - c10 not in (0, 1):
+        return 0
+    # c10 + 1 runs of zeros share the c00 zeros that follow a zero, and c01
+    # runs of ones share the c11 ones that follow a one.
+    ones = comb(c11 + c01 - 1, c01 - 1) if c01 else int(c11 == 0)
+    return comb(c00 + c10, c10) * ones
 
 
 @lru_cache(maxsize=64)
@@ -119,19 +107,15 @@ def _class_table(model: NoiseModel, n: int):
             entries.append((_class_log_prob(model, counts), counts, size))
     else:
         m = n - 1
-        for first in (0, 1):
-            for c01 in range(m + 1):
-                c10_options = (c01, c01 - 1) if first == 0 else (c01, c01 + 1)
-                for c10 in c10_options:
-                    if c10 < 0 or c01 + c10 > m:
+        for c10 in range(m // 2 + 1):
+            for c01 in (c10, c10 + 1):
+                for c00 in range(m - c01 - c10 + 1):
+                    trans = (c00, c01, c10, m - c01 - c10 - c00)
+                    size = _markov_path_count(0, trans)
+                    if size == 0:
                         continue
-                    for c00 in range(m - c01 - c10 + 1):
-                        c11 = m - c01 - c10 - c00
-                        trans = (c00, c01, c10, c11)
-                        size = _markov_path_count(first, trans)
-                        if size == 0:
-                            continue
-                        key = (first, trans)
+                    # the complement class starts at 1 and has the same size
+                    for key in ((0, trans), (1, trans[::-1])):
                         entries.append((_class_log_prob(model, key), key, size))
     entries.sort(key=lambda e: (-e[0], e[1]))
     return entries, list(itertools.accumulate((e[2] for e in entries), initial=0))
@@ -145,7 +129,7 @@ def _class_walk(model: NoiseModel, key):
     if isinstance(model, IIDNoise):
         return (), list(key), 0, lambda s, rest: _multinomial(rest)
     first, trans = key
-    return (first,), list(trans), 2, lambda s, rest: _markov_path_count(s, tuple(rest))
+    return (first,), list(trans), 2, _markov_path_count
 
 
 def _count_less(model: NoiseModel, key, z: tuple[int, ...]) -> int:
@@ -191,28 +175,37 @@ def _iid_class_sequences(counts):
 
 def _markov_class_sequences(key):
     """All binary sequences of the class ``key`` = (first symbol, transition
-    counts), ascending numeric order; infeasible branches are pruned."""
+    counts), ascending numeric order: to get the next one, the rightmost 0
+    that can become a 1 does, and the smallest tail that still completes the
+    class follows it."""
     first, trans = key
     n = 1 + sum(trans)
+    seq = [first] * n
     remaining = list(trans)
-    prefix = [0] * n
-    prefix[0] = first
-
-    def rec(i, state):
-        if i == n:
-            yield tuple(prefix)
-            return
-        for s in (0, 1):
-            idx = 2 * state + s
-            if remaining[idx] == 0:
-                continue
+    i = 0
+    while True:
+        # smallest tail after seq[i]: a 0 wherever the class can still follow it
+        for j in range(i + 1, n):
+            idx = 2 * seq[j - 1]
             remaining[idx] -= 1
-            if _markov_path_count(s, tuple(remaining)):
-                prefix[i] = s
-                yield from rec(i + 1, s)
+            if remaining[idx] < 0 or not _markov_path_count(0, remaining):
+                remaining[idx] += 1
+                idx += 1
+                remaining[idx] -= 1
+            seq[j] = idx & 1
+        yield tuple(seq)
+        # hand transitions back from the right until a 0 can become a 1
+        for i in range(n - 1, 0, -1):
+            idx = 2 * seq[i - 1] + seq[i]
             remaining[idx] += 1
-
-    yield from rec(1, first)
+            if seq[i] == 0 and remaining[idx + 1]:
+                remaining[idx + 1] -= 1
+                if _markov_path_count(1, remaining):
+                    seq[i] = 1
+                    break
+                remaining[idx + 1] += 1
+        else:
+            return
 
 
 def iter_guesses(model: NoiseModel, n: int):
@@ -280,11 +273,9 @@ def scgf_lambda_N(model: NoiseModel, alpha: float) -> float:
     return alpha * renyi_entropy_rate(model, 1.0 / (1.0 + alpha))
 
 
-def scgf_derivative(model: NoiseModel, alpha: float, h: float | None = None) -> float:
+def scgf_derivative(model: NoiseModel, alpha: float) -> float:
     """Central-difference derivative of the SCGF at ``alpha`` (> -1)."""
-    if h is None:
-        h = 1e-6 * max(1.0, abs(alpha))
-    h = min(h, (alpha + 1.0) / 2.0)
+    h = min(1e-6 * max(1.0, abs(alpha)), (alpha + 1.0) / 2.0)
     lo = scgf_lambda_N(model, alpha - h)
     hi = scgf_lambda_N(model, alpha + h)
     return (hi - lo) / (2.0 * h)
@@ -297,7 +288,7 @@ def _linear_segment_end(model: NoiseModel) -> float:
     whenever the most likely sequence is unique. Convergence in the offset is
     exponentially fast, so a single evaluation close to -1 suffices.
     """
-    return scgf_derivative(model, -1.0 + 1e-4, h=1e-6)
+    return scgf_derivative(model, -1.0 + 1e-4)
 
 
 def rate_function_value(model: NoiseModel, x: float) -> float:

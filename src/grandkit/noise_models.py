@@ -243,9 +243,7 @@ def sample_noise_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np
     out[0] = state
     stay = (1.0 - model.a, 1.0 - model.b)
     for i in range(1, n):
-        if u[i] < stay[state]:
-            pass
-        else:
+        if u[i] >= stay[state]:
             state = 1 - state
         out[i] = state
     return out

@@ -50,8 +50,6 @@ from .noise_models import (
 __all__ = [
     "SimConfig",
     "SimReport",
-    "run_explicit",
-    "run_linear",
     "run_race",
     "run_simulation",
     "figure_sweep",
@@ -252,6 +250,8 @@ def _report(cfg: SimConfig, threshold: int | None, tally: _Tally, wall: float) -
 
 def run_race(cfg: SimConfig) -> SimReport:
     """Simulate the guesswork-vs-accidental-hit race without a codebook."""
+    if cfg.mode != "race":
+        raise ValueError(f"run_race needs a race-mode config, not mode {cfg.mode!r}")
     start = time.perf_counter()
     threshold = resolve_abandonment(cfg)
     tally = _run_workers(
@@ -262,38 +262,26 @@ def run_race(cfg: SimConfig) -> SimReport:
     return _report(cfg, threshold, tally, time.perf_counter() - start)
 
 
-def run_explicit(cfg: SimConfig) -> SimReport:
-    """End-to-end simulation over a materialized uniform random codebook."""
-    start = time.perf_counter()
-    threshold = resolve_abandonment(cfg)
-    cb = build_uniform_codebook(
-        cfg.n, cfg.rate, cfg.seed, alphabet_size=cfg.model.alphabet_size
-    )
-    tally = _run_workers(
-        _codebook_worker, lambda t, e: (cb, cfg.model, t, threshold, e), cfg
-    )
-    return _report(cfg, threshold, tally, time.perf_counter() - start)
-
-
-def run_linear(cfg: SimConfig) -> SimReport:
-    """End-to-end simulation over a random systematic linear code."""
-    if cfg.model.alphabet_size != 2:
+def run_simulation(cfg: SimConfig) -> SimReport:
+    """Run the config's trials in its mode: the race, or end-to-end decoding
+    over a materialized uniform random codebook (explicit) or a random
+    systematic linear code (linear)."""
+    if cfg.mode == "race":
+        return run_race(cfg)
+    if cfg.mode == "linear" and cfg.model.alphabet_size != 2:
         raise ValueError("linear mode is binary-only")
     start = time.perf_counter()
     threshold = resolve_abandonment(cfg)
-    k = round(cfg.n * cfg.rate)
-    cb = build_linear_codebook(cfg.n, k, cfg.seed)
+    if cfg.mode == "explicit":
+        cb = build_uniform_codebook(
+            cfg.n, cfg.rate, cfg.seed, alphabet_size=cfg.model.alphabet_size
+        )
+    else:
+        cb = build_linear_codebook(cfg.n, round(cfg.n * cfg.rate), cfg.seed)
     tally = _run_workers(
         _codebook_worker, lambda t, e: (cb, cfg.model, t, threshold, e), cfg
     )
     return _report(cfg, threshold, tally, time.perf_counter() - start)
-
-
-_RUNNERS = {"race": run_race, "explicit": run_explicit, "linear": run_linear}
-
-
-def run_simulation(cfg: SimConfig) -> SimReport:
-    return _RUNNERS[cfg.mode](cfg)
 
 
 def _per_bit(exponent: float, n: int) -> float:

@@ -31,7 +31,7 @@ from grandkit.noise_models import (
     sequence_log_prob,
     shannon_entropy_rate,
 )
-from grandkit.simulator import SimConfig, run_explicit, run_race
+from grandkit.simulator import SimConfig, run_race, run_simulation
 
 
 # one line per criterion, echoed in the terminal summary by conftest.py
@@ -214,7 +214,7 @@ def test_criterion_8_simulation_formula_closure():
     )
     err_total, trial_total = 0.0, 0
     for seed in range(5):
-        r = run_explicit(
+        r = run_simulation(
             SimConfig(
                 model=bsc(0.1), n=10, rate=0.5, trials=4000, mode="explicit",
                 seed=100 + seed,

@@ -260,6 +260,14 @@ def test_expected_queries_tiny_noise():
     assert val == pytest.approx(1.0 / n, rel=1e-3)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_fine_formulas_reject_empty_blocks(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        an.bsc_success_prob_fine(n, 0.5, 0.01)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        an.expected_queries_fine(n, 0.5, 0.01)
+
+
 def test_expected_queries_truncation_monotone():
     full = an.expected_queries_fine(75, 0.72, 0.01)
     capped = an.expected_queries_fine(75, 0.72, 0.01, max_queries=10_000)
@@ -309,11 +317,9 @@ def test_max_achievable_rate_fractions():
 
 def test_exponent_report_fields():
     m = bsc(0.1)
-    rep = an.exponent_report(m, 0.3, delta=0.2, x_grid=np.linspace(0, 1, 11))
+    rep = an.exponent_report(m, 0.3, delta=0.2)
     assert rep.capacity == pytest.approx(1.0 - rep.H)
     assert rep.epsilon > 0.0
     assert rep.s == 0.0
     assert rep.epsilon_AB is not None
     assert rep.epsilon_AB <= rep.epsilon + 1e-12
-    assert len(rep.I_N.I_values) == 11
-    assert len(rep.I_GRAND) == 11

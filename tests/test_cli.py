@@ -206,6 +206,16 @@ BSC = ("--model", "bsc", "--p", "0.01")
           "--n", "20", "--rate", "0.5", "--trials", "10", "--abandon", "auto",
           "--p-abandon", "0.01"),
          "binary alphabets only"),
+        (("decode", *BSC, "--codebook", "missing.gkcb", "--y", "0"),
+         "No such file or directory"),
+        (("make-codebook", "--kind", "explicit", "--n", "100", "--rate", "0.9",
+          "--out", "cb.gkcb"),
+         "use a linear codebook or race-mode simulation"),
+        (("make-codebook", "--kind", "explicit", "--n", "8", "--out", "cb.gkcb"),
+         "--kind explicit requires --rate"),
+        (("make-codebook", "--kind", "linear", "--n", "8", "--out", "cb.gkcb"),
+         "--kind linear requires --k or --rate"),
+        (("blerr", "--p", "0.01", "--n", "0", "--rate", "0.5"), "n must be >= 1"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):

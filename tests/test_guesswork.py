@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from grandkit.analysis import _weight_layers
 from grandkit.codebook import build_linear_codebook
 from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
+    _class_table,
+    _markov_path_count,
     guess_rank,
     iter_guesses,
     rate_function_I_N,
@@ -20,6 +24,7 @@ from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
     bsc,
+    _class_key,
     min_entropy_rate,
     renyi_entropy_rate,
     sample_noise,
@@ -185,6 +190,43 @@ def test_decode_long_block_one_bit_error():
     res = grand_decode(cb, y, bsc(1e-3))
     assert res.decoded == c
     assert res.queries == guess_rank(bsc(1e-3), [int(i == 417) for i in range(1000)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_markov_path_count_matches_brute_force(n):
+    markov = BinaryMarkovNoise(0.1, 0.3)
+    found = Counter(_class_key(markov, z) for z in itertools.product((0, 1), repeat=n))
+    for start in (0, 1):
+        for trans in itertools.product(range(n), repeat=4):
+            if sum(trans) == n - 1:
+                assert _markov_path_count(start, trans) == found[(start, trans)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_markov_class_table_covers_every_string(n):
+    markov = BinaryMarkovNoise(0.1, 0.3)
+    entries, cum = _class_table(markov, n)
+    found = Counter(_class_key(markov, z) for z in itertools.product((0, 1), repeat=n))
+    assert {key: size for _, key, size in entries} == found
+    assert len(entries) == len(found)
+    assert cum[-1] == 2**n
+
+
+def test_markov_decode_long_block_does_not_recurse_per_symbol():
+    markov = BinaryMarkovNoise(0.01, 0.3)
+    cb = build_linear_codebook(400, 390, seed=1)
+    info = tuple(int(b) for b in np.random.default_rng(4).integers(0, 2, size=390))
+    c = cb.encode(info)
+    y = list(c)
+    y[117] ^= 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        res = grand_decode(cb, y, markov)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.decoded == c
+    assert res.queries == guess_rank(markov, [int(i == 117) for i in range(400)])
 
 
 def test_scgf_zero_at_zero():

@@ -12,8 +12,6 @@ from grandkit.simulator import (
     SimConfig,
     report_to_json,
     resolve_abandonment,
-    run_explicit,
-    run_linear,
     run_race,
     run_simulation,
 )
@@ -52,7 +50,7 @@ def test_reports_reproducible_bit_for_bit():
     cfg_e = SimConfig(
         model=bsc(0.1), n=8, rate=0.5, trials=200, mode="explicit", seed=3
     )
-    assert report_to_json(run_explicit(cfg_e)) == report_to_json(run_explicit(cfg_e))
+    assert report_to_json(run_simulation(cfg_e)) == report_to_json(run_simulation(cfg_e))
 
 
 def test_error_and_success_rates_sum_to_one():
@@ -66,7 +64,7 @@ def test_noiseless_channel_never_errs():
     cfg = SimConfig(
         model=IIDNoise((1.0, 0.0)), n=8, rate=0.5, trials=200, mode="explicit", seed=2
     )
-    rep = run_explicit(cfg)
+    rep = run_simulation(cfg)
     assert rep.block_error_rate == 0.0
     assert rep.avg_queries_per_bit == pytest.approx(1.0 / 8)
 
@@ -79,7 +77,7 @@ def test_explicit_matches_block_error_formula():
     pred = 1.0 - an.bsc_success_prob_fine(n, R, p)
     err_total, trials = 0.0, 0
     for seed in range(4):
-        rep = run_explicit(
+        rep = run_simulation(
             SimConfig(
                 model=bsc(p), n=n, rate=R, trials=2000, mode="explicit",
                 seed=400 + seed,
@@ -99,7 +97,7 @@ def test_race_cross_checks_explicit_small_block():
     # pool several codebooks so a single draw's quality does not dominate
     err_total, trial_total = 0.0, 0
     for seed in range(5):
-        rep = run_explicit(
+        rep = run_simulation(
             SimConfig(
                 model=bsc(p), n=n, rate=R, trials=4000, mode="explicit",
                 seed=100 + seed,
@@ -116,7 +114,7 @@ def test_race_cross_checks_explicit_small_block():
 
 def test_linear_mode_runs_and_is_reasonable():
     n, p = 75, 0.01
-    rep = run_linear(
+    rep = run_simulation(
         SimConfig(model=bsc(p), n=n, rate=54 / 75, trials=400, mode="linear", seed=5)
     )
     pred = 1.0 - an.bsc_success_prob_fine(n, 54 / 75, p)
@@ -232,3 +230,10 @@ def test_figure_sweep_columns(tmp_path):
 def test_run_simulation_dispatch():
     cfg = SimConfig(model=bsc(0.1), n=8, rate=0.5, trials=50, mode="race", seed=0)
     assert run_simulation(cfg).trials == 50
+
+
+def test_run_race_rejects_other_modes():
+    for mode in ("explicit", "linear"):
+        cfg = SimConfig(model=bsc(0.1), n=8, rate=0.5, trials=50, mode=mode, seed=0)
+        with pytest.raises(ValueError, match="race"):
+            run_race(cfg)
