@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 import mpmath
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .guesswork import rate_function_value, scgf_derivative
 from .noise_models import (
@@ -30,7 +30,7 @@ __all__ = [
     "capacity",
     "rate_function_I_U",
     "error_exponent",
-    "error_exponent_piecewise",
+    "error_exponent_pair",
     "success_exponent",
     "critical_rate_x_star",
     "grandab_error_exponent",
@@ -62,35 +62,15 @@ def rate_function_I_U(R: float, x: float) -> float:
 def error_exponent(model: NoiseModel, R: float) -> float:
     """Block-error decay rate below capacity; 0 at and above capacity.
 
-    Computed as the infimum of I_U(a) + I_N(a) over a in [H, 1-R].
+    The infimum of I_U(a) + I_N(a) over a in [H, 1-R] in closed form: it lies
+    at x* (unit slope of I_N), giving 1 - R - H_{1/2}, below the critical rate
+    1 - x*, and at the right edge, giving I_N(1 - R), from there (or, with no
+    x*, everywhere) up to capacity.
     """
-    H = shannon_entropy_rate(model)
-    if R >= 1.0 - H:
+    if R >= capacity(model):
         return 0.0
-    lo, hi = H, 1.0 - R
-    res = minimize_scalar(
-        lambda a: (1.0 - R - a) + rate_function_value(model, a),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    best = min(
-        res.fun,
-        (1.0 - R - lo) + rate_function_value(model, lo),
-        (1.0 - R - hi) + rate_function_value(model, hi),
-    )
-    return max(float(best), 0.0)
-
-
-def error_exponent_piecewise(model: NoiseModel, R: float) -> float:
-    """Closed-form error exponent: linear in R at low rates, then the noise
-    rate function evaluated at 1-R. Requires the critical point to exist."""
     x_star = critical_rate_x_star(model)
-    if x_star is None:
-        raise ValueError("model has no critical point; use error_exponent")
-    if R >= 1.0 - shannon_entropy_rate(model):
-        return 0.0
-    if R < 1.0 - x_star:
+    if x_star is not None and R < 1.0 - x_star:
         return 1.0 - R - renyi_entropy_rate(model, 0.5)
     return rate_function_value(model, 1.0 - R)
 
@@ -114,14 +94,23 @@ def critical_rate_x_star(model: NoiseModel) -> float | None:
     return x
 
 
-def grandab_error_exponent(model: NoiseModel, R: float, delta: float) -> float:
-    """Error exponent with abandonment: the decoder loses whichever is slower,
-    genuine errors or abandonments."""
-    if delta <= 0.0:
+def error_exponent_pair(model: NoiseModel, R: float, delta: float | None):
+    """(eps, eps_AB) at one rate. With a margin delta below capacity the
+    decoder loses whichever is slower, genuine errors or abandonments:
+    eps_AB = min(eps, I_N(min(H + delta, 1))). Otherwise eps_AB is None."""
+    if delta is not None and delta <= 0.0:
         raise ValueError("delta must be positive")
+    eps = error_exponent(model, R)
     H = shannon_entropy_rate(model)
-    x = min(H + delta, 1.0)
-    return min(error_exponent(model, R), rate_function_value(model, x))
+    if delta is None or R >= 1.0 - H:
+        return eps, None
+    return eps, min(eps, rate_function_value(model, min(H + delta, 1.0)))
+
+
+def grandab_error_exponent(model: NoiseModel, R: float, delta: float) -> float:
+    """Error exponent with abandonment; 0 at and above capacity."""
+    eps, eps_ab = error_exponent_pair(model, R, delta)
+    return eps if eps_ab is None else eps_ab
 
 
 def complexity_exponents(
@@ -245,9 +234,7 @@ def exponent_report(
     """Assemble every exponent-level quantity for one rate point."""
     H = shannon_entropy_rate(model)
     grand_exp, grandab_exp = complexity_exponents(model, R, delta)
-    eps_ab = None
-    if delta is not None and R < 1.0 - H:
-        eps_ab = grandab_error_exponent(model, R, delta)
+    eps, eps_ab = error_exponent_pair(model, R, delta)
     return ExponentReport(
         model_summary=repr(model),
         R=R,
@@ -257,7 +244,7 @@ def exponent_report(
         capacity=1.0 - H,
         x_star=critical_rate_x_star(model),
         y_star=supercritical_threshold_y_star(model, R),
-        epsilon=error_exponent(model, R),
+        epsilon=eps,
         s=success_exponent(model, R),
         epsilon_AB=eps_ab,
         grand_complexity_exp=grand_exp,

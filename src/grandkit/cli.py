@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 
 from . import analysis, simulator
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--auto-delta", action="store_true")
     p.add_argument("--p-abandon", type=float, default=None)
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_non_negative_int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["explicit", "linear", "race"], default="race")
     p.add_argument("--workers", type=int, default=1)
@@ -301,6 +302,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except BrokenPipeError:
+        # quiet exit; stdout goes to devnull so the exit-time flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, ExplicitModeTooLargeError) as exc:
         parser.error(str(exc))
     return 0

@@ -166,6 +166,8 @@ class LinearCodebook:
 
     def decode_to_info(self, word) -> tuple[int, ...]:
         word = tuple(int(s) for s in word)
+        if not set(word) <= {0, 1}:
+            raise NotACodewordError("word is not binary")
         if not self.contains(word):
             raise NotACodewordError("word is not in the codebook")
         return word[: self.k]

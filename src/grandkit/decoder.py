@@ -63,11 +63,13 @@ def grand_decode(
         raise ValueError("codebook is empty")
     if len(y) != cb.n:
         raise ValueError("received word length mismatch")
-    if model.alphabet_size != cb.alphabet_size:
+    a = model.alphabet_size
+    if a != cb.alphabet_size:
         raise ValueError("model and codebook alphabets disagree")
+    if min(y, default=0) < 0 or max(y, default=0) >= a:
+        raise ValueError(f"received word has a symbol outside 0..{a - 1}")
     if max_queries is not None and max_queries < 1:
         raise ValueError("max_queries must be >= 1")
-    a = model.alphabet_size
     queries = 0
     for z, lp in iter_guesses(model, cb.n):
         queries += 1

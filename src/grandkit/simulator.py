@@ -27,8 +27,7 @@ import numpy as np
 from .analysis import (
     capacity,
     complexity_exponents,
-    error_exponent,
-    grandab_error_exponent,
+    error_exponent_pair,
     select_delta,
 )
 from .codebook import (
@@ -311,14 +310,13 @@ def figure_sweep(
     for R in rate_grid:
         R = float(R)
         grand_exp, grandab_exp = complexity_exponents(model, R, delta)
+        eps, eps_ab = error_exponent_pair(model, R, delta)
         row = {
             "R": repr(R),
             "capacity": repr(cap),
             "H_half": repr(h_half),
-            "epsilon": repr(error_exponent(model, R)),
-            "epsilon_AB": repr(grandab_error_exponent(model, R, delta))
-            if delta is not None and R < cap
-            else "",
+            "epsilon": repr(eps),
+            "epsilon_AB": "" if eps_ab is None else repr(eps_ab),
             "grand_queries_per_bit": repr(_per_bit(grand_exp, n)),
             "grandab_queries_per_bit": repr(_per_bit(grandab_exp, n)),
             "codebook_computations_per_bit": repr(_per_bit(R, n)),

@@ -9,8 +9,15 @@ import heapq
 from math import comb
 
 import mpmath
+from scipy.optimize import minimize_scalar
 
-from grandkit.noise_models import IIDNoise, NoiseModel, _class_log_prob
+from grandkit.guesswork import rate_function_value
+from grandkit.noise_models import (
+    IIDNoise,
+    NoiseModel,
+    _class_log_prob,
+    shannon_entropy_rate,
+)
 
 
 class GuessEnumerator:
@@ -98,3 +105,27 @@ def bsc_success_prob_fine_exact(n: int, R: float, p: float, dps: int = 80) -> fl
             total += q_k * (e_lo - e_hi) / denom
             prev_l = l_k
         return float(total)
+
+
+def error_exponent_infimum(model: NoiseModel, R: float) -> float:
+    """Block-error decay rate below capacity; 0 at and above capacity.
+
+    Computed as the infimum of I_U(a) + I_N(a) over a in [H, 1-R]; reference
+    path for the closed form ``grandkit.analysis.error_exponent``.
+    """
+    H = shannon_entropy_rate(model)
+    if R >= 1.0 - H:
+        return 0.0
+    lo, hi = H, 1.0 - R
+    res = minimize_scalar(
+        lambda a: (1.0 - R - a) + rate_function_value(model, a),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    best = min(
+        res.fun,
+        (1.0 - R - lo) + rate_function_value(model, lo),
+        (1.0 - R - hi) + rate_function_value(model, hi),
+    )
+    return max(float(best), 0.0)

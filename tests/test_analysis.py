@@ -15,7 +15,7 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
-from .oracles import bsc_success_prob_fine_exact
+from .oracles import bsc_success_prob_fine_exact, error_exponent_infimum
 
 SMOOTH_MODELS = [bsc(0.1), bsc(0.01), BinaryMarkovNoise(0.002, 0.2)]
 
@@ -35,6 +35,9 @@ def test_error_exponent_zero_at_and_above_capacity():
     cap = an.capacity(m)
     assert an.error_exponent(m, cap) == 0.0
     assert an.error_exponent(m, 0.9) == 0.0
+    # uniform noise has zero capacity and no critical point
+    for R in np.linspace(0.0, 1.0, 101):
+        assert an.error_exponent(bsc(0.5), float(R)) == 0.0
 
 
 def test_error_exponent_vanishes_approaching_capacity():
@@ -57,8 +60,20 @@ def test_error_exponent_matches_piecewise_form(model):
     cap = an.capacity(model)
     for R in np.linspace(0.01, cap - 1e-4, 100):
         a = an.error_exponent(model, float(R))
-        b = an.error_exponent_piecewise(model, float(R))
+        b = error_exponent_infimum(model, float(R))
         assert a == pytest.approx(b, abs=1e-6)
+
+
+def test_error_exponent_without_critical_point():
+    # x* is None here while capacity is about 2.9e-10: the infimum sits at
+    # the right edge 1 - R
+    m = bsc(0.5 - 1e-5)
+    assert an.critical_rate_x_star(m) is None
+    R = 1e-10
+    assert R < an.capacity(m)
+    assert an.error_exponent(m, R) == pytest.approx(
+        error_exponent_infimum(m, R), abs=1e-6
+    )
 
 
 def test_success_exponent_values():
@@ -107,6 +122,20 @@ def test_grandab_exponent_limits():
     )
     # tiny margin: abandonment dominates and the exponent collapses
     assert an.grandab_error_exponent(m, R, 1e-6) < 1e-4
+
+
+def test_error_exponent_pair_rule():
+    m = bsc(0.1)
+    cap = an.capacity(m)
+    eps, eps_ab = an.error_exponent_pair(m, 0.2, 0.05)
+    assert eps == an.error_exponent(m, 0.2)
+    assert eps_ab == an.grandab_error_exponent(m, 0.2, 0.05) <= eps
+    # no margin, or at and above capacity: no abandonment exponent
+    assert an.error_exponent_pair(m, 0.2, None) == (eps, None)
+    assert an.error_exponent_pair(m, cap, 0.05) == (0.0, None)
+    assert an.grandab_error_exponent(m, cap, 0.05) == 0.0
+    with pytest.raises(ValueError, match="delta must be positive"):
+        an.error_exponent_pair(m, 0.2, 0.0)
 
 
 def test_complexity_exponents():

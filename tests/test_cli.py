@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,50 @@ def test_figure_sweep_deterministic_file(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [("--model", "bsc", "--p", "0.1"), ("--model", "markov", "--a", "0.002", "--b", "0.2")],
+)
+def test_exponents_and_figure_sweep_share_epsilon_columns(tmp_path, model):
+    """Both commands take epsilon and epsilon_AB from the same per-rate rule,
+    so the two columns agree byte for byte, empty cells included."""
+    exp, fig = tmp_path / "exp.csv", tmp_path / "fig.csv"
+    grid = ("--rate-grid", "0.05:0.05:0.95", "--delta", "0.05")
+    cli.main(["exponents", *model, *grid, "--out", str(exp)])
+    cli.main(["figure-sweep", *model, "--n", "100", *grid, "--out", str(fig)])
+
+    def columns(path):
+        with open(path) as f:
+            return [(r["R"], r["epsilon"], r["epsilon_AB"]) for r in csv.DictReader(f)]
+
+    rows = columns(exp)
+    assert rows == columns(fig)
+    assert len(rows) == 19
+    assert any(ab for _, _, ab in rows)
+    if model[1] == "bsc":
+        assert any(not ab for _, _, ab in rows)
+
+
+def test_closed_output_pipe_ends_quietly():
+    pkg_root = str(Path(cli.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else ""),
+    }
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grandkit", "guess-order", "--model", "bsc",
+         "--p", "0.1", "--n", "20", "--limit", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"rank,sequence,log_prob\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_model_flag_validation():
     with pytest.raises(SystemExit):
         cli.main(["guess-order", "--model", "bsc", "--n", "3", "--limit", "2"])
@@ -216,6 +264,9 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("make-codebook", "--kind", "linear", "--n", "8", "--out", "cb.gkcb"),
          "--kind linear requires --k or --rate"),
         (("blerr", "--p", "0.01", "--n", "0", "--rate", "0.5"), "n must be >= 1"),
+        (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0.1:0.2:0.9",
+          "--trials", "-5", "--out", "unused.csv"),
+         "argument --trials: must be >= 0, got -5"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):
@@ -224,7 +275,8 @@ def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, mes
         cli.main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "grandkit: error:" in err
+    # argparse names the subcommand when the error is in its own arguments
+    assert "grandkit: error:" in err or f"grandkit {argv[0]}: error:" in err
     assert message in err
     assert not list(tmp_path.iterdir())
 

@@ -145,6 +145,14 @@ def test_linear_roundtrip():
         assert cb.decode_to_info(cb.encode(u)) == u
 
 
+def test_linear_decode_to_info_rejects_non_binary_words():
+    cb = LinearCodebook(HAMMING_G)
+    # reduced mod 2 these are the zero codeword
+    for word in ((2,) * 7, (0, 0, 0, 0, 0, 0, -2)):
+        with pytest.raises(NotACodewordError, match="not binary"):
+            cb.decode_to_info(word)
+
+
 def test_u_survival_boundaries():
     m = UHitModel(n=8, rate=0.5)
     assert u_survival_exact(m, 0) == 1.0

@@ -165,6 +165,20 @@ def test_empty_codebook_rejected():
         grand_decode(cb, (0, 0, 0), bsc(0.1))
 
 
+@pytest.mark.parametrize(
+    "cb, y, model",
+    [
+        (LinearCodebook(HAMMING_G), (5, 2, 5, 0, 0, 0, 0), bsc(0.1)),
+        (LinearCodebook(HAMMING_G), (0, 0, 0, 0, 0, 0, -1), bsc(0.1)),
+        (build_uniform_codebook(5, 0.4, seed=2, alphabet_size=3), (0, 1, 2, 3, 0),
+         IIDNoise((0.7, 0.2, 0.1))),
+    ],
+)
+def test_received_symbols_outside_the_alphabet_rejected(cb, y, model):
+    with pytest.raises(ValueError, match="outside"):
+        grand_decode(cb, y, model)
+
+
 def test_termination_race_matches_decoding_queries():
     # query counts from full decoding vs min(rank, sampled hit time)
     model = bsc(0.1)
