@@ -15,7 +15,6 @@ from .noise_models import (
     min_entropy_rate,
     renyi_entropy_rate,
     sample_noise,
-    sequence_log_prob,
     shannon_entropy_rate,
 )
 from .guesswork import (
@@ -33,16 +32,12 @@ from .codebook import (
     build_uniform_codebook,
     load_codebook,
     save_codebook,
-    u_survival_approx,
-    u_survival_exact,
 )
 from .decoder import (
     DecodeResult,
     DecodeStatus,
     abandonment_threshold,
-    brute_force_ml,
     grand_decode,
-    grandab_decode,
 )
 from .analysis import (
     ExponentReport,

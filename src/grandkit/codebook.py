@@ -5,6 +5,10 @@ linear codes with syndrome membership, and ``UHitModel`` — the law of the
 number of guesses until the first non-transmitted codeword is encountered,
 which for a uniformly drawn codebook is the minimum of M_n independent
 uniforms on {1, ..., |A|^n}.
+
+Membership is one method, ``bind(y)``: a test of noise patterns z (packed
+ints when binary) against the received word y, giving the codeword y (-) z or
+None. ``contains`` and ``decode_to_info`` bind the word and test z = 0.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from functools import cached_property
 import mpmath
 import numpy as np
 
+from .noise_models import _pack, _unpack
+
 __all__ = [
     "ExplicitCodebook",
     "LinearCodebook",
@@ -27,8 +33,6 @@ __all__ = [
     "codebook_size",
     "build_uniform_codebook",
     "build_linear_codebook",
-    "u_survival_exact",
-    "u_survival_approx",
     "sample_u_exact",
     "save_codebook",
     "load_codebook",
@@ -59,8 +63,22 @@ def codebook_size(alphabet_size: int, n: int, rate: float) -> int:
         return int(mpmath.floor(mpmath.mpf(alphabet_size) ** (mpmath.mpf(n) * mpmath.mpf(rate))))
 
 
+class _Membership:
+    """``contains`` for both codebooks: the word bound with ``bind`` and
+    tested at z = 0. A word with a symbol outside the alphabet is no member."""
+
+    def _codeword(self, word) -> tuple[int, ...] | None:
+        word = _checked(word, self.n, self.alphabet_size)
+        if word is None:
+            return None
+        return self.bind(word)(0 if self.alphabet_size == 2 else (0,) * self.n)
+
+    def contains(self, word) -> bool:
+        return self._codeword(word) is not None
+
+
 @dataclass(frozen=True)
-class ExplicitCodebook:
+class ExplicitCodebook(_Membership):
     """Uniform-with-replacement codebook stored as an explicit word list.
 
     ``words[i]`` is the codeword of info index ``i``; duplicates are allowed
@@ -86,11 +104,23 @@ class ExplicitCodebook:
     def size(self) -> int:
         return len(self.words)
 
-    def contains(self, word) -> bool:
-        word = tuple(int(s) for s in word)
-        if len(word) != self.n:
-            raise ValueError("word length mismatch")
-        return word in self._index
+    def bind(self, y):
+        """Membership of y (-) z for the received word ``y``: a function of
+        the noise pattern z returning that stored codeword, or None. Patterns
+        are packed ints for a binary alphabet and int tuples otherwise."""
+        a, n, index, words = self.alphabet_size, self.n, self._index, self.words
+        y = _received(y, n, a)
+        if a == 2:
+            y_packed = _pack(y)
+            minus = lambda z: _unpack(y_packed ^ z, n)
+        else:
+            minus = lambda z: tuple((s - t) % a for s, t in zip(y, z))
+
+        def hit(z):
+            i = index.get(minus(z))
+            return None if i is None else words[i]
+
+        return hit
 
     def encode(self, info_index: int) -> tuple[int, ...]:
         if not 0 <= info_index < len(self.words):
@@ -98,19 +128,18 @@ class ExplicitCodebook:
         return self.words[info_index]
 
     def decode_to_info(self, word) -> int:
-        word = tuple(int(s) for s in word)
-        idx = self._index.get(word)
-        if idx is None:
+        codeword = self._codeword(word)
+        if codeword is None:
             raise NotACodewordError("word is not in the codebook")
-        return idx
+        return self._index[codeword]
 
 
 @dataclass(frozen=True)
-class LinearCodebook:
+class LinearCodebook(_Membership):
     """Binary linear code in systematic form: G = [I | P], H = [P^T | I].
 
-    Membership is a syndrome check; the info word of a codeword is its first
-    ``k`` bits.
+    Membership is a syndrome check against the columns of H, kept as int
+    bitmasks; the info word of a codeword is its first ``k`` bits.
     """
 
     generator: tuple[tuple[int, ...], ...]
@@ -124,9 +153,10 @@ class LinearCodebook:
         if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
             raise ValueError("generator must be systematic: G = [I | P]")
         object.__setattr__(self, "_g", g)
-        p = g[:, k:]
-        h = np.concatenate([p.T, np.eye(n - k, dtype=np.uint8)], axis=1)
-        object.__setattr__(self, "_h", h)
+        h = np.concatenate([g[:, k:].T, np.eye(n - k, dtype=np.uint8)], axis=1)
+        # _columns[b]: the column of H, as an int, of symbol n - 1 - b (bit b)
+        columns = np.packbits(h[:, ::-1], axis=0).T
+        object.__setattr__(self, "_columns", [int.from_bytes(c, "big") for c in columns])
 
     @property
     def n(self) -> int:
@@ -148,15 +178,23 @@ class LinearCodebook:
     def size(self) -> int:
         return 2**self.k
 
-    @property
-    def parity_check(self) -> np.ndarray:
-        return self._h.copy()
+    def bind(self, y):
+        """Membership of y XOR z for the received word ``y``: a function of
+        the packed noise pattern z returning that codeword, or None. y XOR z
+        is a codeword when the columns of H at its set bits XOR to zero."""
+        n, columns = self.n, self._columns
+        y_packed = _pack(_received(y, n, 2))
 
-    def contains(self, word) -> bool:
-        w = np.asarray(word, dtype=np.uint8)
-        if w.shape != (self.n,):
-            raise ValueError("word length mismatch")
-        return not np.any((self._h @ w) % 2)
+        def hit(z):
+            word = y_packed ^ z
+            s, rest = 0, word
+            while rest:
+                low = rest & -rest
+                s ^= columns[low.bit_length() - 1]
+                rest ^= low
+            return None if s else _unpack(word, n)
+
+        return hit
 
     def encode(self, info_word) -> tuple[int, ...]:
         u = np.asarray(info_word, dtype=np.uint8)
@@ -165,15 +203,31 @@ class LinearCodebook:
         return tuple(int(b) for b in (u @ self._g) % 2)
 
     def decode_to_info(self, word) -> tuple[int, ...]:
-        word = tuple(int(s) for s in word)
-        if not set(word) <= {0, 1}:
+        word = _checked(word, self.n, 2)
+        if word is None:
             raise NotACodewordError("word is not binary")
-        if not self.contains(word):
+        if self.bind(word)(0) is None:
             raise NotACodewordError("word is not in the codebook")
         return word[: self.k]
 
 
 Codebook = ExplicitCodebook | LinearCodebook
+
+
+def _checked(word, n: int, alphabet_size: int) -> tuple[int, ...] | None:
+    """``word`` as an int tuple, or None when a symbol lies outside the alphabet."""
+    word = tuple(int(s) for s in word)
+    if len(word) != n:
+        raise ValueError("word length mismatch")
+    inside = min(word, default=0) >= 0 and max(word, default=0) < alphabet_size
+    return word if inside else None
+
+
+def _received(y, n: int, alphabet_size: int) -> tuple[int, ...]:
+    y = _checked(y, n, alphabet_size)
+    if y is None:
+        raise ValueError(f"received word has a symbol outside 0..{alphabet_size - 1}")
+    return y
 
 
 def build_uniform_codebook(
@@ -234,38 +288,6 @@ class UHitModel:
     @cached_property
     def M_n(self) -> int:
         return codebook_size(self.alphabet_size, self.n, self.rate)
-
-
-def u_survival_exact(m: UHitModel, threshold: int) -> float:
-    """P(U > threshold) = (1 - threshold/|A|^n)^(M_n), exactly.
-
-    Evaluated in extended precision so large block lengths neither overflow
-    nor lose the tiny ratio threshold/|A|^n.
-    """
-    total = m.alphabet_size**m.n
-    if not 0 <= threshold <= total:
-        raise ValueError("threshold must lie in [0, |A|^n]")
-    if threshold == 0:
-        return 1.0
-    if threshold == total:
-        return 0.0
-    with mpmath.workdps(m.n + 40):
-        ratio = mpmath.mpf(threshold) / mpmath.mpf(total)
-        log_surv = m.M_n * mpmath.log1p(-ratio)
-        if log_surv < -745:
-            return 0.0
-        return float(mpmath.e**log_surv)
-
-
-def u_survival_approx(m: UHitModel, threshold: int) -> float:
-    """Exponential approximation P(U > t) ~ exp(-t |A|^(-n(1-R)))."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    exponent = math.log(threshold) / math.log(m.alphabet_size) if threshold else -math.inf
-    log_arg = (exponent - m.n * (1.0 - m.rate)) * math.log(m.alphabet_size)
-    if log_arg > math.log(745.0):
-        return 0.0
-    return math.exp(-math.exp(log_arg)) if threshold else 1.0
 
 
 def sample_u_exact(m: UHitModel, v: float) -> int:

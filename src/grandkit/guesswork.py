@@ -1,8 +1,9 @@
 """Noise-sequence enumeration in likelihood order and its large-deviation analytics.
 
-``iter_guesses`` emits every length-n sequence exactly once, from most likely
+``guess_groups`` emits every length-n sequence exactly once, from most likely
 to least likely, breaking probability ties by ascending numeric value of the
-sequence read as a base-|A| integer (most significant symbol first). The same
+sequence read as a base-|A| integer (most significant symbol first); binary
+sequences come as packed ints, and ``iter_guesses`` unpacks them. The same
 order is computed without enumeration by ``guess_rank``, which counts whole
 probability classes at once, so ranks stay exact even when they are
 astronomically large.
@@ -29,12 +30,14 @@ from .noise_models import (
     NoiseModel,
     _class_key,
     _class_log_prob,
+    _unpack,
     min_entropy_rate,
     renyi_entropy_rate,
     shannon_entropy_rate,
 )
 
 __all__ = [
+    "guess_groups",
     "iter_guesses",
     "guess_rank",
     "scgf_lambda_N",
@@ -173,61 +176,80 @@ def _iid_class_sequences(counts):
         seq[i + 1 :] = seq[: i : -1]
 
 
-def _markov_class_sequences(key):
-    """All binary sequences of the class ``key`` = (first symbol, transition
-    counts), ascending numeric order: to get the next one, the rightmost 0
-    that can become a 1 does, and the smallest tail that still completes the
-    class follows it."""
+def _weight_patterns(counts):
+    """All packed binary patterns with the given symbol counts, ascending: each
+    is the next larger int with as many set bits (Gosper's step)."""
+    n, w = sum(counts), counts[1]
+    z = (1 << w) - 1
+    last = z << (n - w)
+    yield z
+    while z != last:
+        low = z & -z
+        carry = z + low
+        z = carry | ((carry ^ z) >> 2) // low
+        yield z
+
+
+def _markov_class_patterns(key):
+    """All packed binary patterns of the class ``key`` = (first symbol,
+    transition counts), ascending: to get the next one, the rightmost 0 that
+    can become a 1 does, and the smallest tail that still completes the class
+    follows it. ``head[j]`` is the packed prefix of the first j + 1 symbols."""
     first, trans = key
     n = 1 + sum(trans)
-    seq = [first] * n
+    head = [first] * n
     remaining = list(trans)
     i = 0
     while True:
-        # smallest tail after seq[i]: a 0 wherever the class can still follow it
+        # smallest tail after symbol i: a 0 wherever the class can still follow it
         for j in range(i + 1, n):
-            idx = 2 * seq[j - 1]
+            idx = 2 * (head[j - 1] & 1)
             remaining[idx] -= 1
             if remaining[idx] < 0 or not _markov_path_count(0, remaining):
                 remaining[idx] += 1
                 idx += 1
                 remaining[idx] -= 1
-            seq[j] = idx & 1
-        yield tuple(seq)
+            head[j] = head[j - 1] << 1 | idx & 1
+        yield head[-1]
         # hand transitions back from the right until a 0 can become a 1
         for i in range(n - 1, 0, -1):
-            idx = 2 * seq[i - 1] + seq[i]
+            idx = 2 * (head[i - 1] & 1) + (head[i] & 1)
             remaining[idx] += 1
-            if seq[i] == 0 and remaining[idx + 1]:
+            if not idx & 1 and remaining[idx + 1]:
                 remaining[idx + 1] -= 1
                 if _markov_path_count(1, remaining):
-                    seq[i] = 1
+                    head[i] |= 1
                     break
                 remaining[idx + 1] += 1
         else:
             return
 
 
-def iter_guesses(model: NoiseModel, n: int):
-    """Lazy iterator over (sequence, log_prob) in guess order, O(n) memory.
-
-    Walks the probability-class table instead of keeping a frontier, so long
-    decodes do not accumulate state. Within a class, sequences appear in
-    ascending numeric order; equal-probability classes are merged so the
-    combined stream is numerically ascending too, matching the tie-break.
-    """
+def guess_groups(model: NoiseModel, n: int):
+    """Lazy iterator over (log_prob, patterns) in guess order, O(n) memory:
+    one item per group of equal-probability classes, whose sequences the
+    merge yields in ascending numeric order, the tie-break. Binary sequences
+    are packed ints, others int tuples. Walks the class table, not a frontier,
+    so long decodes accumulate no state."""
     if n < 1:
         raise ValueError("n must be >= 1")
     entries, _ = _class_table(model, n)
     if isinstance(model, IIDNoise):
-        class_gen = _iid_class_sequences
+        class_gen = _weight_patterns if model.alphabet_size == 2 else _iid_class_sequences
     else:
-        class_gen = _markov_class_sequences
+        class_gen = _markov_class_patterns
     return (
-        (seq, lp)
+        (lp, heapq.merge(*(class_gen(key) for _, key, _ in group)))
         for lp, group in itertools.groupby(entries, key=lambda e: e[0])
-        for seq in heapq.merge(*(class_gen(key) for _, key, _ in group))
     )
+
+
+def iter_guesses(model: NoiseModel, n: int):
+    """Lazy iterator over (int tuple, log_prob) in guess order."""
+    groups = guess_groups(model, n)
+    if model.alphabet_size == 2:
+        return ((_unpack(z, n), lp) for lp, zs in groups for z in zs)
+    return ((z, lp) for lp, zs in groups for z in zs)
 
 
 def guess_rank(model: NoiseModel, z) -> int:

@@ -21,7 +21,6 @@ __all__ = [
     "renyi_entropy_rate",
     "min_entropy_rate",
     "model_error_probability",
-    "sequence_log_prob",
     "sample_noise",
 ]
 
@@ -179,16 +178,6 @@ def model_error_probability(model: NoiseModel) -> float:
     return model.stationary_flip_probability
 
 
-def sequence_log_prob(model: NoiseModel, z) -> float:
-    """Base-|A| log probability of the symbol sequence ``z`` under ``model``.
-
-    Computed canonically from the sequence's probability class, so sequences
-    in the same class get bit-identical values.
-    """
-    z = tuple(int(s) for s in z)
-    return _class_log_prob(model, _class_key(model, z))
-
-
 def _class_key(model: NoiseModel, z: tuple[int, ...]):
     """Probability class of the int tuple ``z``: its symbol counts for IID
     noise, or (first symbol, (c00, c01, c10, c11) transition counts) for
@@ -204,6 +193,19 @@ def _class_key(model: NoiseModel, z: tuple[int, ...]):
     for prev, cur in zip(z, z[1:]):
         trans[2 * prev + cur] += 1
     return z[0], tuple(trans)
+
+
+# Binary patterns pack into ints, symbol i of n in bit n - 1 - i, so the ints
+# order as the sequences do.
+_TO_DIGITS, _TO_SYMBOLS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(word) -> int:
+    return int(bytes(word).translate(_TO_DIGITS), 2)
+
+
+def _unpack(z: int, n: int) -> tuple[int, ...]:
+    return tuple(format(z, f"0{n}b").encode().translate(_TO_SYMBOLS))
 
 
 def _class_log_prob(model: NoiseModel, key) -> float:

@@ -6,15 +6,18 @@ package, because no library path uses them.
 """
 
 import heapq
+import math
 from math import comb
 
 import mpmath
 from scipy.optimize import minimize_scalar
 
+from grandkit.codebook import ExplicitCodebook, UHitModel
 from grandkit.guesswork import rate_function_value
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
+    _class_key,
     _class_log_prob,
     shannon_entropy_rate,
 )
@@ -129,3 +132,65 @@ def error_exponent_infimum(model: NoiseModel, R: float) -> float:
         (1.0 - R - hi) + rate_function_value(model, hi),
     )
     return max(float(best), 0.0)
+
+
+def sequence_log_prob(model: NoiseModel, z) -> float:
+    """Base-|A| log probability of the symbol sequence ``z`` under ``model``.
+
+    Computed canonically from the sequence's probability class, so sequences
+    in the same class get bit-identical values.
+    """
+    z = tuple(int(s) for s in z)
+    return _class_log_prob(model, _class_key(model, z))
+
+
+def _subtract(y, z, alphabet_size: int) -> tuple[int, ...]:
+    """Per-symbol inverse of the channel's modular addition (XOR when binary)."""
+    return tuple((a - b) % alphabet_size for a, b in zip(y, z))
+
+
+def brute_force_ml(cb: ExplicitCodebook, y, model: NoiseModel) -> tuple[int, ...]:
+    """Codeword maximizing the likelihood of the implied noise, scanning the
+    whole explicit codebook; ties go to the lowest info index."""
+    y = tuple(int(s) for s in y)
+    a = model.alphabet_size
+    best_lp = -math.inf
+    best = None
+    for c in cb.words:
+        lp = sequence_log_prob(model, _subtract(y, c, a))
+        if lp > best_lp:
+            best_lp = lp
+            best = c
+    return best
+
+
+def u_survival_exact(m: UHitModel, threshold: int) -> float:
+    """P(U > threshold) = (1 - threshold/|A|^n)^(M_n), exactly.
+
+    Evaluated in extended precision so large block lengths neither overflow
+    nor lose the tiny ratio threshold/|A|^n.
+    """
+    total = m.alphabet_size**m.n
+    if not 0 <= threshold <= total:
+        raise ValueError("threshold must lie in [0, |A|^n]")
+    if threshold == 0:
+        return 1.0
+    if threshold == total:
+        return 0.0
+    with mpmath.workdps(m.n + 40):
+        ratio = mpmath.mpf(threshold) / mpmath.mpf(total)
+        log_surv = m.M_n * mpmath.log1p(-ratio)
+        if log_surv < -745:
+            return 0.0
+        return float(mpmath.e**log_surv)
+
+
+def u_survival_approx(m: UHitModel, threshold: int) -> float:
+    """Exponential approximation P(U > t) ~ exp(-t |A|^(-n(1-R)))."""
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    exponent = math.log(threshold) / math.log(m.alphabet_size) if threshold else -math.inf
+    log_arg = (exponent - m.n * (1.0 - m.rate)) * math.log(m.alphabet_size)
+    if log_arg > math.log(745.0):
+        return 0.0
+    return math.exp(-math.exp(log_arg)) if threshold else 1.0

@@ -19,8 +19,8 @@ import pytest
 
 import grandkit
 from grandkit import analysis as an
-from grandkit.codebook import UHitModel, build_uniform_codebook, u_survival_approx, u_survival_exact
-from grandkit.decoder import brute_force_ml, grand_decode
+from grandkit.codebook import UHitModel, build_uniform_codebook
+from grandkit.decoder import grand_decode
 from grandkit.guesswork import guess_rank, iter_guesses, rate_function_value
 from grandkit.noise_models import (
     BinaryMarkovNoise,
@@ -28,12 +28,17 @@ from grandkit.noise_models import (
     min_entropy_rate,
     renyi_entropy_rate,
     sample_noise,
-    sequence_log_prob,
     shannon_entropy_rate,
 )
 from grandkit.simulator import SimConfig, run_race, run_simulation
 
-from .oracles import error_exponent_infimum
+from .oracles import (
+    brute_force_ml,
+    error_exponent_infimum,
+    sequence_log_prob,
+    u_survival_approx,
+    u_survival_exact,
+)
 
 
 # one line per criterion, echoed in the terminal summary by conftest.py

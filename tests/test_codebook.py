@@ -21,11 +21,11 @@ from grandkit.codebook import (
     load_codebook,
     sample_u_exact,
     save_codebook,
-    u_survival_approx,
-    u_survival_exact,
 )
 from grandkit.guesswork import guess_rank
-from grandkit.noise_models import bsc
+from grandkit.noise_models import _pack, bsc
+
+from .oracles import u_survival_approx, u_survival_exact
 
 # Systematic generator of the distance-3 single-error-correcting (7,4) code.
 HAMMING_G = (
@@ -133,16 +133,30 @@ def test_linear_encode_is_matrix_product():
 
 
 def test_linear_generator_parity_orthogonal():
+    # membership is exactly a zero syndrome under H = [P^T | I]
     cb = build_linear_codebook(15, 7, seed=8)
     g = np.array(cb.generator, dtype=np.uint8)
-    h = cb.parity_check
+    h = np.concatenate([g[:, 7:].T, np.eye(8, dtype=np.uint8)], axis=1)
     assert not ((g @ h.T) % 2).any()
+    rng = np.random.default_rng(8)
+    for w in rng.integers(0, 2, size=(300, 15)):
+        for word in (w, cb.encode(w[:7])):
+            assert cb.contains(word) == (not ((h @ word) % 2).any())
 
 
 def test_linear_roundtrip():
     cb = build_linear_codebook(10, 4, seed=1)
     for u in itertools.product((0, 1), repeat=4):
         assert cb.decode_to_info(cb.encode(u)) == u
+
+
+def test_contains_rejects_symbols_outside_the_alphabet():
+    cb = build_linear_codebook(8, 4, 0)
+    # reduced mod 2, (2,) * 8 would be the zero codeword
+    assert not cb.contains((2,) * 8)
+    assert not cb.contains((0,) * 7 + (-1,))
+    ex = build_uniform_codebook(4, 0.0, seed=0, alphabet_size=3)
+    assert not ex.contains(tuple(s + 3 for s in ex.words[0]))
 
 
 def test_linear_decode_to_info_rejects_non_binary_words():
@@ -312,3 +326,27 @@ def test_load_rejects_symbol_outside_alphabet(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="alphabet"):
         load_codebook(str(path))
+
+
+@given(cb=small_codebooks(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bind_agrees_with_contains(cb, data):
+    """bind(y)(z) is the codeword y - z when the codebook holds it, else None;
+    binary patterns are packed ints."""
+    a, n = cb.alphabet_size, cb.n
+    word = st.tuples(*[st.integers(0, a - 1)] * n)
+    z = data.draw(word)
+    if isinstance(cb, LinearCodebook):
+        c = cb.encode(data.draw(st.tuples(*[st.integers(0, 1)] * cb.k)))
+    else:
+        c = cb.words[data.draw(st.integers(0, cb.size - 1))]
+    # a received word drawn at random, and one that z maps onto a codeword
+    for y in (data.draw(word), tuple((s + t) % a for s, t in zip(c, z))):
+        diff = tuple((s - t) % a for s, t in zip(y, z))
+        got = cb.bind(y)(_pack(z) if a == 2 else z)
+        assert got == (diff if cb.contains(diff) else None)
+        # membership worked out without bind
+        if isinstance(cb, LinearCodebook):
+            assert cb.contains(diff) == (cb.encode(diff[: cb.k]) == diff)
+        else:
+            assert cb.contains(diff) == (diff in set(cb.words))

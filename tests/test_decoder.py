@@ -7,15 +7,14 @@ from scipy.stats import ks_2samp
 from grandkit.codebook import (
     LinearCodebook,
     UHitModel,
+    build_linear_codebook,
     build_uniform_codebook,
     sample_u_exact,
 )
 from grandkit.decoder import (
     DecodeStatus,
     abandonment_threshold,
-    brute_force_ml,
     grand_decode,
-    grandab_decode,
 )
 from grandkit.guesswork import guess_rank
 from grandkit.noise_models import (
@@ -23,8 +22,9 @@ from grandkit.noise_models import (
     IIDNoise,
     bsc,
     sample_noise,
-    sequence_log_prob,
 )
+
+from .oracles import brute_force_ml, sequence_log_prob
 from .test_codebook import HAMMING_G
 
 
@@ -100,12 +100,12 @@ def test_abandonment_after_one_query():
     cb = build_uniform_codebook(8, 0.25, seed=1)
     model = bsc(0.1)
     y = cb.encode(0)
-    assert grandab_decode(cb, y, model, max_queries=1).status is DecodeStatus.DECODED
+    assert grand_decode(cb, y, model, max_queries=1).status is DecodeStatus.DECODED
     # find a received word whose first guess misses the codebook
     for v in range(256):
         w = tuple((v >> (7 - i)) & 1 for i in range(8))
         if not cb.contains(w):
-            res = grandab_decode(cb, w, model, max_queries=1)
+            res = grand_decode(cb, w, model, max_queries=1)
             assert res.status is DecodeStatus.ABANDONED
             assert res.queries == 1
             assert res.decoded is None
@@ -121,13 +121,47 @@ def test_abandonment_never_changes_the_decoding():
         z = sample_noise(model, 9, rng_seed=t)
         y = _xor(c, tuple(int(b) for b in z))
         full = grand_decode(cb, y, model)
-        limited = grandab_decode(cb, y, model, max_queries=16)
+        limited = grand_decode(cb, y, model, max_queries=16)
         if limited.status is DecodeStatus.DECODED:
             assert limited.decoded == full.decoded
             assert limited.queries == full.queries
         else:
             assert full.queries > 16
             assert limited.queries == 16
+
+
+def test_decodes_at_the_operating_point():
+    # BSC(0.01), n = 75, k = 54, the paper's headline point, which the
+    # small-n oracle tests never reach
+    model = bsc(0.01)
+    cb = build_linear_codebook(75, 54, seed=1)
+    rng = np.random.default_rng(75)
+    for w in (3, 4):
+        c = cb.encode(tuple(int(b) for b in rng.integers(0, 2, size=54)))
+        flips = set(rng.choice(75, size=w, replace=False).tolist())
+        z = tuple(int(i in flips) for i in range(75))
+        y = _xor(c, z)
+        res = grand_decode(cb, y, model)
+        assert res.status is DecodeStatus.DECODED
+        assert cb.contains(res.decoded)
+        implied = _xor(y, res.decoded)
+        assert res.queries == guess_rank(model, implied) <= guess_rank(model, z)
+        assert res.decoded_log_prob == sequence_log_prob(model, implied)
+
+
+def test_abandonment_exactly_at_the_budget_at_the_operating_point():
+    model = bsc(0.01)
+    cb = build_linear_codebook(75, 54, seed=1)
+    c = cb.encode((1, 0) * 27)
+    y = _xor(c, (1,) + (0,) * 73 + (1,))  # weight 2, rank 2778
+    full = grand_decode(cb, y, model)
+    assert full.queries > 100
+    res = grand_decode(cb, y, model, max_queries=100)
+    assert res == grand_decode(cb, y, model, max_queries=100)
+    assert (res.status, res.queries, res.decoded) == (DecodeStatus.ABANDONED, 100, None)
+    short = grand_decode(cb, y, model, max_queries=full.queries - 1)
+    assert (short.status, short.queries) == (DecodeStatus.ABANDONED, full.queries - 1)
+    assert grand_decode(cb, y, model, max_queries=full.queries) == full
 
 
 def test_threshold_value():

@@ -14,6 +14,7 @@ from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
     _class_table,
     _markov_path_count,
+    guess_groups,
     guess_rank,
     iter_guesses,
     rate_function_I_N,
@@ -25,14 +26,14 @@ from grandkit.noise_models import (
     IIDNoise,
     bsc,
     _class_key,
+    _unpack,
     min_entropy_rate,
     renyi_entropy_rate,
     sample_noise,
-    sequence_log_prob,
     shannon_entropy_rate,
 )
 
-from .oracles import GuessEnumerator
+from .oracles import GuessEnumerator, sequence_log_prob
 
 MODELS = [
     bsc(0.1),
@@ -87,6 +88,16 @@ def test_lazy_iteration_matches_enumerator(model):
     # oracle self-check: the heap enumerator stops after all |A|^n sequences
     assert enum.next_guess() is None
     assert enum.emitted_count == model.alphabet_size**n
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize(
+    # bsc(0.5): every class ties; bsc(0.6): the weights descend
+    "model", [bsc(0.1), bsc(0.5), bsc(0.6), BinaryMarkovNoise(0.1, 0.3)]
+)
+def test_packed_pattern_stream_matches_enumerator(model, n):
+    stream = [(_unpack(z, n), lp) for lp, zs in guess_groups(model, n) for z in zs]
+    assert stream == list(GuessEnumerator(model, n))
 
 
 @pytest.mark.parametrize("model", MODELS)

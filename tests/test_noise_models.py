@@ -14,9 +14,10 @@ from grandkit.noise_models import (
     model_error_probability,
     renyi_entropy_rate,
     sample_noise,
-    sequence_log_prob,
     shannon_entropy_rate,
 )
+
+from .oracles import sequence_log_prob
 
 
 def test_uniform_iid_entropy_is_one():
