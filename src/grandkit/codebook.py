@@ -21,7 +21,7 @@ from functools import cached_property
 import mpmath
 import numpy as np
 
-from .noise_models import _pack, _unpack
+from .noise_models import _pack, _symbols, _unpack
 
 __all__ = [
     "ExplicitCodebook",
@@ -216,9 +216,13 @@ Codebook = ExplicitCodebook | LinearCodebook
 
 def _checked(word, n: int, alphabet_size: int) -> tuple[int, ...] | None:
     """``word`` as an int tuple, or None when a symbol lies outside the alphabet."""
-    word = tuple(int(s) for s in word)
+    if not isinstance(word, np.ndarray):
+        word = tuple(word)
     if len(word) != n:
         raise ValueError("word length mismatch")
+    word = _symbols(word)
+    if word is None:
+        return None
     inside = min(word, default=0) >= 0 and max(word, default=0) < alphabet_size
     return word if inside else None
 
@@ -284,6 +288,14 @@ class UHitModel:
     n: int
     rate: float
     alphabet_size: int = 2
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.alphabet_size < 2:
+            raise ValueError("alphabet_size must be >= 2")
+        if self.rate < 0.0:
+            raise ValueError("rate must be non-negative")
 
     @cached_property
     def M_n(self) -> int:

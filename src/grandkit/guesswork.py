@@ -30,6 +30,8 @@ from .noise_models import (
     NoiseModel,
     _class_key,
     _class_log_prob,
+    _pack,
+    _symbols,
     _unpack,
     min_entropy_rate,
     renyi_entropy_rate,
@@ -252,6 +254,23 @@ def iter_guesses(model: NoiseModel, n: int):
     return ((z, lp) for lp, zs in groups for z in zs)
 
 
+def _weight_less(z: int, w: int) -> int:
+    """Packed patterns of weight ``w`` numerically below the packed ``z``.
+
+    One that first differs from z at a set bit b of z has a 0 there, the
+    ``above`` ones z has over b, and its other w - above ones anywhere in the
+    b bits below: comb(b, w - above) of them (the combinatorial number
+    system; ``_count_less``'s multinomial walk in closed form).
+    """
+    less, above = 0, 0
+    while z and above <= w:
+        b = z.bit_length() - 1
+        less += comb(b, w - above)
+        z ^= 1 << b
+        above += 1
+    return less
+
+
 def guess_rank(model: NoiseModel, z) -> int:
     """Position of ``z`` in the guessing order, in {1, ..., |A|^n}.
 
@@ -259,7 +278,9 @@ def guess_rank(model: NoiseModel, z) -> int:
     ranks ``z`` numerically among the equal-probability sequences; no
     enumeration of predecessors takes place.
     """
-    z = tuple(int(s) for s in z)
+    z = _symbols(z)
+    if z is None:
+        raise ValueError("symbols must be integers")
     lp_z = _class_log_prob(model, _class_key(model, z))
     entries, cum = _class_table(model, len(z))
     # binary search to the first class in z's tie group
@@ -271,8 +292,10 @@ def guess_rank(model: NoiseModel, z) -> int:
         else:
             hi = mid
     rank = cum[lo] + 1
+    packed = _pack(z) if isinstance(model, IIDNoise) and model.alphabet_size == 2 else None
     while lo < len(entries) and entries[lo][0] == lp_z:
-        rank += _count_less(model, entries[lo][1], z)
+        key = entries[lo][1]
+        rank += _count_less(model, key, z) if packed is None else _weight_less(packed, key[1])
         lo += 1
     return rank
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class IIDNoise:
     def alphabet_size(self) -> int:
         return len(self.pmf)
 
-    @property
+    @cached_property
     def symbol_log_probs(self) -> tuple[float, ...]:
         a = self.alphabet_size
         return tuple(
@@ -178,17 +179,27 @@ def model_error_probability(model: NoiseModel) -> float:
     return model.stationary_flip_probability
 
 
+def _symbols(word) -> tuple[int, ...] | None:
+    """``word`` as an int tuple, or None when a symbol is not an integer:
+    0.7 is no symbol, where int() would truncate it to 0."""
+    if isinstance(word, np.ndarray) and word.dtype.kind in "biu":
+        return tuple(word.astype(int, copy=False).tolist())
+    word = tuple(word)
+    z = tuple(map(int, word))
+    return z if z == word else None
+
+
 def _class_key(model: NoiseModel, z: tuple[int, ...]):
     """Probability class of the int tuple ``z``: its symbol counts for IID
     noise, or (first symbol, (c00, c01, c10, c11) transition counts) for
     Markov noise."""
     if not z:
         raise ValueError("empty sequence")
-    a = model.alphabet_size
-    if min(z) < 0 or max(z) >= a:
+    counts = tuple(map(z.count, range(model.alphabet_size)))
+    if sum(counts) != len(z):
         raise ValueError("symbol outside alphabet")
     if isinstance(model, IIDNoise):
-        return tuple(z.count(s) for s in range(a))
+        return counts
     trans = [0, 0, 0, 0]
     for prev, cur in zip(z, z[1:]):
         trans[2 * prev + cur] += 1

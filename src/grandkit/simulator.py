@@ -168,10 +168,32 @@ class _Tally:
             self.histogram[k] = self.histogram.get(k, 0) + v
 
 
+def _u_screen(hit: UHitModel):
+    """A float test of (g, v): True only when U = ceil(T (1 - v^(1/M))),
+    the ``sample_u_exact`` value for v, certainly exceeds g; False when only
+    the exact U can tell.
+
+    U > g exactly when T (1 - v^(1/M)) > g. Each float log2 below is within a
+    few ulps of at most log2 T + 64, and the margin is hundreds of times that.
+    """
+    log2_total = hit.n * math.log2(hit.alphabet_size)
+    margin = 2.0**-40 * (log2_total + 64)
+    m, log2_m = hit.M_n, math.log2(hit.M_n)
+
+    def exceeds(g: int, v: float) -> bool:
+        t = -math.log(v)
+        # past float range, 1 - v^(1/M) is t / M to far below an ulp
+        log2_frac = math.log2(-math.expm1(-t / m)) if log2_m < 1000 else math.log2(t) - log2_m
+        return log2_total + log2_frac > math.log2(g) + margin
+
+    return exceeds
+
+
 def _race_worker(args) -> _Tally:
     model, n, rate, trials, threshold, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     hit = UHitModel(n=n, rate=rate, alphabet_size=model.alphabet_size)
+    u_exceeds = _u_screen(hit)
     tally = _Tally()
     for _ in range(trials):
         z = sample_noise_with(model, n, rng)
@@ -179,7 +201,8 @@ def _race_worker(args) -> _Tally:
         v = rng.random()
         while v <= 0.0:
             v = rng.random()
-        u = sample_u_exact(hit, v)
+        # an infinite u stands for an exact U that is never needed: U > g
+        u = math.inf if u_exceeds(g, v) else sample_u_exact(hit, v)
         queries = min(g, u) if threshold is None else min(g, u, threshold)
         abandoned = threshold is not None and min(g, u) > threshold
         # A tie g == u counts as an error: the accidental hit is queried first

@@ -10,15 +10,18 @@ import math
 from math import comb
 
 import mpmath
+import numpy as np
 from scipy.optimize import minimize_scalar
 
-from grandkit.codebook import ExplicitCodebook, UHitModel
-from grandkit.guesswork import rate_function_value
+from grandkit import simulator
+from grandkit.codebook import ExplicitCodebook, UHitModel, sample_u_exact
+from grandkit.guesswork import _class_table, _multinomial, guess_rank, rate_function_value
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
     _class_key,
     _class_log_prob,
+    sample_noise_with,
     shannon_entropy_rate,
 )
 
@@ -194,3 +197,62 @@ def u_survival_approx(m: UHitModel, threshold: int) -> float:
     if log_arg > math.log(745.0):
         return 0.0
     return math.exp(-math.exp(log_arg)) if threshold else 1.0
+
+
+def guess_rank_walk(model: IIDNoise, z) -> int:
+    """``guess_rank`` for IID noise by the per-symbol multinomial walk: every
+    class of higher probability counts whole, and in each class of z's
+    probability, each symbol c < z_i at position i counts the ways to finish
+    once c is placed there after z's prefix."""
+    z = tuple(int(s) for s in z)
+    lp_z = _class_log_prob(model, _class_key(model, z))
+    entries, _ = _class_table(model, len(z))
+    rank = 1
+    for lp, counts, size in entries:
+        if lp > lp_z:
+            rank += size
+        elif lp == lp_z:
+            remaining = list(counts)
+            for sym in z:
+                for c in range(sym):
+                    if remaining[c]:
+                        remaining[c] -= 1
+                        rank += _multinomial(remaining)
+                        remaining[c] += 1
+                if remaining[sym] == 0:
+                    break
+                remaining[sym] -= 1
+    return rank
+
+
+def race_worker_exact(args) -> simulator._Tally:
+    """The race worker with U sampled exactly in every trial."""
+    model, n, rate, trials, threshold, seed_seq = args
+    rng = np.random.default_rng(seed_seq)
+    hit = UHitModel(n=n, rate=rate, alphabet_size=model.alphabet_size)
+    tally = simulator._Tally()
+    for _ in range(trials):
+        z = sample_noise_with(model, n, rng)
+        g = guess_rank(model, z)
+        v = rng.random()
+        while v <= 0.0:
+            v = rng.random()
+        u = sample_u_exact(hit, v)
+        queries = min(g, u) if threshold is None else min(g, u, threshold)
+        abandoned = threshold is not None and min(g, u) > threshold
+        # A tie g == u counts as an error: the accidental hit is queried first
+        # only by convention, and the error event is defined as U <= G.
+        error = abandoned or u <= g
+        tally.record(queries, error, abandoned)
+    return tally
+
+
+def run_race_exact(cfg: simulator.SimConfig) -> simulator.SimReport:
+    """``simulator.run_race`` on ``race_worker_exact``, wall time 0."""
+    threshold = simulator.resolve_abandonment(cfg)
+    tally = simulator._run_workers(
+        race_worker_exact,
+        lambda t, e: (cfg.model, cfg.n, cfg.rate, t, threshold, e),
+        cfg,
+    )
+    return simulator._report(cfg, threshold, tally, 0.0)

@@ -159,6 +159,21 @@ def test_contains_rejects_symbols_outside_the_alphabet():
     assert not ex.contains(tuple(s + 3 for s in ex.words[0]))
 
 
+def test_contains_is_false_for_non_integral_symbols():
+    assert not LinearCodebook(HAMMING_G).contains((0.9,) * 7)
+    assert not LinearCodebook(HAMMING_G).contains((1, 0, 0, 0, 1, 1, 0.5))
+    assert not build_uniform_codebook(8, 0.5, seed=0).contains((0.9,) * 8)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(n=0, rate=0.5), dict(n=-1, rate=0.5),
+               dict(n=10, rate=0.5, alphabet_size=1), dict(n=10, rate=-0.1)],
+)
+def test_u_hit_model_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValueError):
+        UHitModel(**kwargs)
+
+
 def test_linear_decode_to_info_rejects_non_binary_words():
     cb = LinearCodebook(HAMMING_G)
     # reduced mod 2 these are the zero codeword

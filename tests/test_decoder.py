@@ -206,6 +206,10 @@ def test_empty_codebook_rejected():
         (LinearCodebook(HAMMING_G), (0, 0, 0, 0, 0, 0, -1), bsc(0.1)),
         (build_uniform_codebook(5, 0.4, seed=2, alphabet_size=3), (0, 1, 2, 3, 0),
          IIDNoise((0.7, 0.2, 0.1))),
+        (LinearCodebook(HAMMING_G), (0.6,) * 7, bsc(0.1)),
+        (build_uniform_codebook(8, 0.5, seed=0), (0.6,) * 8, bsc(0.1)),
+        (build_uniform_codebook(5, 0.4, seed=2, alphabet_size=3), (0, 1, 1.5, 0, 0),
+         IIDNoise((0.7, 0.2, 0.1))),
     ],
 )
 def test_received_symbols_outside_the_alphabet_rejected(cb, y, model):

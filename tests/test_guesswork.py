@@ -33,7 +33,7 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
-from .oracles import GuessEnumerator, sequence_log_prob
+from .oracles import GuessEnumerator, guess_rank_walk, sequence_log_prob
 
 MODELS = [
     bsc(0.1),
@@ -129,6 +129,25 @@ def test_rank_and_log_prob_reject_symbols_outside_alphabet(model):
             guess_rank(model, z)
         with pytest.raises(ValueError):
             sequence_log_prob(model, z)
+
+
+def test_rank_rejects_non_integral_symbols():
+    for z in ((0.7, 1, 0), [1.9, 0, 0], np.array([0.0, 0.5, 1.0])):
+        with pytest.raises(ValueError, match="integers"):
+            guess_rank(bsc(0.1), z)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.6])
+def test_binary_rank_equals_multinomial_walk(p):
+    model = bsc(p)
+    rng = np.random.default_rng(int(p * 100))
+    for n in (1, 2, 7, 31, 75, 130, 200):
+        for q in (0.0, 0.02, 0.3, 0.7, 1.0):
+            bits = rng.random(n) < q
+            want = guess_rank_walk(model, bits.tolist())
+            for z in (tuple(bits.tolist()), [int(b) for b in bits], bits,
+                      bits.astype(np.uint8), bits.astype(np.int64)):
+                assert guess_rank(model, z) == want
 
 
 def test_rank_spot_values():

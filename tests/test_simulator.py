@@ -1,11 +1,14 @@
 import csv
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from grandkit import analysis as an
-from grandkit.codebook import LinearCodebook
+from grandkit import simulator
+from grandkit.codebook import LinearCodebook, UHitModel, sample_u_exact
 from grandkit.decoder import grand_decode
 from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc, sample_noise
 from grandkit.simulator import (
@@ -15,6 +18,7 @@ from grandkit.simulator import (
     run_race,
     run_simulation,
 )
+from .oracles import run_race_exact
 from .test_codebook import HAMMING_G
 
 
@@ -237,3 +241,95 @@ def test_run_race_rejects_other_modes():
         cfg = SimConfig(model=bsc(0.1), n=8, rate=0.5, trials=50, mode=mode, seed=0)
         with pytest.raises(ValueError, match="race"):
             run_race(cfg)
+
+
+RACE_CONFIGS = [
+    dict(model=bsc(0.01), n=75, rate=0.72, trials=2000, seed=3),
+    dict(model=bsc(0.01), n=75, rate=0.72, trials=2000, seed=4, abandon_after=64026),
+    dict(model=bsc(0.01), n=75, rate=0.72, trials=2000, seed=5, p_abandon=0.01),
+    # above capacity: U <= G in most trials, so most take the exact path
+    dict(model=bsc(0.1), n=10, rate=0.9, trials=2000, seed=6),
+    dict(model=BinaryMarkovNoise(0.05, 0.3), n=24, rate=0.5, trials=2000, seed=7),
+    dict(model=IIDNoise((0.8, 0.15, 0.05)), n=12, rate=0.5, trials=2000, seed=8),
+    # M_n = 2^1350 lies beyond float range
+    dict(model=bsc(0.01), n=1500, rate=0.9, trials=200, seed=9),
+]
+
+
+@pytest.mark.parametrize("kwargs", RACE_CONFIGS)
+def test_race_matches_exact_oracle(kwargs, monkeypatch):
+    cfg = SimConfig(mode="race", **kwargs)
+    expected = report_to_json(run_race_exact(cfg))
+    calls = []
+
+    def counted(hit, v):
+        calls.append(v)
+        return sample_u_exact(hit, v)
+
+    monkeypatch.setattr(simulator, "sample_u_exact", counted)
+    rep = run_race(cfg)
+    assert report_to_json(rep) == expected
+    # an error is U <= G, which only the exact U can show, or an abandonment
+    errors = round(rep.block_error_rate * cfg.trials)
+    assert len(calls) >= errors - round(rep.abandonment_rate * cfg.trials)
+    assert len(calls) < cfg.trials
+
+
+def test_race_matches_exact_oracle_two_workers():
+    cfg = SimConfig(
+        model=bsc(0.01), n=75, rate=0.72, trials=2000, mode="race", seed=10, workers=2
+    )
+    assert report_to_json(run_race(cfg)) == report_to_json(run_race_exact(cfg))
+
+
+def _v_for_u(hit, u):
+    """A float v whose exact hit time is near u: the survival level at which
+    T (1 - v^(1/M)) = u - 1/2."""
+    with mpmath.workdps(hit.n + 40):
+        total = mpmath.mpf(hit.alphabet_size) ** hit.n
+        return float((1 - (mpmath.mpf(u) - 0.5) / total) ** hit.M_n)
+
+
+@pytest.mark.parametrize("n, rate", [(75, 0.2), (100, 0.4), (1500, 0.9)])
+def test_screen_defers_at_near_ties(n, rate):
+    hit = UHitModel(n=n, rate=rate)
+    exceeds = simulator._u_screen(hit)
+    rng = np.random.default_rng(0)
+    # T / M = 2^(n (1 - R)): hit times from 2^-4 to 2^2 times that, all > 2^50
+    for e in range(round(n * (1 - rate)) - 4, round(n * (1 - rate)) + 3):
+        v = _v_for_u(hit, int(2.0**e * (1 + rng.random())))
+        u = sample_u_exact(hit, v)
+        assert u > 2**50
+        for g in (u - 1, u, u + 1):
+            assert not exceeds(g, v)
+        assert exceeds(u // 2, v)
+
+
+@pytest.mark.parametrize(
+    "n, rate, pairs", [(10, 0.9, 25_000), (24, 0.5, 25_000), (75, 0.72, 25_000),
+                       (75, 0.2, 25_000), (1500, 0.9, 200)],
+)
+def test_screen_never_disagrees_with_exact_sample(n, rate, pairs):
+    hit = UHitModel(n=n, rate=rate)
+    exceeds = simulator._u_screen(hit)
+    total = 2**n
+    rng = np.random.default_rng(n)
+    decided = 0
+    for _ in range(pairs):
+        v = rng.random()
+        while v <= 0.0:
+            v = rng.random()
+        # g at 2^shift times the float estimate of the hit time, |shift| from
+        # 1e-14 to 1, or anywhere in 1..min(T, 2^62)
+        t = -math.log(v)
+        est = math.log2(t) - math.log2(hit.M_n) if n > 1000 else math.log2(
+            -math.expm1(-t / hit.M_n))
+        if rng.random() < 0.8:
+            shift = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-14, 0)
+            g = min(max(int(mpmath.mpf(2) ** (n + est + shift)), 1), total)
+        else:
+            g = int(rng.integers(1, min(total, 2**62), endpoint=True))
+        if exceeds(g, v):
+            decided += 1
+            assert sample_u_exact(hit, v) > g
+    assert decided > pairs // 4
