@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from .guesswork import rate_function_value, scgf_derivative
 from .noise_models import (
     NoiseModel,
+    _renyi_log_sum,
     min_entropy_rate,
     renyi_entropy_rate,
     shannon_entropy_rate,
@@ -153,21 +154,34 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     """Largest query exponent below which early termination still implies a
     correct decoding with high probability.
 
-    The crossing of I_N with I_U on (0, 1-R); exists whenever R < 1 - H_min.
+    The crossing of I_N with I_U(y) = 1 - R - y on (0, 1-R); exists whenever
+    R < 1 - H_min. With L(rho) the Renyi log-sum of the noise (the SCGF is
+    (1 + alpha) L(1/(1 + alpha))), the Legendre point at rho is
+    y = L - rho L' with y + I_N(y) = -L'(rho). L is convex, so the crossing
+    is the one root rho* of -L'(rho) = 1 - R, and y* = L(rho*) + rho* (1 - R).
+    When -L'(0) <= 1 - R, which needs a symbol of probability 0, I_N stays
+    below I_U up to the support edge L(0) = log_|A| #{p_i > 0}, where I_N
+    becomes infinite: that edge is y*.
     """
-    h_min = min_entropy_rate(model)
-    if R >= 1.0 - h_min:
+    if R >= 1.0 - min_entropy_rate(model):
         return None
-    hi = 1.0 - R
+    edge, slope = _renyi_log_sum(model, 0.0)
+    if -slope <= 1.0 - R:
+        return edge
 
-    def f(y: float) -> float:
-        return (1.0 - R - y) - rate_function_value(model, y)
+    def f(rho: float) -> float:
+        return -_renyi_log_sum(model, rho)[1] - (1.0 - R)
 
-    y_probe = hi - 1e-9
-    if f(y_probe) >= 0.0:
-        # I_N stays below I_U all the way; the supremum is the right edge.
-        return hi
-    return float(brentq(f, 0.0, y_probe, xtol=1e-12))
+    hi, last = 1.0, None
+    while (val := f(hi)) > 0.0:
+        if val == last:
+            # Only the dominant term is left and -L' still exceeds 1 - R: R is
+            # within float error of 1 - H_min, and y* is the Legendre point.
+            L, slope = _renyi_log_sum(model, hi)
+            return L - hi * slope
+        hi, last = 2.0 * hi, val
+    rho = float(brentq(f, 0.0, hi, xtol=1e-14))
+    return _renyi_log_sum(model, rho)[0] + rho * (1.0 - R)
 
 
 def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float:

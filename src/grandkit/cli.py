@@ -68,6 +68,8 @@ def _parse_rate_grid(spec: str):
     while r <= stop + 1e-12:
         grid.append(round(r, 12))
         r += step
+    if not 0.0 < grid[0] <= grid[-1] < 1.0:
+        raise ValueError("--rate-grid points must lie in (0, 1)")
     return grid
 
 

@@ -307,11 +307,12 @@ def sample_u_exact(m: UHitModel, v: float) -> int:
 
     ``v`` is a uniform variate in (0, 1); the returned integer lies in
     {1, ..., |A|^n}. Uses the identity U = ceil(T (1 - v^(1/M))) with v read
-    as the survival level, exact to the working precision.
+    as the survival level, exact to the working precision: 40 decimal digits
+    beyond those of T = |A|^n.
     """
     if not 0.0 < v < 1.0:
         raise ValueError("v must lie strictly in (0, 1)")
-    with mpmath.workdps(m.n + 40):
+    with mpmath.workdps(math.ceil(m.n * math.log10(m.alphabet_size)) + 40):
         total = mpmath.mpf(m.alphabet_size) ** m.n
         frac = -mpmath.expm1(mpmath.log(mpmath.mpf(v)) / m.M_n)
         u = int(mpmath.ceil(total * frac))

@@ -160,6 +160,35 @@ def renyi_entropy_rate(model: NoiseModel, alpha: float) -> float:
     return log_lam / (1.0 - alpha)
 
 
+def _renyi_log_sum(model: NoiseModel, rho: float) -> tuple[float, float]:
+    """(L, L') at ``rho`` >= 0, base |A|: L(rho) = log sum p_i^rho for IID
+    noise, the log of the Perron root of [P_ij^rho] for the Markov chain.
+
+    L is convex, with L(rho) = (1 - rho) H_rho, L(1) = 0 and -L'(1) = H.
+    Each term is scaled by the dominant one, as in :func:`renyi_entropy_rate`,
+    so large rho neither underflows nor loses the derivative.
+    """
+    if isinstance(model, IIDNoise):
+        logs = [math.log(p) for p in model.pmf if p > 0.0]
+        top = max(logs)
+        w = [math.exp(rho * (l - top)) for l in logs]
+        s = sum(w)
+        slope = sum(wi * l for wi, l in zip(w, logs)) / s
+        log_a = math.log(model.alphabet_size)
+        return (rho * top + math.log(s)) / log_a, slope / log_a
+    # [[d1, c], [c, d2]] has the eigenvalues of [[(1-a)^rho, a^rho],
+    # [b^rho, (1-b)^rho]], with c = (ab)^(rho/2); all three are over top^rho.
+    l1, l2 = math.log1p(-model.a), math.log1p(-model.b)
+    lc = 0.5 * math.log(model.a * model.b)
+    top = max(l1, l2, lc)
+    d1, d2, c = (math.exp(rho * (l - top)) for l in (l1, l2, lc))
+    root = math.hypot(d1 - d2, 2.0 * c)
+    lam = (d1 + d2 + root) / 2.0
+    cross = ((d1 - d2) * (d1 * l1 - d2 * l2) + 4.0 * c * c * lc) / root if root else 0.0
+    dlam = (d1 * l1 + d2 * l2 + cross) / 2.0
+    return (rho * top + math.log(lam)) / math.log(2.0), dlam / lam / math.log(2.0)
+
+
 def min_entropy_rate(model: NoiseModel) -> float:
     """Min-entropy rate: the large-alpha limit of the Renyi rate, base |A|.
 

@@ -11,16 +11,17 @@ from math import comb
 
 import mpmath
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from grandkit import simulator
-from grandkit.codebook import ExplicitCodebook, UHitModel, sample_u_exact
+from grandkit.codebook import ExplicitCodebook, UHitModel
 from grandkit.guesswork import _class_table, _multinomial, guess_rank, rate_function_value
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
     _class_key,
     _class_log_prob,
+    min_entropy_rate,
     sample_noise_with,
     shannon_entropy_rate,
 )
@@ -137,6 +138,29 @@ def error_exponent_infimum(model: NoiseModel, R: float) -> float:
     return max(float(best), 0.0)
 
 
+def supercritical_threshold_crossing(model: NoiseModel, R: float) -> float | None:
+    """Largest query exponent below which early termination still implies a
+    correct decoding with high probability.
+
+    The crossing of I_N with I_U on (0, 1-R); exists whenever R < 1 - H_min.
+    Found by a brentq over the numeric rate function; reference path for
+    ``grandkit.analysis.supercritical_threshold_y_star``.
+    """
+    h_min = min_entropy_rate(model)
+    if R >= 1.0 - h_min:
+        return None
+    hi = 1.0 - R
+
+    def f(y: float) -> float:
+        return (1.0 - R - y) - rate_function_value(model, y)
+
+    y_probe = hi - 1e-9
+    if f(y_probe) >= 0.0:
+        # I_N stays below I_U all the way; the supremum is the right edge.
+        return hi
+    return float(brentq(f, 0.0, y_probe, xtol=1e-12))
+
+
 def sequence_log_prob(model: NoiseModel, z) -> float:
     """Base-|A| log probability of the symbol sequence ``z`` under ``model``.
 
@@ -225,6 +249,18 @@ def guess_rank_walk(model: IIDNoise, z) -> int:
     return rank
 
 
+def sample_u_wide(m: UHitModel, v: float) -> int:
+    """``grandkit.codebook.sample_u_exact`` at n + 40 decimal digits, the
+    precision it had before it was sized to the digits of T = |A|^n."""
+    if not 0.0 < v < 1.0:
+        raise ValueError("v must lie strictly in (0, 1)")
+    with mpmath.workdps(m.n + 40):
+        total = mpmath.mpf(m.alphabet_size) ** m.n
+        frac = -mpmath.expm1(mpmath.log(mpmath.mpf(v)) / m.M_n)
+        u = int(mpmath.ceil(total * frac))
+    return min(max(u, 1), m.alphabet_size**m.n)
+
+
 def race_worker_exact(args) -> simulator._Tally:
     """The race worker with U sampled exactly in every trial."""
     model, n, rate, trials, threshold, seed_seq = args
@@ -237,7 +273,7 @@ def race_worker_exact(args) -> simulator._Tally:
         v = rng.random()
         while v <= 0.0:
             v = rng.random()
-        u = sample_u_exact(hit, v)
+        u = sample_u_wide(hit, v)
         queries = min(g, u) if threshold is None else min(g, u, threshold)
         abandoned = threshold is not None and min(g, u) > threshold
         # A tie g == u counts as an error: the accidental hit is queried first

@@ -15,7 +15,11 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
-from .oracles import bsc_success_prob_fine_exact, error_exponent_infimum
+from .oracles import (
+    bsc_success_prob_fine_exact,
+    error_exponent_infimum,
+    supercritical_threshold_crossing,
+)
 
 SMOOTH_MODELS = [bsc(0.1), bsc(0.01), BinaryMarkovNoise(0.002, 0.2)]
 
@@ -202,12 +206,54 @@ def test_supercritical_threshold():
 
 
 def test_supercritical_threshold_grid_oracle():
-    m = bsc(0.1)
-    R = 0.7
+    for m, R in [(bsc(0.1), 0.7), (BinaryMarkovNoise(0.05, 0.3), 0.8),
+                 (IIDNoise((0.7, 0.2, 0.1)), 0.5), (IIDNoise((0.6, 0.4, 0.0)), 0.3)]:
+        y = an.supercritical_threshold_y_star(m, R)
+        ys = np.linspace(1e-4, 1.0 - R - 1e-4, 800)
+        ok = [float(v) for v in ys if rate_function_value(m, float(v)) < 1.0 - R - float(v)]
+        assert y == pytest.approx(max(ok), abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [bsc(0.01), bsc(0.1), bsc(0.45), BinaryMarkovNoise(0.002, 0.2),
+     BinaryMarkovNoise(0.05, 0.3), BinaryMarkovNoise(0.6, 0.7), IIDNoise((0.7, 0.2, 0.1))],
+)
+def test_supercritical_threshold_matches_crossing_oracle(m):
+    found = 0
+    for R in np.linspace(0.01, 0.99, 99):
+        y = an.supercritical_threshold_y_star(m, float(R))
+        ref = supercritical_threshold_crossing(m, float(R))
+        assert (y is None) == (ref is None)
+        if ref is not None:
+            found += 1
+            assert y == pytest.approx(ref, abs=1e-11)
+    assert found >= 10
+
+
+@pytest.mark.parametrize("R", [0.001, 0.1, 0.3])
+def test_supercritical_threshold_at_the_support_edge(R):
+    # symbol 2 never occurs: below R = 0.35, I_N stays under I_U until it
+    # turns infinite at log_3 2, the growth rate of the support
+    m = IIDNoise((0.6, 0.4, 0.0))
     y = an.supercritical_threshold_y_star(m, R)
-    ys = np.linspace(1e-4, 1.0 - R - 1e-4, 800)
-    ok = [float(v) for v in ys if rate_function_value(m, float(v)) < 1.0 - R - float(v)]
-    assert y == pytest.approx(max(ok), abs=1e-3)
+    assert y == pytest.approx(math.log(2) / math.log(3), abs=1e-15)
+    assert y == pytest.approx(supercritical_threshold_crossing(m, R), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [bsc(0.1), bsc(0.45), BinaryMarkovNoise(0.05, 0.3), IIDNoise((0.4, 0.4, 0.2))],
+)
+def test_supercritical_threshold_ulps_below_the_min_entropy_corner(m):
+    # -L' reaches 1 - R only within float error: the root search must still
+    # end, near y* at a rate 1e-12 further in, where the oracle is still well
+    # conditioned (at some of these R it reads 0 for the tied pmf)
+    R = 1.0 - min_entropy_rate(m)
+    ref = supercritical_threshold_crossing(m, R - 1e-12)
+    for _ in range(40):
+        R = math.nextafter(R, 0.0)
+        assert an.supercritical_threshold_y_star(m, R) == pytest.approx(ref, abs=1e-9)
 
 
 def test_select_delta_roundtrip():

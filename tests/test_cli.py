@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from grandkit import cli
+from grandkit import analysis, cli
+
+from .oracles import supercritical_threshold_crossing
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +130,42 @@ def test_exponents_csv(capsys, tmp_path):
         eps, s = float(row["epsilon"]), float(row["s"])
         assert (eps > 0) == (r < cap)
         assert (s > 0) == (r > cap)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--model", "bsc", "--p", "0.01", "--auto-delta", "--p-abandon", "0.01",
+         "--n", "75"),
+        ("--model", "bsc", "--p", "0.1", "--delta", "0.3"),
+        ("--model", "markov", "--a", "0.002", "--b", "0.2", "--delta", "0.05"),
+    ],
+)
+def test_exponents_only_y_star_differs_from_crossing_oracle(tmp_path, monkeypatch, args):
+    """The Renyi-parameter root changes no cell but y_star, and that one by
+    the crossing oracle's own solver error at most."""
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    grid = ("--rate-grid", "0.0123:0.01:0.9923")
+    cli.main(["exponents", *args, *grid, "--out", str(new)])
+    monkeypatch.setattr(
+        analysis, "supercritical_threshold_y_star", supercritical_threshold_crossing
+    )
+    cli.main(["exponents", *args, *grid, "--out", str(ref)])
+
+    def rows(path):
+        with open(path, newline="") as f:
+            return list(csv.DictReader(f))
+
+    got, want = rows(new), rows(ref)
+    assert len(got) == len(want) == 99
+    assert sum(r["y_star"] != "None" for r in want) >= 30
+    for g, w in zip(got, want):
+        y, y_ref = g.pop("y_star"), w.pop("y_star")
+        assert g == w
+        if y_ref == "None":
+            assert y == "None"
+        else:
+            assert abs(float(y) - float(y_ref)) <= 1e-11
 
 
 def test_simulate_deterministic_output(capsys):
@@ -267,6 +305,11 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0.1:0.2:0.9",
           "--trials", "-5", "--out", "unused.csv"),
          "argument --trials: must be >= 0, got -5"),
+        (("exponents", *BSC, "--rate-grid=-0.2:0.1:0.1"), "points must lie in (0, 1)"),
+        (("exponents", *BSC, "--rate-grid", "0.9:0.1:1.3"), "points must lie in (0, 1)"),
+        (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0:0.1:0.5",
+          "--out", "unused.csv"),
+         "points must lie in (0, 1)"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):

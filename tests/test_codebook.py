@@ -25,7 +25,7 @@ from grandkit.codebook import (
 from grandkit.guesswork import guess_rank
 from grandkit.noise_models import _pack, bsc
 
-from .oracles import u_survival_approx, u_survival_exact
+from .oracles import sample_u_wide, u_survival_approx, u_survival_exact
 
 # Systematic generator of the distance-3 single-error-correcting (7,4) code.
 HAMMING_G = (
@@ -246,6 +246,19 @@ def test_u_sampling_matches_law():
         emp = sum(s > t for s in samples) / len(samples)
         exact = u_survival_exact(m, t)
         assert emp == pytest.approx(exact, abs=4 * math.sqrt(exact * (1 - exact) / 4000))
+
+
+@pytest.mark.parametrize(
+    "n, rate, alphabet_size", [(1500, 0.9, 2), (200, 0.5, 3), (200, 0.05, 3)]
+)
+def test_u_sample_precision_matches_wide_precision(n, rate, alphabet_size):
+    m = UHitModel(n=n, rate=rate, alphabet_size=alphabet_size)
+    rng = np.random.default_rng(n + alphabet_size)
+    # survival levels from near 1 down to 1e-300: hit times from 1 past T / M,
+    # and for the small M of R = 0.05 within two digits of T
+    vs = [*rng.random(400), *(1.0 - 10.0 ** -rng.uniform(1, 15, 300)),
+          *(10.0 ** -rng.uniform(1, 300, 300))]
+    assert [sample_u_exact(m, v) for v in vs] == [sample_u_wide(m, v) for v in vs]
 
 
 def test_codeword_guess_positions_uniform():
