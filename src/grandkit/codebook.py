@@ -1,10 +1,10 @@
 """Codebooks and the statistics of accidental codeword hits.
 
-Three representations are provided: explicit uniform-random word sets, binary
-linear codes with syndrome membership, and ``UHitModel`` — the law of the
-number of guesses until the first non-transmitted codeword is encountered,
-which for a uniformly drawn codebook is the minimum of M_n independent
-uniforms on {1, ..., |A|^n}.
+Three representations are provided: explicit uniform-random word sets (one
+symbol array, indexed by int keys), binary linear codes with syndrome
+membership, and ``UHitModel`` — the law of the number of guesses until the
+first non-transmitted codeword is encountered, which for a uniformly drawn
+codebook is the minimum of M_n independent uniforms on {1, ..., |A|^n}.
 
 Membership is one method, ``bind(y)``: a test of noise patterns z (packed
 ints when binary) against the received word y, giving the codeword y (-) z or
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import mpmath
 import numpy as np
@@ -38,9 +39,8 @@ __all__ = [
     "load_codebook",
 ]
 
-# Explicit storage cap. A stored word takes 8 bytes per symbol (40 above the
-# shared small ints 0..256) plus about 120 for its tuple header, its slot in
-# ``words``, its info index and its ``_index`` entry (measured with tracemalloc).
+# Explicit storage cap. Besides its symbol-array row, a stored word keeps a dict
+# slot and two ints: at most 132 + bits / 4 bytes (tracemalloc: 124 at 24 bits).
 _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
@@ -77,28 +77,53 @@ class _Membership:
         return self._codeword(word) is not None
 
 
+@dataclass(eq=False)
+class _Words(Sequence):
+    """The stored words, an (m, n) symbol array, read as int tuples."""
+
+    array: np.ndarray
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, i):
+        rows = self.array[i].tolist()
+        return tuple(map(tuple, rows)) if isinstance(i, slice) else tuple(rows)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class ExplicitCodebook(_Membership):
     """Uniform-with-replacement codebook stored as an explicit word list.
 
     ``words[i]`` is the codeword of info index ``i``; duplicates are allowed
     and membership deduplicates, resolving collisions to the lowest index.
+    ``words`` may be given as int tuples or as an (m, n) integer array.
     """
 
     n: int
     rate: float
     seed: int
     alphabet_size: int
-    words: tuple[tuple[int, ...], ...]
+    words: Sequence[tuple[int, ...]] = field(hash=False)
     _index: dict = field(repr=False, hash=False, compare=False, default=None)
 
     def __post_init__(self):
-        index = {}
-        for i, w in enumerate(self.words):
-            if len(w) != self.n:
-                raise ValueError("codeword length mismatch")
-            index.setdefault(w, i)
-        object.__setattr__(self, "_index", index)
+        a, words = self.alphabet_size, np.asarray(self.words)
+        if words.size and words.shape[1:] != (self.n,):
+            raise ValueError("codeword length mismatch")
+        array = words.astype(np.min_scalar_type(a - 1), copy=False).reshape(-1, self.n)
+        if a < 2 or words.size and (not np.array_equal(array, words) or array.max() >= a):
+            raise ValueError(f"need alphabet_size >= 2 and int symbols in 0..{a - 1}")
+        keys = np.zeros(len(array), np.int64 if a**self.n < 2**63 else object)
+        for column in array.T:  # Horner's rule: the _key of every row
+            keys *= a
+            np.add(keys, column, out=keys, casting="unsafe")
+        keys = keys.tolist()
+        object.__setattr__(self, "words", _Words(array))
+        object.__setattr__(self, "_index", dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))))
 
     @property
     def size(self) -> int:
@@ -108,16 +133,16 @@ class ExplicitCodebook(_Membership):
         """Membership of y (-) z for the received word ``y``: a function of
         the noise pattern z returning that stored codeword, or None. Patterns
         are packed ints for a binary alphabet and int tuples otherwise."""
-        a, n, index, words = self.alphabet_size, self.n, self._index, self.words
-        y = _received(y, n, a)
+        a, index, words = self.alphabet_size, self._index, self.words
+        y = _received(y, self.n, a)
         if a == 2:
-            y_packed = _pack(y)
-            minus = lambda z: _unpack(y_packed ^ z, n)
+            y_key = _pack(y)
+            key = lambda z: y_key ^ z
         else:
-            minus = lambda z: tuple((s - t) % a for s, t in zip(y, z))
+            key = lambda z: _key(((s - t) % a for s, t in zip(y, z)), a)
 
         def hit(z):
-            i = index.get(minus(z))
+            i = index.get(key(z))
             return None if i is None else words[i]
 
         return hit
@@ -131,7 +156,7 @@ class ExplicitCodebook(_Membership):
         codeword = self._codeword(word)
         if codeword is None:
             raise NotACodewordError("word is not in the codebook")
-        return self._index[codeword]
+        return self._index[_key(codeword, self.alphabet_size)]
 
 
 @dataclass(frozen=True)
@@ -227,6 +252,12 @@ def _checked(word, n: int, alphabet_size: int) -> tuple[int, ...] | None:
     return word if inside else None
 
 
+def _key(word, a: int):
+    """Index key of a word: its symbols read as a base-``a`` number, first
+    symbol most significant (``_pack`` when binary)."""
+    return reduce(lambda key, s: key * a + s, word, 0)
+
+
 def _received(y, n: int, alphabet_size: int) -> tuple[int, ...]:
     y = _checked(y, n, alphabet_size)
     if y is None:
@@ -245,15 +276,16 @@ def build_uniform_codebook(
     if n < 1:
         raise ValueError("n must be >= 1")
     m = codebook_size(alphabet_size, n, rate)
-    symbol_bytes = 8 if alphabet_size <= 257 else 40
-    if m * (n * symbol_bytes + 120) > _MEMORY_LIMIT_BYTES:
+    dtype = np.min_scalar_type(alphabet_size - 1)
+    if m * (n * dtype.itemsize + 132 + n * math.log2(alphabet_size) / 4) > _MEMORY_LIMIT_BYTES:
         raise ExplicitModeTooLargeError(
             f"explicit codebook needs {m} words of length {n}; "
             "use a linear codebook or race-mode simulation"
         )
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, alphabet_size, size=(m, n), dtype=np.int64)
-    words = tuple(tuple(row.tolist()) for row in draws)
+    words = np.empty((m, n), dtype)
+    rng, rows = np.random.default_rng(seed), max(1, 2**16 // n)  # rows drawn at once
+    for i in range(0, m, rows):
+        words[i : i + rows] = rng.integers(0, alphabet_size, (min(rows, m - i), n), np.int64)
     return ExplicitCodebook(
         n=n, rate=rate, seed=seed, alphabet_size=alphabet_size, words=words
     )
@@ -325,23 +357,17 @@ def sample_u_exact(m: UHitModel, v: float) -> int:
 
 
 def _pack_words(words, alphabet_size: int) -> bytes:
-    if alphabet_size == 2:
-        flat = np.array([s for w in words for s in w], dtype=np.uint8)
-        return np.packbits(flat).tobytes()
     if alphabet_size > 256:
         raise ValueError("serialization supports alphabets up to 256 symbols")
-    return bytes(s for w in words for s in w)
+    words = np.asarray(words, dtype=np.uint8)
+    return (np.packbits(words) if alphabet_size == 2 else words).tobytes()
 
 
-def _unpack_words(body: bytes, count: int, n: int, alphabet_size: int):
+def _unpack_words(body: bytes, count: int, n: int, alphabet_size: int) -> np.ndarray:
+    flat = np.frombuffer(body, dtype=np.uint8)
     if alphabet_size == 2:
-        flat = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=count * n)
-        return tuple(
-            tuple(int(b) for b in flat[i * n : (i + 1) * n]) for i in range(count)
-        )
-    return tuple(
-        tuple(body[i * n + j] for j in range(n)) for i in range(count)
-    )
+        flat = np.unpackbits(flat, count=count * n)
+    return flat.reshape(count, n)
 
 
 def save_codebook(cb: Codebook, path: str) -> None:
@@ -354,7 +380,7 @@ def save_codebook(cb: Codebook, path: str) -> None:
                     "<IQQdH", cb.n, cb.size, cb.seed, cb.rate, cb.alphabet_size
                 )
             )
-            f.write(_pack_words(cb.words, cb.alphabet_size))
+            f.write(_pack_words(cb.words.array, cb.alphabet_size))
         else:
             f.write(_MAGIC_LINEAR)
             f.write(struct.pack("<IIQ", cb.n, cb.k, cb.seed))
@@ -390,9 +416,7 @@ def load_codebook(path: str) -> Codebook:
         raise ValueError(
             f"{path}: codebook body has {len(body)} bytes, header implies {expected}"
         )
-    if a != 2 and body and max(body) >= a:
-        raise ValueError(f"{path}: codeword symbol outside the alphabet of size {a}")
     words = _unpack_words(body, count, n, a)
     if magic == _MAGIC_EXPLICIT:
         return ExplicitCodebook(n=n, rate=rate, seed=seed, alphabet_size=a, words=words)
-    return LinearCodebook(words, seed=seed)
+    return LinearCodebook(tuple(map(tuple, words.tolist())), seed=seed)

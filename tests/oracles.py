@@ -14,13 +14,15 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from grandkit import simulator
-from grandkit.codebook import ExplicitCodebook, UHitModel
+from grandkit.codebook import ExplicitCodebook, NotACodewordError, UHitModel
 from grandkit.guesswork import _class_table, _multinomial, guess_rank, rate_function_value
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
     _class_key,
     _class_log_prob,
+    _pack,
+    _unpack,
     min_entropy_rate,
     sample_noise_with,
     shannon_entropy_rate,
@@ -174,6 +176,44 @@ def sequence_log_prob(model: NoiseModel, z) -> float:
 def _subtract(y, z, alphabet_size: int) -> tuple[int, ...]:
     """Per-symbol inverse of the channel's modular addition (XOR when binary)."""
     return tuple((a - b) % alphabet_size for a, b in zip(y, z))
+
+
+class TupleIndexCodebook:
+    """An explicit codebook kept as one int tuple per word, indexed by a dict
+    keyed on the tuples; collisions resolve to the lowest info index. Same
+    interface as ``ExplicitCodebook``, for comparing its int-keyed index."""
+
+    def __init__(self, n: int, alphabet_size: int, words):
+        self.n, self.alphabet_size = n, alphabet_size
+        self.words = tuple(tuple(int(s) for s in w) for w in words)
+        self.index = {}
+        for i, w in enumerate(self.words):
+            self.index.setdefault(w, i)
+
+    @property
+    def size(self) -> int:
+        return len(self.words)
+
+    def bind(self, y):
+        y, a, n = tuple(int(s) for s in y), self.alphabet_size, self.n
+        if a == 2:
+            minus = lambda z: _unpack(_pack(y) ^ z, n)
+        else:
+            minus = lambda z: _subtract(y, z, a)
+
+        def hit(z):
+            i = self.index.get(minus(z))
+            return None if i is None else self.words[i]
+
+        return hit
+
+    def contains(self, word) -> bool:
+        return tuple(word) in self.index
+
+    def decode_to_info(self, word) -> int:
+        if tuple(word) not in self.index:
+            raise NotACodewordError("word is not in the codebook")
+        return self.index[tuple(word)]
 
 
 def brute_force_ml(cb: ExplicitCodebook, y, model: NoiseModel) -> tuple[int, ...]:

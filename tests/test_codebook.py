@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grandkit import codebook
+from grandkit.cli import main
 from grandkit.codebook import (
     ExplicitCodebook,
     ExplicitModeTooLargeError,
@@ -25,7 +29,7 @@ from grandkit.codebook import (
 from grandkit.guesswork import guess_rank
 from grandkit.noise_models import _pack, bsc
 
-from .oracles import sample_u_wide, u_survival_approx, u_survival_exact
+from .oracles import TupleIndexCodebook, sample_u_wide, u_survival_approx, u_survival_exact
 
 # Systematic generator of the distance-3 single-error-correcting (7,4) code.
 HAMMING_G = (
@@ -61,11 +65,109 @@ def test_memory_guard():
 
 
 def test_memory_guard_counts_stored_words(monkeypatch):
-    # 2^22 words of 24 bits pack into 12.6 MB but take over 1 GiB as tuples
-    # and index; the guard must refuse before any word is drawn
+    # 2^23 words of 24 bits pack into 25 MB but take over 1 GiB with their
+    # index; the guard must refuse before any word is drawn
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ExplicitModeTooLargeError):
-        build_uniform_codebook(24, 22 / 24, seed=0)
+        build_uniform_codebook(24, 23 / 24, seed=0)
+
+
+def _rate_for(m: int, n: int, a: int) -> float:
+    """A rate R with floor(a^(n R)) = m."""
+    rate = math.log2(m + 0.5) / (n * math.log2(a))
+    assert codebook_size(a, n, rate) == m
+    return rate
+
+
+@pytest.mark.parametrize(
+    # m = 87818 is just past a resize of the index dict, its fullest per word
+    "n, m, a", [(24, 87818, 2), (11, 24576, 3), (80, 5000, 2), (3, 4000, 300)]
+)
+def test_memory_guard_bounds_what_a_build_keeps(monkeypatch, n, m, a):
+    # the guard's estimate: the symbol array, 132 bytes of index per word and
+    # a quarter byte per bit of key; a cap at the estimate lets the build
+    # through, and what it keeps, traced, fits under that cap
+    rate = _rate_for(m, n, a)
+    estimate = m * (n * np.min_scalar_type(a - 1).itemsize + 132 + n * math.log2(a) / 4)
+    monkeypatch.setattr(codebook, "_MEMORY_LIMIT_BYTES", math.ceil(estimate))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cb = build_uniform_codebook(n, rate, seed=1, alphabet_size=a)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cb.size == m and kept <= estimate
+    monkeypatch.setattr(codebook, "_MEMORY_LIMIT_BYTES", math.ceil(estimate) - 1)
+    with pytest.raises(ExplicitModeTooLargeError):
+        build_uniform_codebook(n, rate, seed=1, alphabet_size=a)
+
+
+@pytest.mark.parametrize("a, m, n", [(2, 26616, 21), (3, 40000, 11), (300, 20000, 3)])
+def test_build_draws_the_words_of_one_unchunked_draw(a, m, n):
+    # the build draws 2^16 // n rows at a time; none of these m is a multiple
+    assert m % (2**16 // n)
+    cb = build_uniform_codebook(n, _rate_for(m, n, a), seed=11, alphabet_size=a)
+    draw = np.random.default_rng(11).integers(0, a, size=(m, n), dtype=np.int64)
+    assert np.array_equal(cb.words.array, draw)
+    assert cb.words == tuple(tuple(row) for row in draw.tolist())
+
+
+@pytest.mark.parametrize(
+    "a, words, match",
+    [(2, ((0, 5),), "symbols in 0..1"), (2, ((0, 0.5),), "symbols in 0..1"),
+     (2, ((0, -1),), "symbols in 0..1"), (2, ((1, 1), (0, 2)), "symbols in 0..1"),
+     # 300 would be 44 as a uint8 symbol
+     (256, ((0, 300),), "symbols in 0..255"),
+     (1, ((0, 0),), "alphabet_size >= 2"), (2, ((0, 1, 1),), "length mismatch")],
+)
+def test_explicit_rejects_bad_stored_words(a, words, match):
+    with pytest.raises(ValueError, match=match):
+        ExplicitCodebook(n=2, rate=1.0, seed=0, alphabet_size=a, words=words)
+
+
+@pytest.mark.parametrize("alphabet_size", [1, 0])
+def test_build_rejects_alphabets_below_two(alphabet_size):
+    with pytest.raises(ValueError):
+        build_uniform_codebook(4, 0.5, 0, alphabet_size=alphabet_size)
+
+
+@pytest.mark.parametrize(
+    "n, a",
+    [(1, 2), (8, 2), (24, 2), (62, 2), (63, 2), (64, 2), (80, 2),
+     (5, 3), (39, 3), (40, 3), (3, 300), (8, 300), (1, 2**40), (2, 2**40)],
+)
+def test_int_keyed_index_agrees_with_tuple_oracle(n, a):
+    # keys are int64 while a^n < 2^63 (binary n = 62, |A| = 3 at n = 39,
+    # |A| = 300 at n = 3, |A| = 2^40 at n = 1) and Python ints beyond
+    rng = np.random.default_rng(1000 * n + a)
+    words = rng.integers(0, a, size=(300, n))
+    words[150::7] = words[:22]  # later duplicates of earlier words
+    cb = ExplicitCodebook(n=n, rate=0.5, seed=0, alphabet_size=a, words=words)
+    oracle = TupleIndexCodebook(n, a, words)
+    assert cb.words == oracle.words and cb.size == oracle.size
+    for _ in range(300):
+        c = oracle.words[rng.integers(0, oracle.size)]
+        z = tuple(rng.integers(0, a, size=n).tolist())
+        hit = tuple((s + t) % a for s, t in zip(c, z))
+        pattern = _pack(z) if a == 2 else z
+        for y in (hit, tuple(rng.integers(0, a, size=n).tolist())):
+            assert cb.bind(y)(pattern) == oracle.bind(y)(pattern)
+        for word in (c, tuple(rng.integers(0, a, size=n).tolist())):
+            assert cb.contains(word) == oracle.contains(word)
+            if oracle.contains(word):
+                assert cb.decode_to_info(word) == oracle.decode_to_info(word)
+            else:
+                with pytest.raises(NotACodewordError):
+                    cb.decode_to_info(word)
+
+
+def test_duplicates_resolve_to_the_lowest_index_like_the_oracle():
+    words = ((1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (0, 0, 0), (1, 0, 2))
+    cb = ExplicitCodebook(n=3, rate=0.5, seed=0, alphabet_size=3, words=words)
+    oracle = TupleIndexCodebook(3, 3, words)
+    for w in words:
+        assert cb.decode_to_info(w) == oracle.decode_to_info(w) == words.index(w)
 
 
 def test_explicit_membership_exhaustive():
@@ -298,6 +400,35 @@ def test_serialization_roundtrip_linear(tmp_path):
     loaded = load_codebook(str(path))
     assert isinstance(loaded, LinearCodebook)
     assert loaded.generator == cb.generator
+
+
+def _make_codebook(*args):
+    assert main(["make-codebook", *args]) == 0
+
+
+@pytest.mark.parametrize(
+    # SHA-256 of the files as written when the words were int tuples
+    "write, digest",
+    [
+        (lambda path: _make_codebook("--kind", "explicit", "--n", "24", "--rate", "0.75",
+                                     "--seed", "1", "--out", path),
+         "e7af7be3eaf20eac4806ea5fdd7dc5a6fe47c75a7cb2072711e9873adb3e4570"),
+        (lambda path: save_codebook(build_uniform_codebook(10, 0.5, 4, alphabet_size=3), path),
+         "bc3d61ec5b32d3c717e8053bfcc5819dd2d1240d9a8b66d1e3f79bf7a3c92beb"),
+        (lambda path: _make_codebook("--kind", "linear", "--n", "75", "--k", "54",
+                                     "--seed", "2", "--out", path),
+         "86936843be7299b6283c30fa2b3b6aa1eb8d2bd38415b2ad3b9ef8fbc6e377ad"),
+    ],
+    ids=["explicit-binary-n24", "explicit-ternary", "linear"],
+)
+def test_saved_files_keep_their_bytes(tmp_path, capsys, write, digest):
+    path = tmp_path / "cb.gkcb"
+    write(str(path))
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    path.write_bytes(data)
+    save_codebook(load_codebook(str(path)), str(path))
+    assert path.read_bytes() == data
 
 
 def test_load_rejects_garbage(tmp_path):

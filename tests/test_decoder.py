@@ -22,9 +22,10 @@ from grandkit.noise_models import (
     IIDNoise,
     bsc,
     sample_noise,
+    sample_noise_with,
 )
 
-from .oracles import brute_force_ml, sequence_log_prob
+from .oracles import TupleIndexCodebook, brute_force_ml, sequence_log_prob
 from .test_codebook import HAMMING_G
 
 
@@ -238,3 +239,16 @@ def test_termination_race_matches_decoding_queries():
         race_queries.append(min(g, u))
     stat = ks_2samp(cb_queries, race_queries)
     assert stat.pvalue > 0.01
+
+
+def test_int_keyed_codebook_decodes_like_the_tuple_index_oracle():
+    # 2000 Markov blocks on 2^18 stored words: the same codeword, query count
+    # and class for every block
+    model = BinaryMarkovNoise(0.05, 0.3)
+    cb = build_uniform_codebook(24, 0.75, seed=21)
+    oracle = TupleIndexCodebook(24, 2, cb.words.array)
+    rng = np.random.default_rng(21)
+    for i in rng.integers(0, cb.size, size=2000):
+        z = sample_noise_with(model, 24, rng)
+        y = tuple((np.asarray(cb.words[i]) ^ z).tolist())
+        assert grand_decode(cb, y, model) == grand_decode(oracle, y, model)

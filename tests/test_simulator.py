@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import mpmath
@@ -333,3 +334,33 @@ def test_screen_never_disagrees_with_exact_sample(n, rate, pairs):
             decided += 1
             assert sample_u_exact(hit, v) > g
     assert decided > pairs // 4
+
+
+@pytest.mark.parametrize(
+    # data_dict() as it was when explicit words were stored as int tuples
+    "cfg, expected",
+    [
+        (SimConfig(model=bsc(0.05), n=16, rate=0.5, trials=300, mode="explicit", seed=7),
+         '{"abandonment_rate": 0.0, "avg_queries_per_bit": 1.5045833333333334, '
+         '"block_error_ci95": [0.05482937290488356, 0.11850396042844978], '
+         '"block_error_rate": 0.08666666666666667, "config": {"abandon_after": null, '
+         '"mode": "explicit", "model": "IIDNoise(pmf=(0.95, 0.05))", "n": 16, '
+         '"p_abandon": null, "rate": 0.5, "seed": 7, "trials": 300, "workers": 1}, '
+         '"query_histogram": {"0": 124, "1": 14, "2": 35, "3": 50, "4": 33, "5": 17, '
+         '"6": 14, "7": 8, "8": 4, "9": 1}, "schema_version": 1, '
+         '"success_rate": 0.9133333333333333, "trials": 300}'),
+        (SimConfig(model=IIDNoise((0.8, 0.15, 0.05)), n=8, rate=0.5, trials=300,
+                   mode="explicit", seed=5),
+         '{"abandonment_rate": 0.0, "avg_queries_per_bit": 3.74125, '
+         '"block_error_ci95": [0.2863948062217848, 0.39360519377821523], '
+         '"block_error_rate": 0.34, "config": {"abandon_after": null, '
+         '"mode": "explicit", "model": "IIDNoise(pmf=(0.8, 0.15, 0.05))", "n": 8, '
+         '"p_abandon": null, "rate": 0.5, "seed": 5, "trials": 300, "workers": 1}, '
+         '"query_histogram": {"0": 59, "1": 31, "2": 40, "3": 51, "4": 51, "5": 27, '
+         '"6": 20, "7": 18, "8": 3}, "schema_version": 1, '
+         '"success_rate": 0.6599999999999999, "trials": 300}'),
+    ],
+    ids=["binary", "ternary"],
+)
+def test_explicit_simulation_data_is_unchanged(cfg, expected):
+    assert json.dumps(run_simulation(cfg).data_dict(), sort_keys=True) == expected
