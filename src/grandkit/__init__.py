@@ -17,13 +17,7 @@ from .noise_models import (
     sample_noise,
     shannon_entropy_rate,
 )
-from .guesswork import (
-    RateFunctionTable,
-    guess_rank,
-    rate_function_I_N,
-    rate_function_value,
-    scgf_lambda_N,
-)
+from .guesswork import guess_rank, rate_function_value
 from .codebook import (
     ExplicitCodebook,
     LinearCodebook,
@@ -48,10 +42,8 @@ from .analysis import (
     error_exponent,
     expected_queries_fine,
     exponent_report,
-    grand_rate_function,
     grandab_error_exponent,
     max_achievable_rate,
-    rate_function_I_U,
     select_delta,
     success_exponent,
     supercritical_threshold_y_star,

@@ -17,8 +17,9 @@ from math import comb
 import mpmath
 from scipy.optimize import brentq
 
-from .guesswork import rate_function_value, scgf_derivative
+from .guesswork import _legendre_point, _rho_bracket, rate_function_value
 from .noise_models import (
+    IIDNoise,
     NoiseModel,
     _renyi_log_sum,
     min_entropy_rate,
@@ -29,14 +30,12 @@ from .noise_models import (
 __all__ = [
     "ExponentReport",
     "capacity",
-    "rate_function_I_U",
     "error_exponent",
     "error_exponent_pair",
     "success_exponent",
     "critical_rate_x_star",
     "grandab_error_exponent",
     "complexity_exponents",
-    "grand_rate_function",
     "supercritical_threshold_y_star",
     "select_delta",
     "bsc_success_prob_fine",
@@ -49,15 +48,6 @@ __all__ = [
 def capacity(model: NoiseModel) -> float:
     """Channel capacity 1 - H for invertible additive noise, base |A|."""
     return 1.0 - shannon_entropy_rate(model)
-
-
-def rate_function_I_U(R: float, x: float) -> float:
-    """Rate function of the accidental-hit time: 1 - R - x on [0, 1-R]."""
-    if not 0.0 < R < 1.0:
-        raise ValueError("R must lie in (0, 1)")
-    if 0.0 <= x <= 1.0 - R:
-        return 1.0 - R - x
-    return math.inf
 
 
 def error_exponent(model: NoiseModel, R: float) -> float:
@@ -86,10 +76,11 @@ def success_exponent(model: NoiseModel, R: float) -> float:
 def critical_rate_x_star(model: NoiseModel) -> float | None:
     """The guesswork growth rate at which I_N has unit slope.
 
-    By Legendre duality this is the SCGF derivative at 1. Absent for
+    By Legendre duality this is the SCGF slope at alpha = 1, the Legendre
+    point x(1/2) = L(1/2) - L'(1/2)/2 (see :mod:`.guesswork`). Absent for
     degenerate (uniform) noise, where the rate function never steepens.
     """
-    x = scgf_derivative(model, 1.0)
+    x = _legendre_point(model, 0.5)[0]
     if x >= 1.0 - 1e-9:
         return None
     return x
@@ -130,26 +121,6 @@ def complexity_exponents(
     return grand, min(grand, H + delta)
 
 
-def grand_rate_function(model: NoiseModel, R: float, x_grid) -> tuple[float, ...]:
-    """Rate function of the decoder's termination time on ``x_grid``.
-
-    Below capacity it coincides with the noise guesswork rate function up to
-    x = 1-R; above capacity the accidental-hit branch can win, and the result
-    need not be convex.
-    """
-    below = R < 1.0 - shannon_entropy_rate(model)
-    out = []
-    for x in x_grid:
-        x = float(x)
-        if x > 1.0 - R:
-            out.append(math.inf)
-        elif below:
-            out.append(rate_function_value(model, x))
-        else:
-            out.append(min(rate_function_value(model, x), 1.0 - R - x))
-    return tuple(out)
-
-
 def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     """Largest query exponent below which early termination still implies a
     correct decoding with high probability.
@@ -172,14 +143,11 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     def f(rho: float) -> float:
         return -_renyi_log_sum(model, rho)[1] - (1.0 - R)
 
-    hi, last = 1.0, None
-    while (val := f(hi)) > 0.0:
-        if val == last:
-            # Only the dominant term is left and -L' still exceeds 1 - R: R is
-            # within float error of 1 - H_min, and y* is the Legendre point.
-            L, slope = _renyi_log_sum(model, hi)
-            return L - hi * slope
-        hi, last = 2.0 * hi, val
+    hi, val = _rho_bracket(f)
+    if val > 0.0:
+        # Only the dominant term is left and -L' still exceeds 1 - R: R is
+        # within float error of 1 - H_min, and y* is the Legendre point.
+        return _legendre_point(model, hi)[0]
     rho = float(brentq(f, 0.0, hi, xtol=1e-14))
     return _renyi_log_sum(model, rho)[0] + rho * (1.0 - R)
 
@@ -189,33 +157,38 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
 
     Solves I_N(H + delta) = -log2(p_abandon * min(p n, 1)) / n, so the
     abandonment probability is at most ``p_abandon`` times the expected
-    uncoded block error probability. The target is in bits, so only binary
-    alphabets are accepted: larger ones raise ValueError.
+    uncoded block error probability: one root I(rho) = t on [0, 1] of the
+    Legendre curve, where x(rho) runs from the support edge down to H. The
+    target is in bits, so only binary alphabets are accepted; a law with a
+    zero-probability symbol, whose I_N jumps to +inf at the edge, and p
+    outside (0, 1] raise ValueError too.
     """
     if model.alphabet_size > 2:
         raise ValueError("the abandonment budget rule supports binary alphabets only")
+    if isinstance(model, IIDNoise) and min(model.pmf) <= 0.0:
+        raise ValueError(
+            "the abandonment budget rule needs every noise symbol to have positive probability"
+        )
     if not 0.0 < p_abandon < 1.0:
         raise ValueError("p_abandon must lie in (0, 1)")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
     target = p_abandon * min(p * n, 1.0)
     t = -math.log2(target) / n
     if t <= 0.0:
         raise ValueError("abandonment target requires a positive exponent")
-    H = shannon_entropy_rate(model)
-    if rate_function_value(model, 1.0) < t:
+
+    def f(rho: float) -> float:
+        return _legendre_point(model, rho)[1] - t
+
+    if f(0.0) < 0.0:
         raise ValueError(
             f"target exponent {t:.4g} exceeds the rate function's range"
         )
-    x = float(
-        brentq(
-            lambda x: rate_function_value(model, x) - t,
-            H,
-            1.0,
-            xtol=1e-12,
-        )
-    )
-    delta = x - H
+    rho = brentq(f, 0.0, 1.0, xtol=1e-14)
+    delta = _legendre_point(model, rho)[0] - shannon_entropy_rate(model)
     if delta <= 0.0:
         raise ValueError("abandonment target gives a non-positive margin")
     return delta

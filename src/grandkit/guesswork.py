@@ -18,12 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .noise_models import (
     IIDNoise,
@@ -31,27 +29,18 @@ from .noise_models import (
     _class_key,
     _class_log_prob,
     _pack,
+    _renyi_log_sum,
     _symbols,
     _unpack,
     min_entropy_rate,
-    renyi_entropy_rate,
-    shannon_entropy_rate,
 )
 
 __all__ = [
     "guess_groups",
     "iter_guesses",
     "guess_rank",
-    "scgf_lambda_N",
-    "scgf_derivative",
     "rate_function_value",
-    "rate_function_I_N",
-    "RateFunctionTable",
 ]
-
-# Upper limit for the argument when chasing the supremum of x*alpha - Lambda(alpha);
-# beyond this the objective has numerically flat-lined for every x < 1.
-_ALPHA_CAP = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -301,96 +290,51 @@ def guess_rank(model: NoiseModel, z) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scaled cumulant generating function and its Legendre-Fenchel transform.
+# The guesswork rate function I_N, the Legendre transform of the SCGF
+# (1 + alpha) L(1/(1 + alpha)) of (1/n) log G (Christiansen and Duffy,
+# "Guesswork, large deviations, and Shannon entropy", IEEE Trans. IT 2013;
+# Arikan, "An inequality on guessing and its application to sequential
+# decoding", IEEE Trans. IT 1996), traced on the Renyi parameter rho.
 # ---------------------------------------------------------------------------
 
 
-def scgf_lambda_N(model: NoiseModel, alpha: float) -> float:
-    """Scaled cumulant generating function of (1/n) log G(noise).
-
-    Equals alpha times the Renyi rate at parameter 1/(1+alpha) for alpha > -1
-    and minus the min-entropy rate below.
-    """
-    if alpha <= -1.0:
-        return -min_entropy_rate(model)
-    if alpha == 0.0:
-        return 0.0
-    return alpha * renyi_entropy_rate(model, 1.0 / (1.0 + alpha))
+def _legendre_point(model: NoiseModel, rho: float) -> tuple[float, float]:
+    """(x, I_N(x)) at ``rho`` >= 0 on the Legendre curve of L (the Renyi
+    log-sum): x = L - rho L' and I_N(x) = -L' - x. x falls from the support
+    edge L(0) at rho = 0 through H at rho = 1 towards gamma as rho grows."""
+    L, slope = _renyi_log_sum(model, rho)
+    x = L - rho * slope
+    return x, -slope - x
 
 
-def scgf_derivative(model: NoiseModel, alpha: float) -> float:
-    """Central-difference derivative of the SCGF at ``alpha`` (> -1)."""
-    h = min(1e-6 * max(1.0, abs(alpha)), (alpha + 1.0) / 2.0)
-    lo = scgf_lambda_N(model, alpha - h)
-    hi = scgf_lambda_N(model, alpha + h)
-    return (hi - lo) / (2.0 * h)
-
-
-def _linear_segment_end(model: NoiseModel) -> float:
-    """gamma: the limiting SCGF slope as alpha decreases to -1.
-
-    Captures the growth rate of the set of maximum-probability sequences; zero
-    whenever the most likely sequence is unique. Convergence in the offset is
-    exponentially fast, so a single evaluation close to -1 suffices.
-    """
-    return scgf_derivative(model, -1.0 + 1e-4)
+def _rho_bracket(f) -> tuple[float, float]:
+    """(rho, f(rho)) for ``f`` decreasing in rho with f(0) > 0: rho doubles
+    from 1 until f(rho) <= 0, so [0, rho] brackets the root, or until f(rho)
+    stops moving while still positive: the root then lies past float reach,
+    on the limit rho -> inf."""
+    rho, last = 1.0, None
+    while (val := f(rho)) > 0.0 and val != last:
+        rho, last = 2.0 * rho, val
+    return rho, val
 
 
 def rate_function_value(model: NoiseModel, x: float) -> float:
-    """I(x) = sup over alpha of (x * alpha - SCGF(alpha)): the rate function of
-    (1/n) log G(noise). Returns +inf outside [0, 1]."""
-    if x < 0.0 or x > 1.0:
+    """I_N(x), the rate function of (1/n) log G(noise): one root x(rho) = x.
+
+    +inf outside [0, 1] and past the support edge L(0) = log_|A| #{p_i > 0};
+    on the linear segment below gamma, where x(rho) stops moving before it
+    reaches x, I_N = H_min - x. Float error below 0 near x = H reads 0.
+    """
+    if not 0.0 <= x <= 1.0:
         return math.inf
-    h_min = min_entropy_rate(model)
-    # The branch alpha <= -1 is maximized on its boundary.
-    best = h_min - x
-    # Bracket the interior supremum: grow the right end until the slope there
-    # exceeds x, then run a bounded scalar maximization.
-    hi = 1.0
-    while scgf_derivative(model, hi) < x and hi < _ALPHA_CAP:
-        hi *= 4.0
-    hi = min(hi, _ALPHA_CAP)
-    res = minimize_scalar(
-        lambda a: scgf_lambda_N(model, a) - x * a,
-        bounds=(-1.0 + 1e-9, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if not res.success:
-        raise RuntimeError(f"rate-function optimization failed at x={x}: {res.message}")
-    cand = -res.fun
-    # The supremum may sit at the expansion cap when x is at the right edge of
-    # the achievable-growth support.
-    cand = max(cand, x * hi - scgf_lambda_N(model, hi))
-    return float(max(best, cand, 0.0))
+    edge, edge_rate = _legendre_point(model, 0.0)
+    if x >= edge:
+        return max(0.0, edge_rate) if x == edge else math.inf
 
+    def f(rho: float) -> float:
+        return _legendre_point(model, rho)[0] - x
 
-@dataclass(frozen=True)
-class RateFunctionTable:
-    """Grid evaluation of the guesswork rate function with its landmarks."""
-
-    x_grid: tuple[float, ...]
-    I_values: tuple[float, ...]
-    gamma: float
-    H: float
-    H_half: float
-    H_min: float
-
-    def __call__(self, x: float) -> float:
-        return float(np.interp(x, self.x_grid, self.I_values))
-
-
-def rate_function_I_N(model: NoiseModel, x_grid) -> RateFunctionTable:
-    """Evaluate the guesswork rate function on ``x_grid`` (points in [0, 1])."""
-    xs = tuple(float(x) for x in x_grid)
-    if any(x < 0.0 or x > 1.0 for x in xs):
-        raise ValueError("grid points must lie in [0, 1]")
-    values = tuple(rate_function_value(model, x) for x in xs)
-    return RateFunctionTable(
-        x_grid=xs,
-        I_values=values,
-        gamma=_linear_segment_end(model),
-        H=shannon_entropy_rate(model),
-        H_half=renyi_entropy_rate(model, 0.5),
-        H_min=min_entropy_rate(model),
-    )
+    hi, val = _rho_bracket(f)
+    if val > 0.0:
+        return min_entropy_rate(model) - x
+    return max(0.0, _legendre_point(model, brentq(f, 0.0, hi, xtol=1e-15))[1])

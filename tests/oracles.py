@@ -7,6 +7,7 @@ package, because no library path uses them.
 
 import heapq
 import math
+from dataclasses import dataclass
 from math import comb
 
 import mpmath
@@ -24,6 +25,7 @@ from grandkit.noise_models import (
     _pack,
     _unpack,
     min_entropy_rate,
+    renyi_entropy_rate,
     sample_noise_with,
     shannon_entropy_rate,
 )
@@ -161,6 +163,158 @@ def supercritical_threshold_crossing(model: NoiseModel, R: float) -> float | Non
         # I_N stays below I_U all the way; the supremum is the right edge.
         return hi
     return float(brentq(f, 0.0, y_probe, xtol=1e-12))
+
+
+def scgf_lambda_N(model: NoiseModel, alpha: float) -> float:
+    """Scaled cumulant generating function of (1/n) log G(noise).
+
+    Equals alpha times the Renyi rate at parameter 1/(1+alpha) for alpha > -1
+    and minus the min-entropy rate below.
+    """
+    if alpha <= -1.0:
+        return -min_entropy_rate(model)
+    if alpha == 0.0:
+        return 0.0
+    return alpha * renyi_entropy_rate(model, 1.0 / (1.0 + alpha))
+
+
+def scgf_derivative(model: NoiseModel, alpha: float) -> float:
+    """Central-difference derivative of the SCGF at ``alpha`` (> -1)."""
+    h = min(1e-6 * max(1.0, abs(alpha)), (alpha + 1.0) / 2.0)
+    lo = scgf_lambda_N(model, alpha - h)
+    hi = scgf_lambda_N(model, alpha + h)
+    return (hi - lo) / (2.0 * h)
+
+
+def _linear_segment_end(model: NoiseModel) -> float:
+    """gamma: the limiting SCGF slope as alpha decreases to -1.
+
+    Captures the growth rate of the set of maximum-probability sequences; zero
+    whenever the most likely sequence is unique. Convergence in the offset is
+    exponentially fast, so a single evaluation close to -1 suffices.
+    """
+    return scgf_derivative(model, -1.0 + 1e-4)
+
+
+@dataclass(frozen=True)
+class RateFunctionTable:
+    """Grid evaluation of the guesswork rate function with its landmarks."""
+
+    x_grid: tuple[float, ...]
+    I_values: tuple[float, ...]
+    gamma: float
+    H: float
+    H_half: float
+    H_min: float
+
+    def __call__(self, x: float) -> float:
+        return float(np.interp(x, self.x_grid, self.I_values))
+
+
+def rate_function_I_N(model: NoiseModel, x_grid) -> RateFunctionTable:
+    """Evaluate the guesswork rate function on ``x_grid`` (points in [0, 1])."""
+    xs = tuple(float(x) for x in x_grid)
+    if any(x < 0.0 or x > 1.0 for x in xs):
+        raise ValueError("grid points must lie in [0, 1]")
+    values = tuple(rate_function_value(model, x) for x in xs)
+    return RateFunctionTable(
+        x_grid=xs,
+        I_values=values,
+        gamma=_linear_segment_end(model),
+        H=shannon_entropy_rate(model),
+        H_half=renyi_entropy_rate(model, 0.5),
+        H_min=min_entropy_rate(model),
+    )
+
+
+def rate_function_I_U(R: float, x: float) -> float:
+    """Rate function of the accidental-hit time: 1 - R - x on [0, 1-R]."""
+    if not 0.0 < R < 1.0:
+        raise ValueError("R must lie in (0, 1)")
+    if 0.0 <= x <= 1.0 - R:
+        return 1.0 - R - x
+    return math.inf
+
+
+def grand_rate_function(model: NoiseModel, R: float, x_grid) -> tuple[float, ...]:
+    """Rate function of the decoder's termination time on ``x_grid``.
+
+    Below capacity it coincides with the noise guesswork rate function up to
+    x = 1-R; above capacity the accidental-hit branch can win, and the result
+    need not be convex.
+    """
+    below = R < 1.0 - shannon_entropy_rate(model)
+    out = []
+    for x in x_grid:
+        x = float(x)
+        if x > 1.0 - R:
+            out.append(math.inf)
+        elif below:
+            out.append(rate_function_value(model, x))
+        else:
+            out.append(min(rate_function_value(model, x), 1.0 - R - x))
+    return tuple(out)
+
+
+def _legendre_curve_mp(model: NoiseModel):
+    """rho -> (x, -L') on the Legendre curve x = L - rho L' in mpmath, base
+    |A|, with L and L' in closed form: L(rho) is log sum p_i^rho for IID
+    noise and the log of the Perron root (d1 + d2 + sqrt((d1 - d2)^2 + 4 c))
+    / 2 of [P_ij^rho] for the Markov chain, where d1 = (1-a)^rho,
+    d2 = (1-b)^rho and c = (ab)^rho."""
+    mp = mpmath
+    if isinstance(model, IIDNoise):
+        logs = [mp.log(mp.mpf(p)) for p in model.pmf if p > 0.0]
+        log_a = mp.log(model.alphabet_size)
+
+        def log_sum(rho):
+            w = [mp.exp(rho * l) for l in logs]
+            s = mp.fsum(w)
+            return mp.log(s), mp.fsum(wi * l for wi, l in zip(w, logs)) / s
+
+    else:
+        l1, l2 = mp.log(1 - mp.mpf(model.a)), mp.log(1 - mp.mpf(model.b))
+        lc = mp.log(mp.mpf(model.a) * mp.mpf(model.b))
+        log_a = mp.log(2)
+
+        def log_sum(rho):
+            d1, d2, c = mp.exp(rho * l1), mp.exp(rho * l2), mp.exp(rho * lc)
+            root = mp.sqrt((d1 - d2) ** 2 + 4 * c)
+            lam = (d1 + d2 + root) / 2
+            dlam = d1 * l1 + d2 * l2 + ((d1 - d2) * (d1 * l1 - d2 * l2) + 2 * c * lc) / root
+            return mp.log(lam), dlam / 2 / lam
+
+    def point(rho):
+        L, slope = log_sum(rho)
+        return (L - rho * slope) / log_a, -slope / log_a
+
+    return point
+
+
+def rate_function_reference(model: NoiseModel, x: float, dps: int = 40) -> float:
+    """I_N(x) at ``dps`` digits on the Legendre curve x(rho) = L - rho L',
+    I_N = -L' - x, with x(rho) = x solved by bisection in rho to half of
+    ``dps`` digits (I_N moves by about L'' times the error in rho); reference
+    path for ``grandkit.guesswork.rate_function_value``, edges included.
+
+    +inf outside [0, 1] and past the support edge L(0). Bisection runs on
+    rho in [0, 2^12]; at or below x(2^12), the linear segment, it returns
+    -L'(2^12) - x, which for these laws is H_min - x to far more than ``dps``
+    digits.
+    """
+    if not 0.0 <= x <= 1.0:
+        return math.inf
+    with mpmath.workdps(dps):
+        point = _legendre_curve_mp(model)
+        xm = mpmath.mpf(x)
+        if xm > point(mpmath.mpf(0))[0]:
+            return math.inf
+        lo, hi = mpmath.mpf(0), mpmath.mpf(2) ** 12
+        if point(hi)[0] < xm:
+            while hi - lo > mpmath.mpf(10) ** (-dps // 2) * (1 + hi):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if point(mid)[0] > xm else (lo, mid)
+        return float(point(hi)[1] - xm)
 
 
 def sequence_log_prob(model: NoiseModel, z) -> float:

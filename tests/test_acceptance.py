@@ -35,6 +35,7 @@ from grandkit.simulator import SimConfig, run_race, run_simulation
 from .oracles import (
     brute_force_ml,
     error_exponent_infimum,
+    grand_rate_function,
     sequence_log_prob,
     u_survival_approx,
     u_survival_exact,
@@ -198,7 +199,7 @@ def test_criterion_7_exponent_identities():
     # termination-time rate function loses convexity above capacity (rate
     # chosen below 1 - H_min so both branches are active on the grid)
     grid = np.linspace(0.0, 0.3, 200)
-    vals = np.array(an.grand_rate_function(bsc(0.1), 0.7, grid))
+    vals = np.array(grand_rate_function(bsc(0.1), 0.7, grid))
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     ok = ok and second.min() < -1e-9
     _verdict(7, "exponent identities on rate grids", ok)

@@ -18,6 +18,8 @@ from grandkit.noise_models import (
 from .oracles import (
     bsc_success_prob_fine_exact,
     error_exponent_infimum,
+    grand_rate_function,
+    rate_function_I_U,
     supercritical_threshold_crossing,
 )
 
@@ -25,9 +27,9 @@ SMOOTH_MODELS = [bsc(0.1), bsc(0.01), BinaryMarkovNoise(0.002, 0.2)]
 
 
 def test_hit_rate_function_values():
-    assert an.rate_function_I_U(0.2, 0.8) == pytest.approx(0.0)
-    assert an.rate_function_I_U(0.2, 0.0) == pytest.approx(0.8)
-    assert an.rate_function_I_U(0.8, 0.5) == math.inf
+    assert rate_function_I_U(0.2, 0.8) == pytest.approx(0.0)
+    assert rate_function_I_U(0.2, 0.0) == pytest.approx(0.8)
+    assert rate_function_I_U(0.8, 0.5) == math.inf
 
 
 def test_capacity_spot_value():
@@ -162,14 +164,14 @@ def test_termination_rate_function_piecewise():
     m = bsc(0.1)
     cap = an.capacity(m)
     grid = np.linspace(0.0, 1.0, 41)
-    below = an.grand_rate_function(m, 0.3, grid)
+    below = grand_rate_function(m, 0.3, grid)
     for x, v in zip(grid, below):
         if x > 0.7:
             assert v == math.inf
         else:
             assert v == pytest.approx(rate_function_value(m, float(x)), abs=1e-9)
     cut = 1.0 - 0.9
-    above = an.grand_rate_function(m, 0.9, grid)
+    above = grand_rate_function(m, 0.9, grid)
     for x, v in zip(grid, above):
         if x > cut:
             assert v == math.inf
@@ -185,7 +187,7 @@ def test_termination_rate_function_nonconvex_above_capacity():
     # accidental-hit branches both appear and meet at a kink
     R = 0.7
     grid = np.linspace(0.0, 1.0 - R, 200)
-    vals = np.array(an.grand_rate_function(m, R, grid))
+    vals = np.array(grand_rate_function(m, R, grid))
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     assert second.min() < -1e-9
 
@@ -283,6 +285,18 @@ def test_select_delta_rejects_unattainable_target():
     # an absurdly small target probability needs an exponent beyond I_N's range
     with pytest.raises(ValueError):
         an.select_delta(bsc(0.3), 10, 1e-9, 0.3)
+
+
+def test_select_delta_rejects_zero_probability_symbol():
+    # noise that is always 0 has I_N = +inf past x = 0: no margin meets a target
+    with pytest.raises(ValueError, match="positive probability"):
+        an.select_delta(IIDNoise((1.0, 0.0)), 75, 0.01, 0.01)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.01, 1.5])
+def test_select_delta_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        an.select_delta(bsc(0.01), 75, 0.01, p)
 
 
 def test_select_delta_rejects_non_binary_alphabet():

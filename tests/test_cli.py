@@ -310,6 +310,9 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0:0.1:0.5",
           "--out", "unused.csv"),
          "points must lie in (0, 1)"),
+        (("exponents", "--model", "iid", "--pmf", "1,0", "--n", "75", "--auto-delta",
+          "--p-abandon", "0.01", "--rate-grid", "0.5:0.1:0.6"),
+         "every noise symbol to have positive probability"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):

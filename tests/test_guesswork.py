@@ -17,9 +17,7 @@ from grandkit.guesswork import (
     guess_groups,
     guess_rank,
     iter_guesses,
-    rate_function_I_N,
     rate_function_value,
-    scgf_lambda_N,
 )
 from grandkit.noise_models import (
     BinaryMarkovNoise,
@@ -33,7 +31,14 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
-from .oracles import GuessEnumerator, guess_rank_walk, sequence_log_prob
+from .oracles import (
+    GuessEnumerator,
+    guess_rank_walk,
+    rate_function_I_N,
+    rate_function_reference,
+    scgf_lambda_N,
+    sequence_log_prob,
+)
 
 MODELS = [
     bsc(0.1),
@@ -345,6 +350,48 @@ def test_rate_function_matches_dense_alpha_grid_supremum():
     for x in np.linspace(0.0, 1.0, 21):
         brute = max(float(np.max(x * alphas - lam)), h_min - x, 0.0)
         assert rate_function_value(model, x) == pytest.approx(brute, abs=1e-6)
+
+
+REFERENCE_MODELS = [
+    bsc(0.01),
+    bsc(0.1),
+    bsc(0.3),
+    IIDNoise((0.7, 0.2, 0.1)),
+    IIDNoise((0.6, 0.4, 0.0)),
+    BinaryMarkovNoise(0.05, 0.3),
+    BinaryMarkovNoise(0.01, 0.5),
+    BinaryMarkovNoise(0.3, 0.3),
+]
+
+
+@pytest.mark.parametrize("pmf, x", [((0.6, 0.4, 0.0), 0.8), ((0.5, 0.5, 0.0), 0.7)])
+def test_rate_function_is_infinite_past_the_support_edge(pmf, x):
+    # two of three symbols carry the mass: no noise sequence has a guesswork
+    # exponent above log_3 2 = 0.631, where I_N jumps to +inf
+    model = IIDNoise(pmf)
+    edge = math.log(2) / math.log(3)
+    assert rate_function_value(model, x) == math.inf
+    assert rate_function_value(model, math.nextafter(edge, 1.0)) == math.inf
+    # at the edge I_N is -L'(0) - L(0), the mean of -log_3 p_i over the two
+    # symbols less log_3 2; I_N's slope is infinite there, so the reference,
+    # which solves for the float x, is compared a little inside it
+    at_edge = -(math.log(pmf[0]) + math.log(pmf[1])) / (2.0 * math.log(3)) - edge
+    assert rate_function_value(model, edge) == pytest.approx(at_edge, abs=1e-12)
+    inside = edge - 1e-6
+    assert abs(rate_function_value(model, inside) - rate_function_reference(model, inside)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=repr)
+def test_rate_function_matches_reference(model):
+    # x = 1 included: the right edge, where a supremum over alpha converges
+    # only like 1/alpha
+    for x in np.linspace(0.0, 1.0, 21):
+        ref = rate_function_reference(model, float(x))
+        val = rate_function_value(model, float(x))
+        if ref == math.inf:
+            assert val == math.inf
+        else:
+            assert abs(val - ref) <= 1e-12
 
 
 def test_empirical_guesswork_growth_approaches_entropy():
