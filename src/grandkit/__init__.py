@@ -14,7 +14,7 @@ from .noise_models import (
     bsc,
     min_entropy_rate,
     renyi_entropy_rate,
-    sample_noise,
+    sample_noise_with,
     shannon_entropy_rate,
 )
 from .guesswork import guess_rank, rate_function_value

@@ -292,17 +292,6 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
     return total
 
 
-def _bsc_guess_survival_mp(n: int, p, t: int):
-    """P(G > t) under Bernoulli(p) noise, as an mpmath value (0 <= t <= 2^n)."""
-    tail = mpmath.mpf(1)
-    for size, _, l_k, q_k in _weight_layers(n, mpmath.mpf(p)):
-        if t <= l_k:
-            # within layer k: survival interpolates linearly in the rank
-            return (tail - size * q_k) + (l_k - t) * q_k
-        tail -= size * q_k
-    return mpmath.mpf(0)
-
-
 def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
     """Smallest rank m with P(G <= m) >= prob, for Bernoulli(p) noise."""
     if not 0.0 < prob < 1.0:
@@ -335,6 +324,8 @@ def expected_queries_fine(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if max_queries is not None and max_queries < 1:
+        raise ValueError("max_queries must be >= 1")
     if conditional and max_queries is None:
         raise ValueError("conditional mean requires a query budget")
     total_seq = 2**n
@@ -345,6 +336,7 @@ def expected_queries_fine(
         one_minus_r = -mpmath.expm1(-c)
         expectation = mpmath.mpf(0)
         tail = mpmath.mpf(1)  # P(W > k-1) entering layer k
+        survival = mpmath.mpf(0)  # P(G > T); 0 if the walk stops at r^a < e^-5000
         for size, a, l_k, q_k in _weight_layers(n, mpmath.mpf(p)):
             tail_k = tail - size * q_k  # P(W > k)
             b = min(l_k, T) - 1
@@ -360,10 +352,12 @@ def expected_queries_fine(
                 expectation += tail_k * s0 + q_k * (l_k * s0 - s1)
             tail = tail_k
             if l_k >= T:
+                # T lies in layer k: survival interpolates linearly in the rank
+                survival = tail_k + (l_k - T) * q_k
                 break
         if not conditional:
             return float(expectation / n)
-        p_ab = _bsc_guess_survival_mp(n, p, T) * r**T
+        p_ab = survival * r**T
         if p_ab >= 1:
             raise ValueError("abandonment is certain; conditional mean undefined")
         cond = (expectation - T * p_ab) / (1 - p_ab)

@@ -76,6 +76,8 @@ def _parse_rate_grid(spec: str):
 def _parse_word(text: str, n: int) -> tuple[int, ...]:
     """Hex string -> length-n bit tuple (most significant bit first)."""
     value = int(text, 16)
+    if value < 0:
+        raise ValueError(f"word {text} is negative")
     if value >= 1 << n:
         raise ValueError(f"word 0x{text} does not fit in {n} bits")
     return tuple((value >> (n - 1 - i)) & 1 for i in range(n))

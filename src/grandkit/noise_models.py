@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,17 +22,10 @@ __all__ = [
     "renyi_entropy_rate",
     "min_entropy_rate",
     "model_error_probability",
-    "sample_noise",
+    "sample_noise_with",
 ]
 
 _PMF_TOL = 1e-12
-
-
-def _binary_entropy(p: float) -> float:
-    """Binary Shannon entropy in bits."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -42,6 +35,8 @@ class IIDNoise:
     pmf: tuple[float, ...]
 
     def __post_init__(self):
+        # a tuple, so the model hashes for the caches keyed on it
+        object.__setattr__(self, "pmf", tuple(self.pmf))
         if len(self.pmf) < 2:
             raise ValueError("alphabet must have at least 2 symbols")
         if any(p < 0.0 for p in self.pmf):
@@ -119,86 +114,66 @@ def bsc(p: float) -> IIDNoise:
     return IIDNoise((1.0 - p, p))
 
 
-def shannon_entropy_rate(model: NoiseModel) -> float:
-    """Shannon entropy rate of the noise, base |A|."""
+@lru_cache(maxsize=64)
+def _log_terms(model: NoiseModel) -> tuple[tuple[float, ...], float]:
+    """The natural logs L(rho) is built from, and ln|A|, taken once per model:
+    ln p_i for each p_i > 0 for IID noise. For the Markov chain, ln(1 - a),
+    ln(1 - b) and ln(ab)/2: [P_ij^rho] has the eigenvalues of the symmetric
+    [[d1, c], [c, d2]] whose entries are the exps of rho times these."""
     if isinstance(model, IIDNoise):
-        log_a = math.log2(model.alphabet_size)
-        h = -sum(p * math.log2(p) for p in model.pmf if p > 0.0)
-        return h / log_a
-    a, b = model.a, model.b
-    return (_binary_entropy(a) * b + _binary_entropy(b) * a) / (a + b)
-
-
-def renyi_entropy_rate(model: NoiseModel, alpha: float) -> float:
-    """Renyi entropy rate at parameter ``alpha`` (alpha > 0, alpha != 1), base |A|.
-
-    The Markov form is the log of the leading eigenvalue of the matrix with
-    entries raised to the power alpha; it collapses to the IID expression when
-    both rows agree. Evaluation is stable for very large alpha by factoring
-    out the dominant term.
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is the Shannon rate; use shannon_entropy_rate")
-    if isinstance(model, IIDNoise):
-        log_a2 = math.log2(model.alphabet_size)
-        p_max = max(model.pmf)
-        # log2 sum p^alpha = alpha log2 p_max + log2 sum (p/p_max)^alpha
-        s = sum((p / p_max) ** alpha for p in model.pmf if p > 0.0)
-        log_sum = alpha * math.log2(p_max) + math.log2(s)
-        return log_sum / (1.0 - alpha) / log_a2
-    a, b = model.a, model.b
-    # Leading eigenvalue of [[(1-a)^al, a^al], [b^al, (1-b)^al]], scaled by the
-    # dominant per-step probability so huge alpha does not underflow.
-    m = max(1.0 - a, 1.0 - b, math.sqrt(a * b))
-    u1 = ((1.0 - a) / m) ** alpha
-    u2 = ((1.0 - b) / m) ** alpha
-    u3 = (math.sqrt(a * b) / m) ** alpha
-    lam_scaled = (u1 + u2 + math.sqrt((u1 - u2) ** 2 + 4.0 * u3 * u3)) / 2.0
-    log_lam = alpha * math.log2(m) + math.log2(lam_scaled)
-    return log_lam / (1.0 - alpha)
+        logs = tuple(math.log(p) for p in model.pmf if p > 0.0)
+    else:
+        logs = (math.log1p(-model.a), math.log1p(-model.b), 0.5 * math.log(model.a * model.b))
+    return logs, math.log(model.alphabet_size)
 
 
 def _renyi_log_sum(model: NoiseModel, rho: float) -> tuple[float, float]:
     """(L, L') at ``rho`` >= 0, base |A|: L(rho) = log sum p_i^rho for IID
     noise, the log of the Perron root of [P_ij^rho] for the Markov chain.
 
-    L is convex, with L(rho) = (1 - rho) H_rho, L(1) = 0 and -L'(1) = H.
-    Each term is scaled by the dominant one, as in :func:`renyi_entropy_rate`,
-    so large rho neither underflows nor loses the derivative.
+    L is convex, with L(rho) = (1 - rho) H_rho, L(1) = 0 and -L'(1) = H; every
+    entropy rate below is read off it. Each term is scaled by the dominant
+    one, so large rho neither underflows nor loses the derivative.
     """
+    logs, log_a = _log_terms(model)
+    top = max(logs)
+    w = [math.exp(rho * (l - top)) for l in logs]
     if isinstance(model, IIDNoise):
-        logs = [math.log(p) for p in model.pmf if p > 0.0]
-        top = max(logs)
-        w = [math.exp(rho * (l - top)) for l in logs]
-        s = sum(w)
-        slope = sum(wi * l for wi, l in zip(w, logs)) / s
-        log_a = math.log(model.alphabet_size)
-        return (rho * top + math.log(s)) / log_a, slope / log_a
-    # [[d1, c], [c, d2]] has the eigenvalues of [[(1-a)^rho, a^rho],
-    # [b^rho, (1-b)^rho]], with c = (ab)^(rho/2); all three are over top^rho.
-    l1, l2 = math.log1p(-model.a), math.log1p(-model.b)
-    lc = 0.5 * math.log(model.a * model.b)
-    top = max(l1, l2, lc)
-    d1, d2, c = (math.exp(rho * (l - top)) for l in (l1, l2, lc))
-    root = math.hypot(d1 - d2, 2.0 * c)
-    lam = (d1 + d2 + root) / 2.0
-    cross = ((d1 - d2) * (d1 * l1 - d2 * l2) + 4.0 * c * c * lc) / root if root else 0.0
-    dlam = (d1 * l1 + d2 * l2 + cross) / 2.0
-    return (rho * top + math.log(lam)) / math.log(2.0), dlam / lam / math.log(2.0)
+        lam = sum(w)
+        dlam = sum(wi * l for wi, l in zip(w, logs))
+    else:
+        (l1, l2, lc), (d1, d2, c) = logs, w
+        root = math.hypot(d1 - d2, 2.0 * c)
+        lam = (d1 + d2 + root) / 2.0
+        cross = ((d1 - d2) * (d1 * l1 - d2 * l2) + 4.0 * c * c * lc) / root if root else 0.0
+        dlam = (d1 * l1 + d2 * l2 + cross) / 2.0
+    return (rho * top + math.log(lam)) / log_a, dlam / lam / log_a
 
 
+@lru_cache(maxsize=64)
+def shannon_entropy_rate(model: NoiseModel) -> float:
+    """Shannon entropy rate of the noise, base |A|: -L'(1)."""
+    return -_renyi_log_sum(model, 1.0)[1]
+
+
+@lru_cache(maxsize=64)
+def renyi_entropy_rate(model: NoiseModel, alpha: float) -> float:
+    """Renyi entropy rate at parameter ``alpha`` (alpha > 0, alpha != 1), base
+    |A|: L(alpha) / (1 - alpha)."""
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if alpha == 1.0:
+        raise ValueError("alpha = 1 is the Shannon rate; use shannon_entropy_rate")
+    return _renyi_log_sum(model, alpha)[0] / (1.0 - alpha)
+
+
+@lru_cache(maxsize=64)
 def min_entropy_rate(model: NoiseModel) -> float:
-    """Min-entropy rate: the large-alpha limit of the Renyi rate, base |A|.
-
-    For the Markov chain this is minus the log of the best per-step growth,
-    attained by staying in a state or alternating between the two.
-    """
-    if isinstance(model, IIDNoise):
-        return -math.log2(max(model.pmf)) / math.log2(model.alphabet_size)
-    a, b = model.a, model.b
-    return -math.log2(max(1.0 - a, 1.0 - b, math.sqrt(a * b)))
+    """Min-entropy rate, base |A|: minus the largest log, the rho -> inf limit
+    of -L'(rho). For the Markov chain that log is the best per-step growth,
+    of staying in a state or of alternating between the two."""
+    logs, log_a = _log_terms(model)
+    return -max(logs) / log_a
 
 
 def model_error_probability(model: NoiseModel) -> float:
@@ -267,16 +242,10 @@ def _class_log_prob(model: NoiseModel, key) -> float:
     return lp
 
 
-def sample_noise(model: NoiseModel, n: int, rng_seed: int) -> np.ndarray:
-    """Draw a length-``n`` noise realization, deterministic in ``rng_seed``."""
+def sample_noise_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a length-``n`` noise realization from the generator ``rng``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    return sample_noise_with(model, n, rng)
-
-
-def sample_noise_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Like :func:`sample_noise` but drawing from a caller-owned generator."""
     if isinstance(model, IIDNoise):
         return rng.choice(model.alphabet_size, size=n, p=model.pmf).astype(np.uint8)
     out = np.empty(n, dtype=np.uint8)

@@ -24,11 +24,115 @@ from grandkit.noise_models import (
     _class_log_prob,
     _pack,
     _unpack,
-    min_entropy_rate,
-    renyi_entropy_rate,
     sample_noise_with,
-    shannon_entropy_rate,
 )
+
+
+def sample_noise(model: NoiseModel, n: int, rng_seed: int) -> np.ndarray:
+    """Draw a length-``n`` noise realization, deterministic in ``rng_seed``."""
+    rng = np.random.default_rng(rng_seed)
+    return sample_noise_with(model, n, rng)
+
+
+# ---------------------------------------------------------------------------
+# Entropy rates by their direct formulas, each apart from the Renyi log-sum
+# ``grandkit.noise_models._renyi_log_sum`` that the library reads them off.
+# ---------------------------------------------------------------------------
+
+
+def _binary_entropy(p: float) -> float:
+    """Binary Shannon entropy in bits."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def shannon_entropy_rate_direct(model: NoiseModel) -> float:
+    """Shannon entropy rate of the noise, base |A|."""
+    if isinstance(model, IIDNoise):
+        log_a = math.log2(model.alphabet_size)
+        h = -sum(p * math.log2(p) for p in model.pmf if p > 0.0)
+        return h / log_a
+    a, b = model.a, model.b
+    return (_binary_entropy(a) * b + _binary_entropy(b) * a) / (a + b)
+
+
+def renyi_entropy_rate_direct(model: NoiseModel, alpha: float) -> float:
+    """Renyi entropy rate at parameter ``alpha`` (alpha > 0, alpha != 1), base |A|.
+
+    The Markov form is the log of the leading eigenvalue of the matrix with
+    entries raised to the power alpha; it collapses to the IID expression when
+    both rows agree. Evaluation is stable for very large alpha by factoring
+    out the dominant term.
+    """
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if alpha == 1.0:
+        raise ValueError("alpha = 1 is the Shannon rate; use shannon_entropy_rate")
+    if isinstance(model, IIDNoise):
+        log_a2 = math.log2(model.alphabet_size)
+        p_max = max(model.pmf)
+        # log2 sum p^alpha = alpha log2 p_max + log2 sum (p/p_max)^alpha
+        s = sum((p / p_max) ** alpha for p in model.pmf if p > 0.0)
+        log_sum = alpha * math.log2(p_max) + math.log2(s)
+        return log_sum / (1.0 - alpha) / log_a2
+    a, b = model.a, model.b
+    # Leading eigenvalue of [[(1-a)^al, a^al], [b^al, (1-b)^al]], scaled by the
+    # dominant per-step probability so huge alpha does not underflow.
+    m = max(1.0 - a, 1.0 - b, math.sqrt(a * b))
+    u1 = ((1.0 - a) / m) ** alpha
+    u2 = ((1.0 - b) / m) ** alpha
+    u3 = (math.sqrt(a * b) / m) ** alpha
+    lam_scaled = (u1 + u2 + math.sqrt((u1 - u2) ** 2 + 4.0 * u3 * u3)) / 2.0
+    log_lam = alpha * math.log2(m) + math.log2(lam_scaled)
+    return log_lam / (1.0 - alpha)
+
+
+def min_entropy_rate_direct(model: NoiseModel) -> float:
+    """Min-entropy rate: the large-alpha limit of the Renyi rate, base |A|.
+
+    For the Markov chain this is minus the log of the best per-step growth,
+    attained by staying in a state or alternating between the two.
+    """
+    if isinstance(model, IIDNoise):
+        return -math.log2(max(model.pmf)) / math.log2(model.alphabet_size)
+    a, b = model.a, model.b
+    return -math.log2(max(1.0 - a, 1.0 - b, math.sqrt(a * b)))
+
+
+def entropy_rate_reference(model: NoiseModel, alpha: float | None, dps: int = 40) -> float:
+    """The entropy rate of order ``alpha`` at ``dps`` digits, base |A|, by
+    closed forms in mpmath: alpha = 1 is the Shannon rate, -sum p ln p for IID
+    noise and the stationary mix of binary entropies for the Markov chain;
+    other positive alpha the Renyi rate, log sum p^alpha / (1 - alpha) or the
+    log of the Perron root of [P_ij^alpha] over 1 - alpha; ``None`` the
+    min-entropy rate, -ln of the largest probability or per-step growth."""
+    mp = mpmath
+    with mp.workdps(dps):
+        if isinstance(model, IIDNoise):
+            ps = [mp.mpf(p) for p in model.pmf if p > 0.0]
+            if alpha is None:
+                h = -mp.log(max(ps))
+            elif alpha == 1.0:
+                h = -mp.fsum(p * mp.log(p) for p in ps)
+            else:
+                al = mp.mpf(alpha)
+                h = mp.log(mp.fsum(p**al for p in ps)) / (1 - al)
+            return float(h / mp.log(model.alphabet_size))
+        a, b = mp.mpf(model.a), mp.mpf(model.b)
+        if alpha is None:
+            h = -mp.log(max(1 - a, 1 - b, mp.sqrt(a * b)))
+        elif alpha == 1.0:
+            def h2(q):
+                return -q * mp.log(q) - (1 - q) * mp.log(1 - q)
+
+            h = (h2(a) * b + h2(b) * a) / (a + b)
+        else:
+            al = mp.mpf(alpha)
+            d1, d2, c = (1 - a) ** al, (1 - b) ** al, (a * b) ** al
+            lam = (d1 + d2 + mp.sqrt((d1 - d2) ** 2 + 4 * c)) / 2
+            h = mp.log(lam) / (1 - al)
+        return float(h / mp.log(2))
 
 
 class GuessEnumerator:
@@ -124,7 +228,7 @@ def error_exponent_infimum(model: NoiseModel, R: float) -> float:
     Computed as the infimum of I_U(a) + I_N(a) over a in [H, 1-R]; reference
     path for the closed form ``grandkit.analysis.error_exponent``.
     """
-    H = shannon_entropy_rate(model)
+    H = shannon_entropy_rate_direct(model)
     if R >= 1.0 - H:
         return 0.0
     lo, hi = H, 1.0 - R
@@ -150,7 +254,7 @@ def supercritical_threshold_crossing(model: NoiseModel, R: float) -> float | Non
     Found by a brentq over the numeric rate function; reference path for
     ``grandkit.analysis.supercritical_threshold_y_star``.
     """
-    h_min = min_entropy_rate(model)
+    h_min = min_entropy_rate_direct(model)
     if R >= 1.0 - h_min:
         return None
     hi = 1.0 - R
@@ -172,10 +276,10 @@ def scgf_lambda_N(model: NoiseModel, alpha: float) -> float:
     and minus the min-entropy rate below.
     """
     if alpha <= -1.0:
-        return -min_entropy_rate(model)
+        return -min_entropy_rate_direct(model)
     if alpha == 0.0:
         return 0.0
-    return alpha * renyi_entropy_rate(model, 1.0 / (1.0 + alpha))
+    return alpha * renyi_entropy_rate_direct(model, 1.0 / (1.0 + alpha))
 
 
 def scgf_derivative(model: NoiseModel, alpha: float) -> float:
@@ -221,9 +325,9 @@ def rate_function_I_N(model: NoiseModel, x_grid) -> RateFunctionTable:
         x_grid=xs,
         I_values=values,
         gamma=_linear_segment_end(model),
-        H=shannon_entropy_rate(model),
-        H_half=renyi_entropy_rate(model, 0.5),
-        H_min=min_entropy_rate(model),
+        H=shannon_entropy_rate_direct(model),
+        H_half=renyi_entropy_rate_direct(model, 0.5),
+        H_min=min_entropy_rate_direct(model),
     )
 
 
@@ -243,7 +347,7 @@ def grand_rate_function(model: NoiseModel, R: float, x_grid) -> tuple[float, ...
     x = 1-R; above capacity the accidental-hit branch can win, and the result
     need not be convex.
     """
-    below = R < 1.0 - shannon_entropy_rate(model)
+    below = R < 1.0 - shannon_entropy_rate_direct(model)
     out = []
     for x in x_grid:
         x = float(x)

@@ -27,7 +27,6 @@ from grandkit.noise_models import (
     bsc,
     min_entropy_rate,
     renyi_entropy_rate,
-    sample_noise,
     shannon_entropy_rate,
 )
 from grandkit.simulator import SimConfig, run_race, run_simulation
@@ -36,6 +35,7 @@ from .oracles import (
     brute_force_ml,
     error_exponent_infimum,
     grand_rate_function,
+    sample_noise,
     sequence_log_prob,
     u_survival_approx,
     u_survival_exact,

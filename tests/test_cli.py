@@ -313,6 +313,8 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("exponents", "--model", "iid", "--pmf", "1,0", "--n", "75", "--auto-delta",
           "--p-abandon", "0.01", "--rate-grid", "0.5:0.1:0.6"),
          "every noise symbol to have positive probability"),
+        (("blerr", "--p", "0.01", "--n", "75", "--rate", "0.5", "--abandon-after=-5"),
+         "max_queries must be >= 1"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):
@@ -329,7 +331,11 @@ def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, mes
 
 @pytest.mark.parametrize(
     "word, message",
-    [("xyz", "invalid literal for int() with base 16"), ("80", "does not fit in 7 bits")],
+    [
+        ("xyz", "invalid literal for int() with base 16"),
+        ("80", "does not fit in 7 bits"),
+        ("-5", "is negative"),
+    ],
 )
 def test_decode_bad_word_is_an_argparse_error(capsys, tmp_path, word, message):
     path = tmp_path / "cb.bin"

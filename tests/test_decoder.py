@@ -21,11 +21,10 @@ from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
     bsc,
-    sample_noise,
     sample_noise_with,
 )
 
-from .oracles import TupleIndexCodebook, brute_force_ml, sequence_log_prob
+from .oracles import TupleIndexCodebook, brute_force_ml, sample_noise, sequence_log_prob
 from .test_codebook import HAMMING_G
 
 

@@ -27,7 +27,6 @@ from grandkit.noise_models import (
     _unpack,
     min_entropy_rate,
     renyi_entropy_rate,
-    sample_noise,
     shannon_entropy_rate,
 )
 
@@ -36,6 +35,7 @@ from .oracles import (
     guess_rank_walk,
     rate_function_I_N,
     rate_function_reference,
+    sample_noise,
     scgf_lambda_N,
     sequence_log_prob,
 )

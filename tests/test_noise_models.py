@@ -13,11 +13,12 @@ from grandkit.noise_models import (
     min_entropy_rate,
     model_error_probability,
     renyi_entropy_rate,
-    sample_noise,
+    sample_noise_with,
     shannon_entropy_rate,
 )
 
-from .oracles import sequence_log_prob
+from .oracles import entropy_rate_reference, sample_noise, sequence_log_prob
+from .test_guesswork import REFERENCE_MODELS
 
 
 def test_uniform_iid_entropy_is_one():
@@ -92,6 +93,23 @@ def test_shannon_between_min_entropy_and_one(model):
     assert min_entropy_rate(model) - 1e-12 <= h <= 1.0 + 1e-12
 
 
+def test_entropy_rates_match_reference():
+    # H, H_alpha and H_min are all read off one Renyi log-sum L(rho); the
+    # reference takes each from its own closed form at 40 digits
+    for model in [*REFERENCE_MODELS, bsc(1e-4), BinaryMarkovNoise(0.002, 0.2)]:
+        assert abs(shannon_entropy_rate(model) - entropy_rate_reference(model, 1.0)) <= 1e-15
+        for alpha in (1e-3, 0.25, 0.5, 2.0, 3.0, 50.0, 1e4):
+            ref = entropy_rate_reference(model, alpha)
+            assert abs(renyi_entropy_rate(model, alpha) - ref) <= 1e-15, (model, alpha)
+        assert abs(min_entropy_rate(model) - entropy_rate_reference(model, None)) <= 1e-15
+
+
+def test_list_pmf_is_held_as_a_tuple():
+    m = IIDNoise([0.9, 0.1])
+    assert m == bsc(0.1)
+    assert shannon_entropy_rate(m) == shannon_entropy_rate(bsc(0.1))
+
+
 def test_sequence_log_prob_uniform():
     assert sequence_log_prob(bsc(0.5), (0, 1, 1, 0)) == pytest.approx(-4.0)
 
@@ -147,6 +165,12 @@ def test_sampling_deterministic_given_seed():
 def test_degenerate_noise_samples_all_zero():
     z = sample_noise(IIDNoise((1.0, 0.0)), 50, rng_seed=0)
     assert not z.any()
+
+
+@pytest.mark.parametrize("model", [bsc(0.1), BinaryMarkovNoise(0.1, 0.1)])
+def test_sampling_rejects_empty_length(model):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_noise_with(model, 0, np.random.default_rng(0))
 
 
 def test_empirical_frequency_matches_model():

@@ -11,7 +11,7 @@ from grandkit import analysis as an
 from grandkit import simulator
 from grandkit.codebook import LinearCodebook, UHitModel, sample_u_exact
 from grandkit.decoder import grand_decode
-from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc, sample_noise
+from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc
 from grandkit.simulator import (
     SimConfig,
     report_to_json,
@@ -19,7 +19,7 @@ from grandkit.simulator import (
     run_race,
     run_simulation,
 )
-from .oracles import run_race_exact
+from .oracles import run_race_exact, sample_noise
 from .test_codebook import HAMMING_G
 
 
