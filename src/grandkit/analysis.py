@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import mpmath
@@ -73,6 +74,7 @@ def success_exponent(model: NoiseModel, R: float) -> float:
     return rate_function_value(model, 1.0 - R)
 
 
+@lru_cache(maxsize=64)
 def critical_rate_x_star(model: NoiseModel) -> float | None:
     """The guesswork growth rate at which I_N has unit slope.
 
@@ -86,17 +88,24 @@ def critical_rate_x_star(model: NoiseModel) -> float | None:
     return x
 
 
+@lru_cache(maxsize=64)
+def _abandonment_rate(model: NoiseModel, delta: float) -> float:
+    """I_N(min(H + delta, 1)), the abandonment term of eps_AB: no rate in it."""
+    return rate_function_value(model, min(shannon_entropy_rate(model) + delta, 1.0))
+
+
 def error_exponent_pair(model: NoiseModel, R: float, delta: float | None):
     """(eps, eps_AB) at one rate. With a margin delta below capacity the
     decoder loses whichever is slower, genuine errors or abandonments:
-    eps_AB = min(eps, I_N(min(H + delta, 1))). Otherwise eps_AB is None."""
-    if delta is not None and delta <= 0.0:
-        raise ValueError("delta must be positive")
+    eps_AB = min(eps, I_N(min(H + delta, 1))). Otherwise eps_AB is None.
+    Only eps depends on R: H, H_{1/2} and x* are computed once per model, and
+    the abandonment term I_N(min(H + delta, 1)) once per (model, delta)."""
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     eps = error_exponent(model, R)
-    H = shannon_entropy_rate(model)
-    if delta is None or R >= 1.0 - H:
+    if delta is None or R >= 1.0 - shannon_entropy_rate(model):
         return eps, None
-    return eps, min(eps, rate_function_value(model, min(H + delta, 1.0)))
+    return eps, min(eps, _abandonment_rate(model, delta))
 
 
 def grandab_error_exponent(model: NoiseModel, R: float, delta: float) -> float:
@@ -110,6 +119,8 @@ def complexity_exponents(
 ) -> tuple[float, float]:
     """Growth exponents of the expected query count, without and with
     abandonment."""
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     H = shannon_entropy_rate(model)
     H_half = renyi_entropy_rate(model, 0.5)
     if R < 1.0 - H:
@@ -136,7 +147,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     """
     if R >= 1.0 - min_entropy_rate(model):
         return None
-    edge, slope = _renyi_log_sum(model, 0.0)
+    edge, slope = model._edge
     if -slope <= 1.0 - R:
         return edge
 

@@ -10,6 +10,7 @@ built per guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,8 +80,8 @@ def abandonment_threshold(n: int, H: float, delta: float) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     exponent = n * min(H + delta, 1.0)
     if exponent > _EXPONENT_CAP:
         raise ValueError(

@@ -327,9 +327,9 @@ def rate_function_value(model: NoiseModel, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         return math.inf
-    edge, edge_rate = _legendre_point(model, 0.0)
+    edge, slope = model._edge
     if x >= edge:
-        return max(0.0, edge_rate) if x == edge else math.inf
+        return max(0.0, -slope - edge) if x == edge else math.inf
 
     def f(rho: float) -> float:
         return _legendre_point(model, rho)[0] - x

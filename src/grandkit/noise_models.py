@@ -28,8 +28,30 @@ __all__ = [
 _PMF_TOL = 1e-12
 
 
+class _RenyiCurve:
+    """Constants of the Renyi log-sum L(rho), kept on the model from its first
+    use: the natural logs L is built from, their max ``top``, the logs minus
+    ``top`` and ln|A| (``_log_terms``); (L, L') at rho = 0 (``_edge``), where
+    L(0) = log_|A| #{p_i > 0} is the support edge of I_N."""
+
+    @cached_property
+    def _log_terms(self) -> tuple[tuple[float, ...], float, tuple[float, ...], float]:
+        if isinstance(self, IIDNoise):
+            logs = tuple(math.log(p) for p in self.pmf if p > 0.0)
+        else:
+            # [P_ij^rho] has the eigenvalues of the symmetric [[d1, c], [c, d2]]
+            # whose entries are the exps of rho times these
+            logs = (math.log1p(-self.a), math.log1p(-self.b), 0.5 * math.log(self.a * self.b))
+        top = max(logs)
+        return logs, top, tuple(l - top for l in logs), math.log(self.alphabet_size)
+
+    @cached_property
+    def _edge(self) -> tuple[float, float]:
+        return _renyi_log_sum(self, 0.0)
+
+
 @dataclass(frozen=True)
-class IIDNoise:
+class IIDNoise(_RenyiCurve):
     """IID noise: each symbol drawn independently from ``pmf`` over {0..A-1}."""
 
     pmf: tuple[float, ...]
@@ -39,9 +61,10 @@ class IIDNoise:
         object.__setattr__(self, "pmf", tuple(self.pmf))
         if len(self.pmf) < 2:
             raise ValueError("alphabet must have at least 2 symbols")
-        if any(p < 0.0 for p in self.pmf):
-            raise ValueError("pmf entries must be non-negative")
-        if abs(sum(self.pmf) - 1.0) > _PMF_TOL:
+        # written so that NaN fails them
+        if not all(p >= 0.0 for p in self.pmf):
+            raise ValueError("pmf entries must be non-negative numbers")
+        if not abs(sum(self.pmf) - 1.0) <= _PMF_TOL:
             raise ValueError("pmf must sum to 1")
 
     @property
@@ -57,7 +80,7 @@ class IIDNoise:
 
 
 @dataclass(frozen=True)
-class BinaryMarkovNoise:
+class BinaryMarkovNoise(_RenyiCurve):
     """Binary noise chain with transition matrix rows (1-a, a) and (b, 1-b).
 
     ``initial`` is either the stationary distribution (default) or an explicit
@@ -72,9 +95,9 @@ class BinaryMarkovNoise:
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError("transition probabilities must lie in (0, 1)")
         if self.initial is not None:
-            if len(self.initial) != 2 or any(p < 0.0 for p in self.initial):
+            if len(self.initial) != 2 or not all(p >= 0.0 for p in self.initial):
                 raise ValueError("initial distribution must be a probability pair")
-            if abs(sum(self.initial) - 1.0) > _PMF_TOL:
+            if not abs(sum(self.initial) - 1.0) <= _PMF_TOL:
                 raise ValueError("initial distribution must sum to 1")
 
     @property
@@ -114,30 +137,17 @@ def bsc(p: float) -> IIDNoise:
     return IIDNoise((1.0 - p, p))
 
 
-@lru_cache(maxsize=64)
-def _log_terms(model: NoiseModel) -> tuple[tuple[float, ...], float]:
-    """The natural logs L(rho) is built from, and ln|A|, taken once per model:
-    ln p_i for each p_i > 0 for IID noise. For the Markov chain, ln(1 - a),
-    ln(1 - b) and ln(ab)/2: [P_ij^rho] has the eigenvalues of the symmetric
-    [[d1, c], [c, d2]] whose entries are the exps of rho times these."""
-    if isinstance(model, IIDNoise):
-        logs = tuple(math.log(p) for p in model.pmf if p > 0.0)
-    else:
-        logs = (math.log1p(-model.a), math.log1p(-model.b), 0.5 * math.log(model.a * model.b))
-    return logs, math.log(model.alphabet_size)
-
-
 def _renyi_log_sum(model: NoiseModel, rho: float) -> tuple[float, float]:
     """(L, L') at ``rho`` >= 0, base |A|: L(rho) = log sum p_i^rho for IID
     noise, the log of the Perron root of [P_ij^rho] for the Markov chain.
 
     L is convex, with L(rho) = (1 - rho) H_rho, L(1) = 0 and -L'(1) = H; every
     entropy rate below is read off it. Each term is scaled by the dominant
-    one, so large rho neither underflows nor loses the derivative.
+    one, so large rho neither underflows nor loses the derivative. The logs,
+    shifted by the dominant one, are taken once per model (``_log_terms``).
     """
-    logs, log_a = _log_terms(model)
-    top = max(logs)
-    w = [math.exp(rho * (l - top)) for l in logs]
+    logs, top, shifted, log_a = model._log_terms
+    w = [math.exp(rho * s) for s in shifted]
     if isinstance(model, IIDNoise):
         lam = sum(w)
         dlam = sum(wi * l for wi, l in zip(w, logs))
@@ -167,13 +177,12 @@ def renyi_entropy_rate(model: NoiseModel, alpha: float) -> float:
     return _renyi_log_sum(model, alpha)[0] / (1.0 - alpha)
 
 
-@lru_cache(maxsize=64)
 def min_entropy_rate(model: NoiseModel) -> float:
     """Min-entropy rate, base |A|: minus the largest log, the rho -> inf limit
     of -L'(rho). For the Markov chain that log is the best per-step growth,
     of staying in a state or of alternating between the two."""
-    logs, log_a = _log_terms(model)
-    return -max(logs) / log_a
+    _, top, _, log_a = model._log_terms
+    return -top / log_a
 
 
 def model_error_probability(model: NoiseModel) -> float:

@@ -8,6 +8,7 @@ package, because no library path uses them.
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import mpmath
@@ -98,6 +99,38 @@ def min_entropy_rate_direct(model: NoiseModel) -> float:
         return -math.log2(max(model.pmf)) / math.log2(model.alphabet_size)
     a, b = model.a, model.b
     return -math.log2(max(1.0 - a, 1.0 - b, math.sqrt(a * b)))
+
+
+@lru_cache(maxsize=64)
+def _log_terms(model: NoiseModel) -> tuple[tuple[float, ...], float]:
+    """The natural logs L(rho) is built from, and ln|A|, taken once per model:
+    ln p_i for each p_i > 0 for IID noise. For the Markov chain, ln(1 - a),
+    ln(1 - b) and ln(ab)/2: [P_ij^rho] has the eigenvalues of the symmetric
+    [[d1, c], [c, d2]] whose entries are the exps of rho times these."""
+    if isinstance(model, IIDNoise):
+        logs = tuple(math.log(p) for p in model.pmf if p > 0.0)
+    else:
+        logs = (math.log1p(-model.a), math.log1p(-model.b), 0.5 * math.log(model.a * model.b))
+    return logs, math.log(model.alphabet_size)
+
+
+def renyi_log_sum_direct(model: NoiseModel, rho: float) -> tuple[float, float]:
+    """(L, L') at ``rho`` >= 0, base |A|, with the dominant log and the shifted
+    logs taken again on every call: the library keeps them on the model, and
+    must give the same floats."""
+    logs, log_a = _log_terms(model)
+    top = max(logs)
+    w = [math.exp(rho * (l - top)) for l in logs]
+    if isinstance(model, IIDNoise):
+        lam = sum(w)
+        dlam = sum(wi * l for wi, l in zip(w, logs))
+    else:
+        (l1, l2, lc), (d1, d2, c) = logs, w
+        root = math.hypot(d1 - d2, 2.0 * c)
+        lam = (d1 + d2 + root) / 2.0
+        cross = ((d1 - d2) * (d1 * l1 - d2 * l2) + 4.0 * c * c * lc) / root if root else 0.0
+        dlam = (d1 * l1 + d2 * l2 + cross) / 2.0
+    return (rho * top + math.log(lam)) / log_a, dlam / lam / log_a
 
 
 def entropy_rate_reference(model: NoiseModel, alpha: float | None, dps: int = 40) -> float:

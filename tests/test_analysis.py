@@ -144,6 +144,18 @@ def test_error_exponent_pair_rule():
         an.error_exponent_pair(m, 0.2, 0.0)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_delta_must_be_positive_and_finite(delta):
+    m = bsc(0.1)
+    for R in (0.2, 0.9):  # below and above capacity
+        with pytest.raises(ValueError, match="delta must be positive"):
+            an.error_exponent_pair(m, R, delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            an.complexity_exponents(m, R, delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            an.grandab_error_exponent(m, R, delta)
+
+
 def test_complexity_exponents():
     m = bsc(0.1)
     h_half = renyi_entropy_rate(m, 0.5)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from grandkit import analysis, cli
+from grandkit import analysis, cli, guesswork
+from grandkit.noise_models import BinaryMarkovNoise, bsc, shannon_entropy_rate
 
 from .oracles import supercritical_threshold_crossing
 
@@ -168,6 +169,65 @@ def test_exponents_only_y_star_differs_from_crossing_oracle(tmp_path, monkeypatc
             assert abs(float(y) - float(y_ref)) <= 1e-11
 
 
+def _clear_analytics_caches():
+    for f in (analysis._abandonment_rate, analysis.critical_rate_x_star, shannon_entropy_rate):
+        f.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "model, delta, args",
+    [
+        (bsc(0.1), 0.3, ("--model", "bsc", "--p", "0.1", "--delta", "0.3")),
+        (BinaryMarkovNoise(0.002, 0.2), 0.05,
+         ("--model", "markov", "--a", "0.002", "--b", "0.2", "--delta", "0.05")),
+    ],
+)
+def test_exponents_computes_rate_independent_terms_once(tmp_path, monkeypatch, model, delta, args):
+    """Over 99 rates, I_N(min(H + delta, 1)) is evaluated once and x* (the
+    Legendre point at rho = 1/2) is computed once."""
+    _clear_analytics_caches()
+    xs, rhos = [], []
+
+    def rate_function_value(m, x):
+        xs.append(x)
+        return guesswork.rate_function_value(m, x)
+
+    def legendre_point(m, rho):
+        rhos.append(rho)
+        return guesswork._legendre_point(m, rho)
+
+    monkeypatch.setattr(analysis, "rate_function_value", rate_function_value)
+    monkeypatch.setattr(analysis, "_legendre_point", legendre_point)
+    out = tmp_path / "e.csv"
+    cli.main(["exponents", *args, "--rate-grid", "0.01:0.01:0.99", "--out", str(out)])
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 99
+    assert sum(r["epsilon_AB"] != "" for r in rows) >= 40
+    assert xs.count(min(shannon_entropy_rate(model) + delta, 1.0)) == 1
+    assert rhos.count(0.5) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--model", "bsc", "--p", "0.01", "--auto-delta", "--p-abandon", "0.01", "--n", "75"),
+        ("--model", "bsc", "--p", "0.1", "--delta", "0.3"),
+        ("--model", "markov", "--a", "0.002", "--b", "0.2", "--delta", "0.05"),
+        ("--model", "iid", "--pmf", "0.6,0.4,0", "--delta", "0.1"),
+    ],
+)
+def test_exponents_csv_same_cold_and_warm(tmp_path, args):
+    """The per-model and per-(model, delta) caches change no byte: one CSV
+    built with them empty, one with them filled."""
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    grid = ("--rate-grid", "0.0123:0.01:0.9923")
+    _clear_analytics_caches()
+    cli.main(["exponents", *args, *grid, "--out", str(cold)])
+    cli.main(["exponents", *args, *grid, "--out", str(warm)])
+    assert cold.read_bytes() == warm.read_bytes()
+
+
 def test_simulate_deterministic_output(capsys):
     args = (
         "simulate", "--model", "bsc", "--p", "0.1", "--mode", "race", "--n",
@@ -315,6 +375,17 @@ BSC = ("--model", "bsc", "--p", "0.01")
          "every noise symbol to have positive probability"),
         (("blerr", "--p", "0.01", "--n", "75", "--rate", "0.5", "--abandon-after=-5"),
          "max_queries must be >= 1"),
+        (("exponents", "--model", "bsc", "--p", "nan", "--rate-grid", "0.1:0.2:0.9"),
+         "pmf entries must be non-negative numbers"),
+        (("exponents", "--model", "iid", "--pmf", "0.5,nan", "--rate-grid", "0.1:0.2:0.9"),
+         "pmf entries must be non-negative numbers"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--delta", "nan"),
+         "delta must be positive and finite"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--delta", "inf"),
+         "delta must be positive and finite"),
+        (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0.1:0.2:0.9",
+          "--delta", "nan", "--out", "unused.csv"),
+         "delta must be positive and finite"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):

@@ -182,6 +182,12 @@ def test_threshold_validation():
         abandonment_threshold(100, 0.9, 0.1)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_threshold_rejects_non_positive_or_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        abandonment_threshold(75, 0.08, delta)
+
+
 def test_brute_force_trivialities():
     model = bsc(0.1)
     cb = build_uniform_codebook(6, 0.0, seed=0)

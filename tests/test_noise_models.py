@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
+    _renyi_log_sum,
     bsc,
     min_entropy_rate,
     model_error_probability,
@@ -17,7 +18,13 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
-from .oracles import entropy_rate_reference, sample_noise, sequence_log_prob
+from .oracles import (
+    _log_terms,
+    entropy_rate_reference,
+    renyi_log_sum_direct,
+    sample_noise,
+    sequence_log_prob,
+)
 from .test_guesswork import REFERENCE_MODELS
 
 
@@ -200,6 +207,43 @@ def test_model_validation():
         BinaryMarkovNoise(0.0, 0.5)
     with pytest.raises(ValueError):
         BinaryMarkovNoise(0.5, 1.0)
+
+
+def test_model_validation_rejects_nan():
+    nan = math.nan
+    with pytest.raises(ValueError, match="pmf entries must be non-negative"):
+        bsc(nan)
+    with pytest.raises(ValueError, match="pmf entries must be non-negative"):
+        IIDNoise((0.5, 0.5, nan))
+    with pytest.raises(ValueError, match="pmf must sum to 1"):
+        IIDNoise((math.inf, 0.0))
+    with pytest.raises(ValueError, match="transition probabilities"):
+        BinaryMarkovNoise(nan, 0.2)
+    with pytest.raises(ValueError, match="probability pair"):
+        BinaryMarkovNoise(0.1, 0.2, initial=(nan, 0.5))
+    with pytest.raises(ValueError, match="probability pair"):
+        BinaryMarkovNoise(0.1, 0.2, initial=(0.5, nan))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        bsc(0.01),
+        IIDNoise((0.6, 0.4, 0.0)),
+        IIDNoise((0.7, 0.2, 0.1)),
+        BinaryMarkovNoise(0.05, 0.3),
+        BinaryMarkovNoise(0.002, 0.2),
+    ],
+    ids=repr,
+)
+def test_renyi_log_sum_equals_direct_formula(model):
+    """The per-model log terms give the very floats of the formula that
+    takes them on every call."""
+    for rho in (0.0, 1e-3, 0.5, 1.0, 2.0, 37.0, 1e6):
+        assert _renyi_log_sum(model, rho) == renyi_log_sum_direct(model, rho)
+    assert model._edge == renyi_log_sum_direct(model, 0.0)
+    logs, log_a = _log_terms(model)
+    assert min_entropy_rate(model) == -max(logs) / log_a
 
 
 @given(
