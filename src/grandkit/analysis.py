@@ -16,9 +16,8 @@ from functools import lru_cache
 from math import comb
 
 import mpmath
-from scipy.optimize import brentq
 
-from .guesswork import _legendre_point, _rho_bracket, rate_function_value
+from .guesswork import _brentq, _legendre_point, _rho_bracket, rate_function_value
 from .noise_models import (
     IIDNoise,
     NoiseModel,
@@ -159,7 +158,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
         # Only the dominant term is left and -L' still exceeds 1 - R: R is
         # within float error of 1 - H_min, and y* is the Legendre point.
         return _legendre_point(model, hi)[0]
-    rho = float(brentq(f, 0.0, hi, xtol=1e-14))
+    rho = float(_brentq(f, 0.0, hi, xtol=1e-14))
     return _renyi_log_sum(model, rho)[0] + rho * (1.0 - R)
 
 
@@ -198,7 +197,7 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
         raise ValueError(
             f"target exponent {t:.4g} exceeds the rate function's range"
         )
-    rho = brentq(f, 0.0, 1.0, xtol=1e-14)
+    rho = _brentq(f, 0.0, 1.0, xtol=1e-14)
     delta = _legendre_point(model, rho)[0] - shannon_entropy_rate(model)
     if delta <= 0.0:
         raise ValueError("abandonment target gives a non-positive margin")
@@ -390,4 +389,4 @@ def max_achievable_rate(
     lo, hi = 1e-6, cap - 1e-9
     if f(lo) <= 0.0:
         return 0.0
-    return float(brentq(f, lo, hi, xtol=1e-10))
+    return float(_brentq(f, lo, hi, xtol=1e-10))

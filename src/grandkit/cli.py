@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -61,7 +62,7 @@ def _parse_rate_grid(spec: str):
         start, step, stop = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError("--rate-grid must be start:step:stop") from None
-    if step <= 0.0 or start > stop:
+    if not all(map(math.isfinite, (start, step, stop))) or step <= 0.0 or start > stop:
         raise ValueError("--rate-grid needs step > 0 and start <= stop")
     grid = []
     r = start

@@ -204,22 +204,21 @@ class LinearCodebook(_Membership):
         return 2**self.k
 
     def bind(self, y):
-        """Membership of y XOR z for the received word ``y``: a function of
-        the packed noise pattern z returning that codeword, or None. y XOR z
-        is a codeword when the columns of H at its set bits XOR to zero."""
+        """Membership of y XOR z for the received word ``y``: a function of the packed
+        noise pattern z returning that codeword, or None. The syndrome s = H y is taken
+        once per word; y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
         n, columns = self.n, self._columns
         y_packed = _pack(_received(y, n, 2))
 
-        def hit(z):
-            word = y_packed ^ z
-            s, rest = 0, word
+        def syndrome(rest, s=0):
             while rest:
                 low = rest & -rest
                 s ^= columns[low.bit_length() - 1]
                 rest ^= low
-            return None if s else _unpack(word, n)
+            return s
 
-        return hit
+        s_y = syndrome(y_packed)
+        return lambda z: None if syndrome(z, s_y) else _unpack(y_packed ^ z, n)
 
     def encode(self, info_word) -> tuple[int, ...]:
         u = np.asarray(info_word, dtype=np.uint8)

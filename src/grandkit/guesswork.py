@@ -21,8 +21,6 @@ import math
 from functools import lru_cache
 from math import comb
 
-from scipy.optimize import brentq
-
 from .noise_models import (
     IIDNoise,
     NoiseModel,
@@ -318,6 +316,53 @@ def _rho_bracket(f) -> tuple[float, float]:
     return rho, val
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100):
+    """A root of ``f`` on the sign-changing bracket [a, b] by Brent's method (Brent 1973):
+    an exact port of scipy's ``brentq.c`` (defaults rtol = 4 eps, maxiter = 100), the same
+    float operations in the same order, kept so that outputs stay byte-identical without
+    scipy. ValueError for a same-sign bracket or a NaN value, RuntimeError past maxiter."""
+
+    def call(x: float) -> float:
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # true on the first pass; fpre is never 0
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects below, unless a short step is tried
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero denominator gives inf or NaN in C, so bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def rate_function_value(model: NoiseModel, x: float) -> float:
     """I_N(x), the rate function of (1/n) log G(noise): one root x(rho) = x.
 
@@ -337,4 +382,4 @@ def rate_function_value(model: NoiseModel, x: float) -> float:
     hi, val = _rho_bracket(f)
     if val > 0.0:
         return min_entropy_rate(model) - x
-    return max(0.0, _legendre_point(model, brentq(f, 0.0, hi, xtol=1e-15))[1])
+    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15))[1])

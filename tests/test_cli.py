@@ -287,17 +287,18 @@ def test_exponents_and_figure_sweep_share_epsilon_columns(tmp_path, model):
         assert any(not ab for _, _, ab in rows)
 
 
-def test_closed_output_pipe_ends_quietly():
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     pkg_root = str(Path(cli.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else ""),
-    }
+    return {**os.environ, "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
+
+
+def test_closed_output_pipe_ends_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "grandkit", "guess-order", "--model", "bsc",
          "--p", "0.1", "--n", "20", "--limit", "100000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env(),
     )
     assert proc.stdout.readline() == b"rank,sequence,log_prob\r\n"
     proc.stdout.close()
@@ -305,6 +306,20 @@ def test_closed_output_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_package_and_cli_import_no_scipy():
+    """scipy is a test dependency only: importing it would cost tens of MB
+    resident and over half a second at start-up, for no run-time use."""
+    code = (
+        "import sys, grandkit, grandkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=_package_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
 
 
 def test_model_flag_validation():
@@ -332,6 +347,10 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("exponents", *BSC, "--rate-grid", "0.1:0.2"), "--rate-grid must be start:step:stop"),
         (("exponents", *BSC, "--rate-grid", "0.9:0.1:0.1"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:0:0.9"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "nan:0.1:0.5"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.1:nan"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:nan:0.5"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:inf:0.5"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--p-abandon", "0.01"),
          "--p-abandon requires --auto-delta"),
         (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--auto-delta", "--n", "75"),

@@ -27,7 +27,7 @@ from grandkit.codebook import (
     save_codebook,
 )
 from grandkit.guesswork import guess_rank
-from grandkit.noise_models import _pack, bsc
+from grandkit.noise_models import _pack, _unpack, bsc
 
 from .oracles import TupleIndexCodebook, sample_u_wide, u_survival_approx, u_survival_exact
 
@@ -244,6 +244,31 @@ def test_linear_generator_parity_orthogonal():
     for w in rng.integers(0, 2, size=(300, 15)):
         for word in (w, cb.encode(w[:7])):
             assert cb.contains(word) == (not ((h @ word) % 2).any())
+
+
+def test_linear_bind_at_the_operating_point_matches_re_encoding():
+    """bind(y)(z) at n = 75, k = 54 on every pattern of weight <= 2: y XOR z
+    is a codeword exactly when re-encoding its first k bits gives it back.
+    The received words are codewords plus noise, so the syndrome of y is
+    non-zero and must enter every query."""
+    n, k = 75, 54
+    cb = build_linear_codebook(n, k, seed=1)
+    g = np.array(cb.generator, dtype=np.int64)
+    rng = np.random.default_rng(75)
+    patterns = [0, *(1 << i for i in range(n))]
+    patterns += [(1 << i) | (1 << j) for i in range(n) for j in range(i)]
+    assert len(patterns) == 2851
+    for t in range(20):
+        sent = _pack(cb.encode(rng.integers(0, 2, size=k)))
+        noise = sum(1 << int(i) for i in rng.choice(n, size=1 + t % 4, replace=False))
+        y_packed = sent ^ noise
+        words = np.array([_unpack(y_packed ^ z, n) for z in patterns])
+        member = ((words[:, :k] @ g) % 2 == words).all(axis=1)
+        hit = cb.bind(_unpack(y_packed, n))
+        for z, word, is_member in zip(patterns, words.tolist(), member):
+            assert hit(z) == (tuple(word) if is_member else None), (t, z)
+        if noise.bit_count() <= 2:
+            assert hit(noise) == _unpack(sent, n)
 
 
 def test_linear_roundtrip():

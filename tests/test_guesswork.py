@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from grandkit import analysis, guesswork
 from grandkit.analysis import _weight_layers
 from grandkit.codebook import build_linear_codebook
 from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
+    _brentq,
     _class_table,
     _markov_path_count,
     guess_groups,
@@ -26,6 +29,7 @@ from grandkit.noise_models import (
     _class_key,
     _unpack,
     min_entropy_rate,
+    model_error_probability,
     renyi_entropy_rate,
     shannon_entropy_rate,
 )
@@ -405,3 +409,85 @@ def test_empirical_guesswork_growth_approaches_entropy():
             vals.append(math.log2(guess_rank(model, z)) / n)
         dists.append(abs(float(np.mean(vals)) - H))
     assert dists[0] >= dists[1] >= dists[2]
+
+
+# ---------------------------------------------------------------------------
+# _brentq: an exact port of scipy.optimize.brentq, so roots and every output
+# built on them stay byte-identical with scipy out of the run-time imports.
+# ---------------------------------------------------------------------------
+
+SMOOTH_FUNCTIONS = [
+    lambda c: (lambda x: x**3 - c),
+    lambda c: (lambda x: math.tanh(4.0 * (x - c))),
+    lambda c: (lambda x: math.exp(x) - math.exp(c)),
+    lambda c: (lambda x: (x - c) * (1.0 + x * x)),
+    lambda c: (lambda x: math.log1p(x * x) - math.log1p(c * c)),
+    lambda c: (lambda x: math.atan(x - c) + 1e-3 * (x - c) ** 3),
+]
+
+
+@pytest.mark.parametrize("xtol", [1e-15, 1e-14, 1e-10])
+def test_brentq_port_matches_scipy_on_random_brackets(xtol):
+    rng, checked = np.random.default_rng(int(-math.log10(xtol))), 0
+    for _ in range(1000):
+        make = SMOOTH_FUNCTIONS[rng.integers(len(SMOOTH_FUNCTIONS))]
+        c = float(rng.uniform(0.05, 3.0))
+        f = make(c)
+        a, b = c - float(rng.uniform(0.01, 3.0)), c + float(rng.uniform(0.01, 3.0))
+        if rng.random() < 0.5:
+            a, b = b, a
+        if (f(a) < 0.0) == (f(b) < 0.0):
+            continue
+        assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol), (c, a, b)
+        checked += 1
+    assert checked >= 800
+
+
+BRENTQ_CALL_SITE_MODELS = [
+    bsc(0.01),
+    bsc(0.1),
+    IIDNoise((0.7, 0.2, 0.1)),
+    BinaryMarkovNoise(0.05, 0.3),
+    BinaryMarkovNoise(0.002, 0.2),
+]
+
+
+@pytest.mark.parametrize("model", BRENTQ_CALL_SITE_MODELS, ids=repr)
+def test_brentq_port_matches_scipy_at_every_call_site(monkeypatch, model):
+    """Each call site's own function and bracket: the port's root and
+    scipy's must be the same float."""
+    roots = []
+
+    def both(f, a, b, xtol):
+        ours = _brentq(f, a, b, xtol=xtol)
+        assert ours == brentq(f, a, b, xtol=xtol), (a, b, xtol)
+        roots.append(ours)
+        return ours
+
+    monkeypatch.setattr(guesswork, "_brentq", both)
+    monkeypatch.setattr(analysis, "_brentq", both)
+    for x in np.linspace(0.0, 1.0, 41):
+        guesswork.rate_function_value(model, float(x))
+    for R in np.linspace(0.01, 0.99, 25):
+        analysis.supercritical_threshold_y_star(model, float(R))
+    if model.alphabet_size == 2:
+        p = model_error_probability(model)
+        for n in (20, 75, 700):
+            analysis.select_delta(model, n, 1e-2, p)
+        analysis.max_achievable_rate(model, 75, p, 1e-2, 1e-2)
+    assert len(roots) >= 20
+
+
+def test_brentq_port_raises_like_scipy():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+    f = lambda x: math.tanh(x - 0.3)
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        _brentq(f, 0.0, 10.0, xtol=1e-15, maxiter=3)
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 10.0, xtol=1e-15, maxiter=3)
+    assert _brentq(f, 0.0, 10.0, xtol=1e-15) == brentq(f, 0.0, 10.0, xtol=1e-15)
