@@ -347,10 +347,6 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("exponents", *BSC, "--rate-grid", "0.1:0.2"), "--rate-grid must be start:step:stop"),
         (("exponents", *BSC, "--rate-grid", "0.9:0.1:0.1"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:0:0.9"), "step > 0 and start <= stop"),
-        (("exponents", *BSC, "--rate-grid", "nan:0.1:0.5"), "step > 0 and start <= stop"),
-        (("exponents", *BSC, "--rate-grid", "0.1:0.1:nan"), "step > 0 and start <= stop"),
-        (("exponents", *BSC, "--rate-grid", "0.1:nan:0.5"), "step > 0 and start <= stop"),
-        (("exponents", *BSC, "--rate-grid", "0.1:inf:0.5"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--p-abandon", "0.01"),
          "--p-abandon requires --auto-delta"),
         (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--auto-delta", "--n", "75"),
@@ -405,6 +401,10 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0.1:0.2:0.9",
           "--delta", "nan", "--out", "unused.csv"),
          "delta must be positive and finite"),
+        (("exponents", *BSC, "--rate-grid", "nan:0.1:0.5"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.1:nan"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:nan:0.5"), "step > 0 and start <= stop"),
+        (("exponents", *BSC, "--rate-grid", "0.1:inf:0.5"), "step > 0 and start <= stop"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):
