@@ -275,6 +275,17 @@ def _weight_layers(n: int, p):
         l_prev = l_k
 
 
+def _check_bsc(n: int, p: float, R: float | None = None) -> None:
+    """The block length, flip probability and rate (if any) rules shared by
+    the formulas below; written so that NaN fails them."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if R is not None and not 0.0 < R < 1.0:
+        raise ValueError("R must lie in (0, 1)")
+
+
 def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
     """P(correct decoding) for a BSC with a uniform random codebook.
 
@@ -282,12 +293,7 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
     probability is one minus this value. Sub-second even at n in the
     hundreds because the weight loop terminates once survival underflows.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    if not 0.0 < R < 1.0:
-        raise ValueError("R must lie in (0, 1)")
+    _check_bsc(n, p, R)
     log2_c = -n * (1.0 - R)
     c = 2.0**log2_c
     denom = -math.expm1(-c)
@@ -304,6 +310,7 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
 
 def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
     """Smallest rank m with P(G <= m) >= prob, for Bernoulli(p) noise."""
+    _check_bsc(n, p)
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie in (0, 1)")
     with mpmath.workdps(60):
@@ -332,8 +339,7 @@ def expected_queries_fine(
     count of blocks that produce a decoding). Uses the exponential
     accidental-hit law and closed-form geometric sums per weight layer.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_bsc(n, p, R)
     if max_queries is not None and max_queries < 1:
         raise ValueError("max_queries must be >= 1")
     if conditional and max_queries is None:

@@ -15,6 +15,7 @@ bit-identical floats everywhere in this module.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -270,14 +271,8 @@ def guess_rank(model: NoiseModel, z) -> int:
         raise ValueError("symbols must be integers")
     lp_z = _class_log_prob(model, _class_key(model, z))
     entries, cum = _class_table(model, len(z))
-    # binary search to the first class in z's tie group
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] > lp_z:
-            lo = mid + 1
-        else:
-            hi = mid
+    # the first class in z's tie group; entries run in descending log-probability
+    lo = bisect.bisect_left(entries, -lp_z, key=lambda e: -e[0])
     rank = cum[lo] + 1
     packed = _pack(z) if isinstance(model, IIDNoise) and model.alphabet_size == 2 else None
     while lo < len(entries) and entries[lo][0] == lp_z:

@@ -95,6 +95,8 @@ class BinaryMarkovNoise(_RenyiCurve):
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError("transition probabilities must lie in (0, 1)")
         if self.initial is not None:
+            # a tuple, so the model hashes for the caches keyed on it
+            object.__setattr__(self, "initial", tuple(self.initial))
             if len(self.initial) != 2 or not all(p >= 0.0 for p in self.initial):
                 raise ValueError("initial distribution must be a probability pair")
             if not abs(sum(self.initial) - 1.0) <= _PMF_TOL:

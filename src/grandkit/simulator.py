@@ -8,9 +8,10 @@ Three modes, trading memory for fidelity:
   the accidental-hit time drawn from its exact min-of-uniforms law, which is
   what makes large block lengths simulable.
 
-All modes share the reporting schema and a deterministic seeding scheme:
-per-worker generators are spawned from the master seed and tallies are merged
-in worker order, so a report is reproducible bit for bit given its config.
+All modes share one run path, the reporting schema and a deterministic
+seeding scheme: per-worker generators are spawned from the master seed and
+tallies are merged in worker order, so a report is reproducible bit for bit
+given its config.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,21 +104,11 @@ class SimReport:
     wall_time: float
 
     def data_dict(self) -> dict:
-        """JSON-ready content, excluding wall-clock time so identical configs
-        serialize identically."""
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "trials": self.trials,
-            "block_error_rate": self.block_error_rate,
-            "block_error_ci95": list(self.block_error_ci95),
-            "success_rate": self.success_rate,
-            "abandonment_rate": self.abandonment_rate,
-            "avg_queries_per_bit": self.avg_queries_per_bit,
-            "query_histogram": {
-                str(k): v for k, v in sorted(self.query_histogram.items())
-            },
-        }
+        """JSON-ready content: every field but the wall-clock time, so
+        identical configs serialize identically."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
+        data["query_histogram"] = {str(k): v for k, v in self.query_histogram.items()}
+        return data
 
 
 def resolve_abandonment(cfg: SimConfig) -> int | None:
@@ -130,20 +121,6 @@ def resolve_abandonment(cfg: SimConfig) -> int | None:
         delta = select_delta(cfg.model, cfg.n, cfg.p_abandon, p)
         return abandonment_threshold(cfg.n, shannon_entropy_rate(cfg.model), delta)
     return None
-
-
-def _config_echo(cfg: SimConfig, threshold: int | None) -> dict:
-    return {
-        "model": repr(cfg.model),
-        "n": cfg.n,
-        "rate": cfg.rate,
-        "trials": cfg.trials,
-        "mode": cfg.mode,
-        "abandon_after": threshold,
-        "p_abandon": cfg.p_abandon,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-    }
 
 
 @dataclass
@@ -258,7 +235,7 @@ def _report(cfg: SimConfig, threshold: int | None, tally: _Tally, wall: float) -
     half = 1.96 * math.sqrt(max(err * (1.0 - err), 0.0) / t)
     return SimReport(
         schema_version=SCHEMA_VERSION,
-        config=_config_echo(cfg, threshold),
+        config={**vars(cfg), "model": repr(cfg.model), "abandon_after": threshold},
         trials=t,
         block_error_rate=err,
         block_error_ci95=(max(err - half, 0.0), min(err + half, 1.0)),
@@ -274,41 +251,33 @@ def run_race(cfg: SimConfig) -> SimReport:
     """Simulate the guesswork-vs-accidental-hit race without a codebook."""
     if cfg.mode != "race":
         raise ValueError(f"run_race needs a race-mode config, not mode {cfg.mode!r}")
-    start = time.perf_counter()
-    threshold = resolve_abandonment(cfg)
-    tally = _run_workers(
-        _race_worker,
-        lambda t, e: (cfg.model, cfg.n, cfg.rate, t, threshold, e),
-        cfg,
-    )
-    return _report(cfg, threshold, tally, time.perf_counter() - start)
+    return run_simulation(cfg)
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:
     """Run the config's trials in its mode: the race, or end-to-end decoding
     over a materialized uniform random codebook (explicit) or a random
     systematic linear code (linear)."""
-    if cfg.mode == "race":
-        return run_race(cfg)
     if cfg.mode == "linear" and cfg.model.alphabet_size != 2:
         raise ValueError("linear mode is binary-only")
     start = time.perf_counter()
     threshold = resolve_abandonment(cfg)
-    if cfg.mode == "explicit":
-        cb = build_uniform_codebook(
-            cfg.n, cfg.rate, cfg.seed, alphabet_size=cfg.model.alphabet_size
-        )
+    if cfg.mode == "race":
+        worker, head = _race_worker, (cfg.model, cfg.n, cfg.rate)
     else:
-        cb = build_linear_codebook(cfg.n, round(cfg.n * cfg.rate), cfg.seed)
-    tally = _run_workers(
-        _codebook_worker, lambda t, e: (cb, cfg.model, t, threshold, e), cfg
-    )
+        if cfg.mode == "explicit":
+            a = cfg.model.alphabet_size
+            cb = build_uniform_codebook(cfg.n, cfg.rate, cfg.seed, alphabet_size=a)
+        else:
+            cb = build_linear_codebook(cfg.n, round(cfg.n * cfg.rate), cfg.seed)
+        worker, head = _codebook_worker, (cb, cfg.model)
+    tally = _run_workers(worker, lambda t, e: (*head, t, threshold, e), cfg)
     return _report(cfg, threshold, tally, time.perf_counter() - start)
 
 
-def _per_bit(exponent: float, n: int) -> float:
-    """2^(n x) / n, +inf once it leaves float range."""
-    log2_val = n * exponent - math.log2(n)
+def _per_bit(exponent: float, n: int, log2_a: float) -> float:
+    """|A|^(n x) / n, +inf once it leaves float range."""
+    log2_val = n * exponent * log2_a - math.log2(n)
     if log2_val > 1020.0:
         return math.inf
     return 2.0**log2_val
@@ -329,6 +298,7 @@ def figure_sweep(
     optional Monte Carlo columns (enabled by ``trials`` > 0)."""
     cap = capacity(model)
     h_half = renyi_entropy_rate(model, 0.5)
+    log2_a = math.log2(model.alphabet_size)
     rows = []
     for R in rate_grid:
         R = float(R)
@@ -340,9 +310,9 @@ def figure_sweep(
             "H_half": repr(h_half),
             "epsilon": repr(eps),
             "epsilon_AB": "" if eps_ab is None else repr(eps_ab),
-            "grand_queries_per_bit": repr(_per_bit(grand_exp, n)),
-            "grandab_queries_per_bit": repr(_per_bit(grandab_exp, n)),
-            "codebook_computations_per_bit": repr(_per_bit(R, n)),
+            "grand_queries_per_bit": repr(_per_bit(grand_exp, n, log2_a)),
+            "grandab_queries_per_bit": repr(_per_bit(grandab_exp, n, log2_a)),
+            "codebook_computations_per_bit": repr(_per_bit(R, n, log2_a)),
         }
         if trials > 0:
             cfg = SimConfig(

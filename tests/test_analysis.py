@@ -361,12 +361,24 @@ def test_expected_queries_tiny_noise():
     assert val == pytest.approx(1.0 / n, rel=1e-3)
 
 
-@pytest.mark.parametrize("n", [0, -1])
-def test_fine_formulas_reject_empty_blocks(n):
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        an.bsc_success_prob_fine(n, 0.5, 0.01)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        an.expected_queries_fine(n, 0.5, 0.01)
+@pytest.mark.parametrize(
+    "n, p, R, match",
+    [(0, 0.01, 0.5, "n must be >= 1"), (-1, 0.01, 0.5, "n must be >= 1"),
+     (75, 1.5, 0.72, "p must"), (10, math.nan, 0.5, "p must"), (10, 0.0, 0.5, "p must"),
+     (10, 1.0, 0.5, "p must"), (10, 0.1, 1.5, "R must"), (10, 0.1, math.nan, "R must"),
+     (10, 0.1, 0.0, "R must")],
+    ids=["0", "-1", "p=1.5", "p=nan", "p=0", "p=1", "R=1.5", "R=nan", "R=0"],
+)
+def test_fine_formulas_reject_empty_blocks(n, p, R, match):
+    """The three BSC formulas share one check of n, p and R; the quantile
+    takes no rate."""
+    with pytest.raises(ValueError, match=match):
+        an.bsc_success_prob_fine(n, R, p)
+    with pytest.raises(ValueError, match=match):
+        an.expected_queries_fine(n, R, p)
+    if match != "R must":
+        with pytest.raises(ValueError, match=match):
+            an.bsc_guesswork_quantile(n, p, 0.99)
 
 
 def test_expected_queries_truncation_monotone():

@@ -263,6 +263,18 @@ def test_figure_sweep_deterministic_file(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_figure_sweep_counts_per_bit_costs_in_alphabet_symbols(tmp_path):
+    """Per-bit costs are |A|^(n x) / n: for a ternary alphabet at n = 10 and
+    R = 0.2, the codebook costs 3^(nR) / 10 and GRAND 3^(n(1 - R)) / 10."""
+    out = tmp_path / "fig.csv"
+    cli.main(["figure-sweep", "--model", "iid", "--pmf", "0.7,0.2,0.1", "--n", "10",
+              "--rate-grid", "0.2:0.1:0.2", "--out", str(out)])
+    with open(out) as f:
+        (row,) = csv.DictReader(f)
+    assert float(row["codebook_computations_per_bit"]) == pytest.approx(3**2 / 10)
+    assert float(row["grand_queries_per_bit"]) == pytest.approx(3**8 / 10)
+
+
 @pytest.mark.parametrize(
     "model",
     [("--model", "bsc", "--p", "0.1"), ("--model", "markov", "--a", "0.002", "--b", "0.2")],

@@ -18,6 +18,8 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
+from grandkit.guesswork import guess_rank
+
 from .oracles import (
     _log_terms,
     entropy_rate_reference,
@@ -223,6 +225,16 @@ def test_model_validation_rejects_nan():
         BinaryMarkovNoise(0.1, 0.2, initial=(nan, 0.5))
     with pytest.raises(ValueError, match="probability pair"):
         BinaryMarkovNoise(0.1, 0.2, initial=(0.5, nan))
+
+
+def test_list_initial_is_stored_as_a_tuple():
+    """A list start law is stored as a tuple, so the model hashes for the
+    caches keyed on it."""
+    listed = BinaryMarkovNoise(0.1, 0.3, initial=[0.5, 0.5])
+    paired = BinaryMarkovNoise(0.1, 0.3, initial=(0.5, 0.5))
+    assert listed == paired and hash(listed) == hash(paired)
+    assert shannon_entropy_rate(listed) == shannon_entropy_rate(paired)
+    assert guess_rank(listed, (0, 1, 1, 0)) == guess_rank(paired, (0, 1, 1, 0))
 
 
 @pytest.mark.parametrize(

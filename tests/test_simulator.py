@@ -337,7 +337,8 @@ def test_screen_never_disagrees_with_exact_sample(n, rate, pairs):
 
 
 @pytest.mark.parametrize(
-    # data_dict() as it was when explicit words were stored as int tuples
+    # data_dict() as it was when explicit words were stored as int tuples, and
+    # as it was when the report schema was written out field by field
     "cfg, expected",
     [
         (SimConfig(model=bsc(0.05), n=16, rate=0.5, trials=300, mode="explicit", seed=7),
@@ -359,8 +360,28 @@ def test_screen_never_disagrees_with_exact_sample(n, rate, pairs):
          '"query_histogram": {"0": 59, "1": 31, "2": 40, "3": 51, "4": 51, "5": 27, '
          '"6": 20, "7": 18, "8": 3}, "schema_version": 1, '
          '"success_rate": 0.6599999999999999, "trials": 300}'),
+        # the resolved budgets are echoed as abandon_after
+        (SimConfig(model=bsc(0.05), n=24, rate=0.5, trials=300, mode="race", seed=11,
+                   p_abandon=0.01),
+         '{"abandonment_rate": 0.0, "avg_queries_per_bit": 9.712222222222222, '
+         '"block_error_ci95": [0.05482937290488356, 0.11850396042844978], '
+         '"block_error_rate": 0.08666666666666667, "config": {"abandon_after": 436496, '
+         '"mode": "race", "model": "IIDNoise(pmf=(0.95, 0.05))", "n": 24, '
+         '"p_abandon": 0.01, "rate": 0.5, "seed": 11, "trials": 300, "workers": 1}, '
+         '"query_histogram": {"0": 87, "1": 7, "10": 14, "11": 7, "12": 2, "2": 15, '
+         '"3": 40, "4": 42, "5": 10, "6": 19, "7": 32, "8": 13, "9": 12}, '
+         '"schema_version": 1, "success_rate": 0.9133333333333333, "trials": 300}'),
+        (SimConfig(model=bsc(0.05), n=20, rate=0.5, trials=200, mode="linear", seed=12,
+                   abandon_after=40),
+         '{"abandonment_rate": 0.195, "avg_queries_per_bit": 0.68275, '
+         '"block_error_ci95": [0.15354995837025448, 0.2664500416297455], '
+         '"block_error_rate": 0.21, "config": {"abandon_after": 40, '
+         '"mode": "linear", "model": "IIDNoise(pmf=(0.95, 0.05))", "n": 20, '
+         '"p_abandon": null, "rate": 0.5, "seed": 12, "trials": 200, "workers": 1}, '
+         '"query_histogram": {"0": 77, "1": 10, "2": 13, "3": 30, "4": 28, "5": 42}, '
+         '"schema_version": 1, "success_rate": 0.79, "trials": 200}'),
     ],
-    ids=["binary", "ternary"],
+    ids=["binary", "ternary", "race-p-abandon", "linear-abandon-after"],
 )
 def test_explicit_simulation_data_is_unchanged(cfg, expected):
     assert json.dumps(run_simulation(cfg).data_dict(), sort_keys=True) == expected
