@@ -45,6 +45,13 @@ __all__ = [
 ]
 
 
+def _check_rate(R: float) -> None:
+    """The rate rule shared by the exponent functions: any R but NaN, which
+    would compare false everywhere. An R outside [0, 1] keeps its meaning."""
+    if math.isnan(R):
+        raise ValueError("R must be a number, not NaN")
+
+
 def capacity(model: NoiseModel) -> float:
     """Channel capacity 1 - H for invertible additive noise, base |A|."""
     return 1.0 - shannon_entropy_rate(model)
@@ -58,6 +65,7 @@ def error_exponent(model: NoiseModel, R: float) -> float:
     1 - x*, and at the right edge, giving I_N(1 - R), from there (or, with no
     x*, everywhere) up to capacity.
     """
+    _check_rate(R)
     if R >= capacity(model):
         return 0.0
     x_star = critical_rate_x_star(model)
@@ -68,6 +76,7 @@ def error_exponent(model: NoiseModel, R: float) -> float:
 
 def success_exponent(model: NoiseModel, R: float) -> float:
     """Decay rate of the probability of correct decoding above capacity."""
+    _check_rate(R)
     if R <= 1.0 - shannon_entropy_rate(model):
         return 0.0
     return rate_function_value(model, 1.0 - R)
@@ -118,6 +127,7 @@ def complexity_exponents(
 ) -> tuple[float, float]:
     """Growth exponents of the expected query count, without and with
     abandonment."""
+    _check_rate(R)
     if delta is not None and not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     H = shannon_entropy_rate(model)
@@ -144,6 +154,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     below I_U up to the support edge L(0) = log_|A| #{p_i > 0}, where I_N
     becomes infinite: that edge is y*.
     """
+    _check_rate(R)
     if R >= 1.0 - min_entropy_rate(model):
         return None
     edge, slope = model._edge
@@ -384,7 +395,11 @@ def max_achievable_rate(
     model: NoiseModel, n: int, p: float, p_block_target: float, p_abandon: float
 ) -> float:
     """Largest code rate whose abandonment-aware error exponent keeps the
-    predicted block error 2^(-n eps_AB(R)) at or below the target."""
+    predicted block error 2^(-n eps_AB(R)) at or below the target.
+
+    ValueError when no positive rate does, as when p_block_target lies below
+    p_abandon * min(p n, 1), the abandonment probability the budget allows.
+    """
     delta = select_delta(model, n, p_abandon, p)
     need = -math.log2(p_block_target) / n
 
@@ -394,5 +409,8 @@ def max_achievable_rate(
     cap = capacity(model)
     lo, hi = 1e-6, cap - 1e-9
     if f(lo) <= 0.0:
-        return 0.0
+        raise ValueError(
+            f"no positive rate meets p_block_target = {p_block_target:g}; abandonment "
+            f"alone is allowed p_abandon*min(p*n, 1) = {p_abandon * min(p * n, 1.0):g}"
+        )
     return float(_brentq(f, lo, hi, xtol=1e-10))

@@ -102,6 +102,8 @@ def _cmd_guess_order(args) -> None:
 def _cmd_decode(args) -> None:
     model = _build_model(args)
     cb = load_codebook(args.codebook)
+    if cb.alphabet_size != 2:
+        raise ValueError("decode --y is read as hex bits, so the codebook must be binary")
     y = _parse_word(args.y, cb.n)
     res = grand_decode(cb, y, model, max_queries=args.abandon_after)
     out = {

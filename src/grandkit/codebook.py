@@ -57,8 +57,8 @@ class NotACodewordError(ValueError):
 
 def codebook_size(alphabet_size: int, n: int, rate: float) -> int:
     """M_n = floor(|A|^(n R)), exact for any block length."""
-    if rate < 0.0:
-        raise ValueError("rate must be non-negative")
+    if not 0.0 <= rate < math.inf:
+        raise ValueError("rate must be non-negative and finite")
     with mpmath.workdps(max(30, int(n * rate * math.log10(alphabet_size)) + 30)):
         return int(mpmath.floor(mpmath.mpf(alphabet_size) ** (mpmath.mpf(n) * mpmath.mpf(rate))))
 
@@ -325,8 +325,8 @@ class UHitModel:
             raise ValueError("n must be >= 1")
         if self.alphabet_size < 2:
             raise ValueError("alphabet_size must be >= 2")
-        if self.rate < 0.0:
-            raise ValueError("rate must be non-negative")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError("rate must be non-negative and finite")
 
     @cached_property
     def M_n(self) -> int:

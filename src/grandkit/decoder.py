@@ -80,6 +80,8 @@ def abandonment_threshold(n: int, H: float, delta: float) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= H < math.inf:
+        raise ValueError("H must be non-negative and finite")
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     exponent = n * min(H + delta, 1.0)

@@ -6,7 +6,8 @@ sequence read as a base-|A| integer (most significant symbol first); binary
 sequences come as packed ints, and ``iter_guesses`` unpacks them. The same
 order is computed without enumeration by ``guess_rank``, which counts whole
 probability classes at once, so ranks stay exact even when they are
-astronomically large.
+astronomically large. Enumeration (``_class_members``) and rank (``_count_less``)
+walk one class description, ``_class_walk``; binary IID noise has closed forms.
 
 Log probabilities are always derived from sufficient statistics in a fixed
 summation order, so two sequences in the same probability class compare as
@@ -115,7 +116,7 @@ def _class_table(model: NoiseModel, n: int):
 
 
 def _class_walk(model: NoiseModel, key):
-    """What the rank walk needs to know about the class ``key``: the prefix
+    """The class ``key`` as enumeration and rank both walk it: the prefix
     every member starts with, the counts left after it, the stride that maps
     a step from ``prev`` to ``s`` onto the count ``stride * prev + s`` it
     spends, and how many ways there are to finish once ``s`` is placed."""
@@ -126,7 +127,8 @@ def _class_walk(model: NoiseModel, key):
 
 
 def _count_less(model: NoiseModel, key, z: tuple[int, ...]) -> int:
-    """Sequences in the class ``key`` that are numerically below ``z``."""
+    """Sequences in the class ``key`` that are numerically below ``z``: the
+    members ``_class_members`` would yield before z, counted, not walked."""
     head, remaining, stride, ways = _class_walk(model, key)
     lead = z[: len(head)]
     if head != lead:
@@ -147,25 +149,6 @@ def _count_less(model: NoiseModel, key, z: tuple[int, ...]) -> int:
     return less
 
 
-def _iid_class_sequences(counts):
-    """All sequences with the given symbol counts, ascending numeric order:
-    each is the lexicographic successor of the one before."""
-    seq = [s for s, c in enumerate(counts) for _ in range(c)]
-    last = len(seq) - 1
-    while True:
-        yield tuple(seq)
-        i = last - 1
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = seq[: i : -1]
-
-
 def _weight_patterns(counts):
     """All packed binary patterns with the given symbol counts, ascending: each
     is the next larger int with as many set bits (Gosper's step)."""
@@ -180,37 +163,46 @@ def _weight_patterns(counts):
         yield z
 
 
-def _markov_class_patterns(key):
-    """All packed binary patterns of the class ``key`` = (first symbol,
-    transition counts), ascending: to get the next one, the rightmost 0 that
-    can become a 1 does, and the smallest tail that still completes the class
-    follows it. ``head[j]`` is the packed prefix of the first j + 1 symbols."""
-    first, trans = key
-    n = 1 + sum(trans)
-    head = [first] * n
-    remaining = list(trans)
-    i = 0
+def _class_members(model: NoiseModel, key):
+    """All sequences of the class ``key``, ascending, read off ``_class_walk``:
+    the tail takes the smallest symbols the class can still be finished with,
+    then backs up from the right to the first position that can take a larger
+    one. Binary sequences are packed ints, others int tuples."""
+    head, remaining, stride, ways = _class_walk(model, key)
+    a, start = model.alphabet_size, len(head)
+    n = start + sum(remaining)
+    seq = list(head) + [0] * (n - start)
+    symbols, last = range(a), a - 1
+    i = start - 1
     while True:
-        # smallest tail after symbol i: a 0 wherever the class can still follow it
         for j in range(i + 1, n):
-            idx = 2 * (head[j - 1] & 1)
-            remaining[idx] -= 1
-            if remaining[idx] < 0 or not _markov_path_count(0, remaining):
-                remaining[idx] += 1
-                idx += 1
-                remaining[idx] -= 1
-            head[j] = head[j - 1] << 1 | idx & 1
-        yield head[-1]
-        # hand transitions back from the right until a 0 can become a 1
-        for i in range(n - 1, 0, -1):
-            idx = 2 * (head[i - 1] & 1) + (head[i] & 1)
-            remaining[idx] += 1
-            if not idx & 1 and remaining[idx + 1]:
-                remaining[idx + 1] -= 1
-                if _markov_path_count(1, remaining):
-                    head[i] |= 1
-                    break
-                remaining[idx + 1] += 1
+            base = stride * seq[j - 1]  # seq[-1] is read only when stride is 0
+            for s in symbols:
+                if remaining[base + s]:
+                    remaining[base + s] -= 1
+                    # the class can be finished, so s fits with stride 0 or when no
+                    # larger symbol has a count left (stride > 0 is the binary chain)
+                    fits = not stride or s == last or not remaining[base + s + 1]
+                    if fits or ways(s, remaining):
+                        break
+                    remaining[base + s] += 1
+            seq[j] = s
+        yield _pack(seq) if a == 2 else tuple(seq)
+        for i in range(n - 1, start - 1, -1):
+            base = stride * seq[i - 1]
+            s = seq[i]
+            remaining[base + s] += 1
+            while s < last:
+                s += 1
+                if remaining[base + s]:
+                    remaining[base + s] -= 1
+                    if not stride or ways(s, remaining):
+                        seq[i] = s
+                        break
+                    remaining[base + s] += 1
+            else:
+                continue
+            break
         else:
             return
 
@@ -224,12 +216,10 @@ def guess_groups(model: NoiseModel, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     entries, _ = _class_table(model, n)
-    if isinstance(model, IIDNoise):
-        class_gen = _weight_patterns if model.alphabet_size == 2 else _iid_class_sequences
-    else:
-        class_gen = _markov_class_patterns
+    binary_iid = isinstance(model, IIDNoise) and model.alphabet_size == 2
+    members = _weight_patterns if binary_iid else lambda key: _class_members(model, key)
     return (
-        (lp, heapq.merge(*(class_gen(key) for _, key, _ in group)))
+        (lp, heapq.merge(*(members(key) for _, key, _ in group)))
         for lp, group in itertools.groupby(entries, key=lambda e: e[0])
     )
 

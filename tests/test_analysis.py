@@ -156,6 +156,22 @@ def test_delta_must_be_positive_and_finite(delta):
             an.grandab_error_exponent(m, R, delta)
 
 
+def test_nan_rate_raises():
+    m = bsc(0.1)
+    calls = [
+        lambda: an.error_exponent(m, math.nan),
+        lambda: an.success_exponent(m, math.nan),
+        lambda: an.error_exponent_pair(m, math.nan, None),
+        lambda: an.error_exponent_pair(m, math.nan, 0.1),
+        lambda: an.grandab_error_exponent(m, math.nan, 0.1),
+        lambda: an.complexity_exponents(m, math.nan),
+        lambda: an.supercritical_threshold_y_star(m, math.nan),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="R must be a number"):
+            call()
+
+
 def test_complexity_exponents():
     m = bsc(0.1)
     h_half = renyi_entropy_rate(m, 0.5)
@@ -426,6 +442,17 @@ def test_max_achievable_rate_fractions():
     m2 = bsc(1e-2)
     frac2 = an.max_achievable_rate(m2, 75, 1e-2, 1e-2, 1e-2) / an.capacity(m2)
     assert frac2 == pytest.approx(0.724, abs=0.01)
+
+
+def test_max_achievable_rate_raises_when_no_positive_rate_is_feasible():
+    m = bsc(1e-2)
+    # p n < 1: abandonment is allowed 0.0099 < p_block_target
+    assert an.max_achievable_rate(m, 99, 1e-2, 1e-2, 1e-2) == 0.7005547510624023
+    # p n > 1: abandonment alone takes the whole target
+    with pytest.raises(ValueError, match=r"p_block_target = 0.01; .* p_abandon\*min\(p\*n, 1\) = 0.01"):
+        an.max_achievable_rate(m, 101, 1e-2, 1e-2, 1e-2)
+    with pytest.raises(ValueError, match=r"p_block_target = 0.001; .* = 0.0099"):
+        an.max_achievable_rate(m, 99, 1e-2, 1e-3, 1e-2)
 
 
 def test_exponent_report_fields():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from grandkit import analysis, cli, guesswork
+from grandkit.codebook import build_uniform_codebook, save_codebook
 from grandkit.noise_models import BinaryMarkovNoise, bsc, shannon_entropy_rate
 
 from .oracles import supercritical_threshold_crossing
@@ -429,6 +430,17 @@ def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, mes
     assert "grandkit: error:" in err or f"grandkit {argv[0]}: error:" in err
     assert message in err
     assert not list(tmp_path.iterdir())
+
+
+def test_decode_rejects_a_non_binary_codebook(capsys, tmp_path):
+    # --y is hex bits, which cannot spell a ternary word
+    path = tmp_path / "cb3.gkcb"
+    save_codebook(build_uniform_codebook(6, 0.5, seed=0, alphabet_size=3), str(path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", "--model", "iid", "--pmf", "0.8,0.1,0.1", "--codebook", str(path),
+                  "--y", "3f"])
+    assert exc.value.code == 2
+    assert "the codebook must be binary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -294,11 +294,18 @@ def test_contains_is_false_for_non_integral_symbols():
 
 @pytest.mark.parametrize(
     "kwargs", [dict(n=0, rate=0.5), dict(n=-1, rate=0.5),
-               dict(n=10, rate=0.5, alphabet_size=1), dict(n=10, rate=-0.1)],
+               dict(n=10, rate=0.5, alphabet_size=1), dict(n=10, rate=-0.1),
+               dict(n=10, rate=math.nan), dict(n=10, rate=math.inf)],
 )
 def test_u_hit_model_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         UHitModel(**kwargs)
+
+
+@pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
+def test_size_formula_rejects_negative_or_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="rate must be non-negative and finite"):
+        codebook_size(2, 10, rate)
 
 
 def test_linear_decode_to_info_rejects_non_binary_words():

@@ -188,6 +188,12 @@ def test_threshold_rejects_non_positive_or_non_finite_delta(delta):
         abandonment_threshold(75, 0.08, delta)
 
 
+@pytest.mark.parametrize("H", [-1.0, math.nan, math.inf])
+def test_threshold_rejects_negative_or_non_finite_entropy(H):
+    with pytest.raises(ValueError, match="H must be non-negative and finite"):
+        abandonment_threshold(10, H, 0.1)
+
+
 def test_brute_force_trivialities():
     model = bsc(0.1)
     cb = build_uniform_codebook(6, 0.0, seed=0)

@@ -54,6 +54,14 @@ MODELS = [
     BinaryMarkovNoise(0.2, 0.2),
 ]
 
+# a zero-probability start state or symbol: classes of log-probability -inf,
+# which the guess order puts last
+ZERO_PROB_MODELS = [
+    BinaryMarkovNoise(0.1, 0.3, initial=(1.0, 0.0)),
+    IIDNoise((0.6, 0.4, 0.0)),
+    IIDNoise((0.0, 0.5, 0.5)),
+]
+
 
 def brute_force_order(model, n):
     a = model.alphabet_size
@@ -85,7 +93,7 @@ def test_enumeration_matches_sorted_order(model):
     assert len(emitted) == model.alphabet_size**n
 
 
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model", MODELS + ZERO_PROB_MODELS)
 def test_lazy_iteration_matches_enumerator(model):
     n = 7 if model.alphabet_size == 2 else 5
     lazy = list(iter_guesses(model, n))
@@ -102,7 +110,7 @@ def test_lazy_iteration_matches_enumerator(model):
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize(
     # bsc(0.5): every class ties; bsc(0.6): the weights descend
-    "model", [bsc(0.1), bsc(0.5), bsc(0.6), BinaryMarkovNoise(0.1, 0.3)]
+    "model", [bsc(0.1), bsc(0.5), bsc(0.6), BinaryMarkovNoise(0.1, 0.3), ZERO_PROB_MODELS[0]]
 )
 def test_packed_pattern_stream_matches_enumerator(model, n):
     stream = [(_unpack(z, n), lp) for lp, zs in guess_groups(model, n) for z in zs]
