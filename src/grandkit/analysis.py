@@ -397,20 +397,20 @@ def max_achievable_rate(
     """Largest code rate whose abandonment-aware error exponent keeps the
     predicted block error 2^(-n eps_AB(R)) at or below the target.
 
-    ValueError when no positive rate does, as when p_block_target lies below
+    ValueError when no positive rate does, as when p_block_target lies at or below
     p_abandon * min(p n, 1), the abandonment probability the budget allows.
     """
     delta = select_delta(model, n, p_abandon, p)
-    need = -math.log2(p_block_target) / n
+    need, allowed = -math.log2(p_block_target) / n, p_abandon * min(p * n, 1.0)
 
     def f(R: float) -> float:
         return grandab_error_exponent(model, R, delta) - need
 
     cap = capacity(model)
     lo, hi = 1e-6, cap - 1e-9
-    if f(lo) <= 0.0:
+    if p_block_target <= allowed or f(lo) <= 0.0:
         raise ValueError(
             f"no positive rate meets p_block_target = {p_block_target:g}; abandonment "
-            f"alone is allowed p_abandon*min(p*n, 1) = {p_abandon * min(p * n, 1.0):g}"
+            f"alone is allowed p_abandon*min(p*n, 1) = {allowed:g}"
         )
     return float(_brentq(f, lo, hi, xtol=1e-10))

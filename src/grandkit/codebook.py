@@ -1,7 +1,7 @@
 """Codebooks and the statistics of accidental codeword hits.
 
 Three representations are provided: explicit uniform-random word sets (one
-symbol array, indexed by int keys), binary linear codes with syndrome
+symbol array, indexed by sorted keys), binary linear codes with syndrome
 membership, and ``UHitModel`` — the law of the number of guesses until the
 first non-transmitted codeword is encountered, which for a uniformly drawn
 codebook is the minimum of M_n independent uniforms on {1, ..., |A|^n}.
@@ -39,8 +39,9 @@ __all__ = [
     "load_codebook",
 ]
 
-# Explicit storage cap. Besides its symbol-array row, a stored word keeps a dict
-# slot and two ints: at most 132 + bits / 4 bytes (tracemalloc: 124 at 24 bits).
+# Explicit storage cap. Besides its symbol-array row, a stored word keeps 8 bytes
+# of sorted key, 8 of order and at most 16 of prefilter; a key past int64 is also
+# an int object of at most 48 + bits / 4 bytes. Object and array headers: < 4 KB.
 _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
@@ -101,6 +102,9 @@ class ExplicitCodebook(_Membership):
     ``words[i]`` is the codeword of info index ``i``; duplicates are allowed
     and membership deduplicates, resolving collisions to the lowest index.
     ``words`` may be given as int tuples or as an (m, n) integer array.
+    The index is the words' base-|A| keys, sorted, with their stable order and
+    a byte prefilter of 8-16 slots per word over the keys' low bits. Words that
+    share low-order symbols only slow the prefilter; they never change answers.
     """
 
     n: int
@@ -108,7 +112,7 @@ class ExplicitCodebook(_Membership):
     seed: int
     alphabet_size: int
     words: Sequence[tuple[int, ...]] = field(hash=False)
-    _index: dict = field(repr=False, hash=False, compare=False, default=None)
+    _index: tuple = field(repr=False, hash=False, compare=False, default=None)
 
     def __post_init__(self):
         a, words = self.alphabet_size, np.asarray(self.words)
@@ -121,9 +125,12 @@ class ExplicitCodebook(_Membership):
         for column in array.T:  # Horner's rule: the _key of every row
             keys *= a
             np.add(keys, column, out=keys, casting="unsafe")
-        keys = keys.tolist()
+        order = np.argsort(keys, kind="stable")
+        mask = (1 << (8 * len(keys) - 1).bit_length()) - 1
+        seen = np.zeros(mask + 1, np.uint8)
+        seen[(keys & mask).astype(np.intp)] = 1
         object.__setattr__(self, "words", _Words(array))
-        object.__setattr__(self, "_index", dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))))
+        object.__setattr__(self, "_index", (keys[order], order, seen.tobytes(), mask))
 
     @property
     def size(self) -> int:
@@ -133,17 +140,17 @@ class ExplicitCodebook(_Membership):
         """Membership of y (-) z for the received word ``y``: a function of
         the noise pattern z returning that stored codeword, or None. Patterns
         are packed ints for a binary alphabet and int tuples otherwise."""
-        a, index, words = self.alphabet_size, self._index, self.words
+        a, words, (keys, order, seen, mask) = self.alphabet_size, self.words, self._index
         y = _received(y, self.n, a)
-        if a == 2:
-            y_key = _pack(y)
-            key = lambda z: y_key ^ z
-        else:
-            key = lambda z: _key(((s - t) % a for s, t in zip(y, z)), a)
+        key = _pack(y).__xor__ if a == 2 else (
+            lambda z: _key(((s - t) % a for s, t in zip(y, z)), a))
 
         def hit(z):
-            i = index.get(key(z))
-            return None if i is None else words[i]
+            if seen[(k := key(z)) & mask]:
+                i = keys.searchsorted(k)
+                if i < len(keys) and keys[i] == k:
+                    return words[order[i]]
+            return None
 
         return hit
 
@@ -156,7 +163,8 @@ class ExplicitCodebook(_Membership):
         codeword = self._codeword(word)
         if codeword is None:
             raise NotACodewordError("word is not in the codebook")
-        return self._index[_key(codeword, self.alphabet_size)]
+        keys, order = self._index[:2]
+        return int(order[keys.searchsorted(_key(codeword, self.alphabet_size))])
 
 
 @dataclass(frozen=True)
@@ -276,7 +284,8 @@ def build_uniform_codebook(
         raise ValueError("n must be >= 1")
     m = codebook_size(alphabet_size, n, rate)
     dtype = np.min_scalar_type(alphabet_size - 1)
-    if m * (n * dtype.itemsize + 132 + n * math.log2(alphabet_size) / 4) > _MEMORY_LIMIT_BYTES:
+    index = 32 + (48 + n * math.log2(alphabet_size) / 4 if alphabet_size**n >= 2**63 else 0)
+    if m * (n * dtype.itemsize + index) + 4096 > _MEMORY_LIMIT_BYTES:
         raise ExplicitModeTooLargeError(
             f"explicit codebook needs {m} words of length {n}; "
             "use a linear codebook or race-mode simulation"

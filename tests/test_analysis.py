@@ -448,9 +448,10 @@ def test_max_achievable_rate_raises_when_no_positive_rate_is_feasible():
     m = bsc(1e-2)
     # p n < 1: abandonment is allowed 0.0099 < p_block_target
     assert an.max_achievable_rate(m, 99, 1e-2, 1e-2, 1e-2) == 0.7005547510624023
-    # p n > 1: abandonment alone takes the whole target
-    with pytest.raises(ValueError, match=r"p_block_target = 0.01; .* p_abandon\*min\(p\*n, 1\) = 0.01"):
-        an.max_achievable_rate(m, 101, 1e-2, 1e-2, 1e-2)
+    # p n >= 1: abandonment alone takes the whole target
+    for n in (100, 101):
+        with pytest.raises(ValueError, match=r"p_block_target = 0.01; .* p_abandon\*min\(p\*n, 1\) = 0.01"):
+            an.max_achievable_rate(m, n, 1e-2, 1e-2, 1e-2)
     with pytest.raises(ValueError, match=r"p_block_target = 0.001; .* = 0.0099"):
         an.max_achievable_rate(m, 99, 1e-2, 1e-3, 1e-2)
 

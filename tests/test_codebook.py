@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import pickle
+import random
 import struct
 import tempfile
 import tracemalloc
@@ -65,11 +67,11 @@ def test_memory_guard():
 
 
 def test_memory_guard_counts_stored_words(monkeypatch):
-    # 2^23 words of 24 bits pack into 25 MB but take over 1 GiB with their
-    # index; the guard must refuse before any word is drawn
+    # 2^25 words of 26 bits pack into 109 MB but take ~1.9 GB as a symbol
+    # array and its index; the guard must refuse before any word is drawn
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ExplicitModeTooLargeError):
-        build_uniform_codebook(24, 23 / 24, seed=0)
+        build_uniform_codebook(26, 25 / 26, seed=0)
 
 
 def _rate_for(m: int, n: int, a: int) -> float:
@@ -80,15 +82,20 @@ def _rate_for(m: int, n: int, a: int) -> float:
 
 
 @pytest.mark.parametrize(
-    # m = 87818 is just past a resize of the index dict, its fullest per word
-    "n, m, a", [(24, 87818, 2), (11, 24576, 3), (80, 5000, 2), (3, 4000, 300)]
+    # m = 2^16 + 1 gives the prefilter its most bytes per word; 2^18 words of
+    # 24 bits is the benchmark's codebook; n = 80 binary keys are Python ints
+    "n, m, a",
+    [(24, 2**16 + 1, 2), (24, 2**18, 2), (11, 24576, 3), (80, 5000, 2), (3, 4000, 300)],
 )
 def test_memory_guard_bounds_what_a_build_keeps(monkeypatch, n, m, a):
-    # the guard's estimate: the symbol array, 132 bytes of index per word and
-    # a quarter byte per bit of key; a cap at the estimate lets the build
-    # through, and what it keeps, traced, fits under that cap
+    # the guard's estimate: per word, the symbol row, 8 bytes of sorted key, 8
+    # of order and at most 16 of prefilter, plus an int object of at most
+    # 48 + bits / 4 bytes for keys past int64; 4 KB of object and array headers. A
+    # cap at the estimate lets the build through, and what it keeps, traced,
+    # fits under that cap
     rate = _rate_for(m, n, a)
-    estimate = m * (n * np.min_scalar_type(a - 1).itemsize + 132 + n * math.log2(a) / 4)
+    key = 32 + (48 + n * math.log2(a) / 4 if a**n >= 2**63 else 0)
+    estimate = m * (n * np.min_scalar_type(a - 1).itemsize + key) + 4096
     monkeypatch.setattr(codebook, "_MEMORY_LIMIT_BYTES", math.ceil(estimate))
     tracemalloc.start()
     try:
@@ -168,6 +175,55 @@ def test_duplicates_resolve_to_the_lowest_index_like_the_oracle():
     oracle = TupleIndexCodebook(3, 3, words)
     for w in words:
         assert cb.decode_to_info(w) == oracle.decode_to_info(w) == words.index(w)
+
+
+def _word_of_key(key: int, n: int, a: int) -> tuple[int, ...]:
+    return tuple(key // a ** (n - 1 - i) % a for i in range(n))
+
+
+@pytest.mark.parametrize("n, a", [(24, 2), (70, 2), (16, 3), (45, 3)])
+def test_prefilter_worst_case_agrees_with_tuple_oracle(n, a):
+    # every word stored or queried has a key = 1234 mod 2^12 (for binary: the
+    # same last 12 symbols), so a prefilter of up to 2^12 slots lets every query
+    # through to the sorted keys; n = 70 and 45 give keys past int64
+    rnd = random.Random(7 * n + a)
+    draw = lambda: _word_of_key(1234 + 2**12 * rnd.randrange(a**n >> 12), n, a)
+    words = [draw() for _ in range(300)]
+    words[150::7] = words[:22]  # later duplicates of earlier words
+    cb = ExplicitCodebook(n=n, rate=0.5, seed=0, alphabet_size=a, words=words)
+    oracle = TupleIndexCodebook(n, a, words)
+    for target in words + [draw() for _ in range(300)]:
+        z = tuple(rnd.randrange(a) for _ in range(n))
+        y = tuple((s + t) % a for s, t in zip(target, z))
+        pattern = _pack(z) if a == 2 else z
+        assert cb.bind(y)(pattern) == oracle.bind(y)(pattern)
+        assert cb.contains(target) == oracle.contains(target)
+        if oracle.contains(target):
+            assert cb.decode_to_info(target) == oracle.decode_to_info(target)
+        else:
+            with pytest.raises(NotACodewordError):
+                cb.decode_to_info(target)
+
+
+@pytest.mark.parametrize("n, a", [(24, 2), (70, 2), (9, 3), (45, 3)])
+def test_explicit_codebook_survives_a_pickle_round_trip(n, a):
+    # the path a codebook takes to simulator worker processes; n = 70 and 45
+    # give keys past int64
+    rng = np.random.default_rng(n + a)
+    words = rng.integers(0, a, size=(200, n))
+    words[100::5] = words[:20]
+    cb = ExplicitCodebook(n=n, rate=0.5, seed=3, alphabet_size=a, words=words)
+    copy = pickle.loads(pickle.dumps(cb))
+    assert copy == cb
+    for word in [cb.words[i] for i in range(0, 200, 3)] + rng.integers(0, a, (50, n)).tolist():
+        word = tuple(word)
+        assert copy.contains(word) == cb.contains(word)
+        if cb.contains(word):
+            assert copy.decode_to_info(word) == cb.decode_to_info(word)
+        z = tuple(rng.integers(0, a, size=n).tolist())
+        y = tuple((s + t) % a for s, t in zip(word, z))
+        pattern = _pack(z) if a == 2 else z
+        assert copy.bind(y)(pattern) == cb.bind(y)(pattern)
 
 
 def test_explicit_membership_exhaustive():

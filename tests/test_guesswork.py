@@ -482,7 +482,8 @@ def test_brentq_port_matches_scipy_at_every_call_site(monkeypatch, model):
         p = model_error_probability(model)
         for n in (20, 75, 700):
             analysis.select_delta(model, n, 1e-2, p)
-        analysis.max_achievable_rate(model, 75, p, 1e-2, 1e-2)
+        # p_abandon below p_block_target: at p n >= 1 equal targets leave no rate
+        analysis.max_achievable_rate(model, 75, p, 1e-2, 1e-3)
     assert len(roots) >= 20
 
 
