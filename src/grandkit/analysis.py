@@ -130,15 +130,11 @@ def complexity_exponents(
     _check_rate(R)
     if delta is not None and not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    H = shannon_entropy_rate(model)
-    H_half = renyi_entropy_rate(model, 0.5)
-    if R < 1.0 - H:
-        grand = min(H_half, 1.0 - R)
-    else:
-        grand = 1.0 - R
+    # H_{1/2} >= H, so from capacity (R >= 1 - H) up the minimum is 1 - R
+    grand = min(renyi_entropy_rate(model, 0.5), 1.0 - R)
     if delta is None:
         return grand, grand
-    return grand, min(grand, H + delta)
+    return grand, min(grand, shannon_entropy_rate(model) + delta)
 
 
 def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:

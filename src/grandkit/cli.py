@@ -12,12 +12,14 @@ wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import analysis, simulator
 from .codebook import (
@@ -91,6 +93,11 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _output(path):
+    """The data sink of ``--out``: the file at ``path``, or stdout when None."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_guess_order(args) -> None:
     guesses = iter_guesses(_build_model(args), args.n)
     writer = csv.writer(sys.stdout)
@@ -99,21 +106,23 @@ def _cmd_guess_order(args) -> None:
         writer.writerow([rank, "".join(str(s) for s in z), repr(lp)])
 
 
-def _cmd_decode(args) -> None:
+def _cmd_decode(args) -> dict:
     model = _build_model(args)
     cb = load_codebook(args.codebook)
     if cb.alphabet_size != 2:
         raise ValueError("decode --y is read as hex bits, so the codebook must be binary")
     y = _parse_word(args.y, cb.n)
     res = grand_decode(cb, y, model, max_queries=args.abandon_after)
-    out = {
-        "decoded": "".join(str(s) for s in res.decoded)
-        if res.decoded is not None
-        else None,
-        "queries": res.queries,
-        "status": res.status.value,
-    }
-    print(json.dumps(out, sort_keys=True))
+    decoded = None if res.decoded is None else "".join(map(str, res.decoded))
+    return {"decoded": decoded, "queries": res.queries, "status": res.status.value}
+
+
+def _add_delta_args(p: argparse.ArgumentParser) -> None:
+    """The rate grid and the flags ``_delta`` reads."""
+    p.add_argument("--rate-grid", required=True, help="start:step:stop")
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--auto-delta", action="store_true")
+    p.add_argument("--p-abandon", type=float, default=None)
 
 
 def _delta(args, model):
@@ -142,8 +151,7 @@ def _cmd_exponents(args) -> None:
         "R", "epsilon", "s", "epsilon_AB", "grand_complexity_exp",
         "grandab_complexity_exp", "x_star", "y_star", "capacity",
     )
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _output(args.out) as target:
         writer = csv.writer(target)
         writer.writerow(columns)
         for rep in reports:
@@ -151,50 +159,26 @@ def _cmd_exponents(args) -> None:
             if rep.epsilon_AB is None:
                 row[3] = ""
             writer.writerow(row)
-    finally:
-        if args.out:
-            target.close()
 
 
-def _cmd_blerr(args) -> None:
+def _cmd_blerr(args) -> dict:
     success = analysis.bsc_success_prob_fine(args.n, args.rate, args.p)
     queries = analysis.expected_queries_fine(
-        args.n,
-        args.rate,
-        args.p,
-        max_queries=args.abandon_after,
+        args.n, args.rate, args.p, max_queries=args.abandon_after,
         conditional=args.abandon_after is not None,
     )
-    out = {
-        "block_error": 1.0 - success,
-        "success_prob": success,
-        "queries_per_bit": queries,
-    }
-    print(json.dumps(out, sort_keys=True))
+    return {"block_error": 1.0 - success, "success_prob": success, "queries_per_bit": queries}
 
 
 def _cmd_simulate(args) -> None:
     if (args.abandon == "auto") != (args.p_abandon is not None):
         raise ValueError("--abandon auto and --p-abandon go together")
-    model = _build_model(args)
-    cfg = simulator.SimConfig(
-        model=model,
-        n=args.n,
-        rate=args.rate,
-        trials=args.trials,
-        mode=args.mode,
-        abandon_after=args.abandon_after,
-        p_abandon=args.p_abandon,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    # every SimConfig field but the model is the argument of the same name
+    names = [f.name for f in fields(simulator.SimConfig) if f.name != "model"]
+    cfg = simulator.SimConfig(_build_model(args), **{k: getattr(args, k) for k in names})
     report = simulator.run_simulation(cfg)
-    text = simulator.report_to_json(report)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.out) as target:
+        target.write(simulator.report_to_json(report) + "\n")
     print(f"wall_time: {report.wall_time:.3f}s", file=sys.stderr)
 
 
@@ -202,34 +186,25 @@ def _cmd_figure_sweep(args) -> None:
     model = _build_model(args)
     delta = _delta(args, model)
     simulator.figure_sweep(
-        model,
-        args.n,
-        _parse_rate_grid(args.rate_grid),
-        args.out,
-        delta=delta,
-        trials=args.trials,
-        seed=args.seed,
-        mode=args.mode,
-        workers=args.workers,
+        model, args.n, _parse_rate_grid(args.rate_grid), args.out, delta=delta,
+        trials=args.trials, seed=args.seed, mode=args.mode, workers=args.workers,
     )
 
 
-def _cmd_make_codebook(args) -> None:
-    if args.rate is None and (args.kind == "explicit" or args.k is None):
-        needs = "--rate" if args.kind == "explicit" else "--k or --rate"
+def _cmd_make_codebook(args) -> dict:
+    explicit = args.kind == "explicit"
+    needs = "--rate" if explicit else "--k or --rate"
+    if args.rate is None and (explicit or args.k is None):
         raise ValueError(f"--kind {args.kind} requires {needs}")
-    if args.kind == "explicit":
+    if args.k is not None and (explicit or args.rate is not None):
+        raise ValueError(f"--kind {args.kind} takes {needs}, not {'--k' if explicit else 'both'}")
+    if explicit:
         cb = build_uniform_codebook(args.n, args.rate, args.seed)
     else:
-        k = args.k if args.k is not None else round(args.n * args.rate)
+        k = args.k if args.rate is None else round(args.n * args.rate)
         cb = build_linear_codebook(args.n, k, args.seed)
     save_codebook(cb, args.out)
-    print(
-        json.dumps(
-            {"kind": args.kind, "n": cb.n, "size": cb.size, "path": args.out},
-            sort_keys=True,
-        )
-    )
+    return {"kind": args.kind, "n": cb.n, "size": cb.size, "path": args.out}
 
 
 def main(argv=None) -> int:
@@ -239,38 +214,34 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("guess-order", help="print the guess order as CSV")
-    _add_model_args(p)
+    def command(name, func, help, model=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if model:
+            _add_model_args(p)
+        return p
+
+    p = command("guess-order", _cmd_guess_order, "print the guess order as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=_non_negative_int, required=True)
-    p.set_defaults(func=_cmd_guess_order)
 
-    p = sub.add_parser("decode", help="decode one received word")
-    _add_model_args(p)
+    p = command("decode", _cmd_decode, "decode one received word")
     p.add_argument("--codebook", required=True)
     p.add_argument("--y", required=True, help="received word as hex")
     p.add_argument("--abandon-after", type=int, default=None)
-    p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("exponents", help="rate sweep of asymptotic exponents")
-    _add_model_args(p)
-    p.add_argument("--rate-grid", required=True, help="start:step:stop")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--auto-delta", action="store_true")
-    p.add_argument("--p-abandon", type=float, default=None)
+    p = command("exponents", _cmd_exponents, "rate sweep of asymptotic exponents")
+    _add_delta_args(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_exponents)
 
-    p = sub.add_parser("blerr", help="finite-length block error (binary)")
+    p = command("blerr", _cmd_blerr, "finite-length block error (binary)", model=False)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--abandon-after", type=int, default=None)
-    p.set_defaults(func=_cmd_blerr)
 
-    p = sub.add_parser("simulate", help="Monte Carlo decoding trials")
-    _add_model_args(p)
+    p = command("simulate", _cmd_simulate, "Monte Carlo decoding trials")
     p.add_argument("--mode", choices=["explicit", "linear", "race"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, required=True)
@@ -281,34 +252,29 @@ def main(argv=None) -> int:
     p.add_argument("--abandon-after", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("figure-sweep", help="per-rate CSV of predictions")
-    _add_model_args(p)
+    p = command("figure-sweep", _cmd_figure_sweep, "per-rate CSV of predictions")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rate-grid", required=True, help="start:step:stop")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--auto-delta", action="store_true")
-    p.add_argument("--p-abandon", type=float, default=None)
+    _add_delta_args(p)
     p.add_argument("--trials", type=_non_negative_int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["explicit", "linear", "race"], default="race")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_figure_sweep)
 
-    p = sub.add_parser("make-codebook", help="build and save a codebook file")
+    p = command("make-codebook", _cmd_make_codebook, "build and save a codebook file", model=False)
     p.add_argument("--kind", choices=["explicit", "linear"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_make_codebook)
 
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        out = args.func(args)
+        if out is not None:
+            print(json.dumps(out, sort_keys=True))
     except BrokenPipeError:
         # quiet exit; stdout goes to devnull so the exit-time flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -316,4 +282,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ExplicitModeTooLargeError) as exc:
         parser.error(str(exc))
     return 0
-

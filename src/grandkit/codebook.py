@@ -115,6 +115,10 @@ class ExplicitCodebook(_Membership):
     _index: tuple = field(repr=False, hash=False, compare=False, default=None)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError("rate must be non-negative and finite")
         a, words = self.alphabet_size, np.asarray(self.words)
         if words.size and words.shape[1:] != (self.n,):
             raise ValueError("codeword length mismatch")
@@ -179,9 +183,12 @@ class LinearCodebook(_Membership):
     seed: int = 0
 
     def __post_init__(self):
-        g = np.array(self.generator, dtype=np.uint8)
+        g = np.asarray(self.generator)
         if g.ndim != 2 or g.shape[0] > g.shape[1]:
             raise ValueError("generator must be k x n with k <= n")
+        if not ((g == 0) | (g == 1)).all():  # before the cast, which would wrap or truncate
+            raise ValueError("generator entries must be 0 or 1")
+        g = g.astype(np.uint8)
         k, n = g.shape
         if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
             raise ValueError("generator must be systematic: G = [I | P]")
@@ -372,6 +379,8 @@ def _pack_words(words, alphabet_size: int) -> bytes:
 
 
 def _unpack_words(body: bytes, count: int, n: int, alphabet_size: int) -> np.ndarray:
+    if alphabet_size > 256:
+        raise ValueError("serialization supports alphabets up to 256 symbols")
     flat = np.frombuffer(body, dtype=np.uint8)
     if alphabet_size == 2:
         flat = np.unpackbits(flat, count=count * n)
@@ -399,8 +408,8 @@ def load_codebook(path: str) -> Codebook:
     """Read a codebook written by :func:`save_codebook`.
 
     Raises ValueError unless the file is one complete codebook: a known magic,
-    a whole header, exactly the body length the header implies, and (for
-    alphabets other than binary) no symbol outside the alphabet.
+    a whole header (n >= 1, a finite rate >= 0, at most 256 symbols), exactly
+    the body length it implies, and no symbol outside the alphabet.
     """
     with open(path, "rb") as f:
         data = f.read()

@@ -418,6 +418,12 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("exponents", *BSC, "--rate-grid", "0.1:0.1:nan"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:nan:0.5"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:inf:0.5"), "step > 0 and start <= stop"),
+        (("make-codebook", "--kind", "linear", "--n", "8", "--k", "3", "--rate", "0.9",
+          "--out", "cb.gkcb"),
+         "--kind linear takes --k or --rate, not both"),
+        (("make-codebook", "--kind", "explicit", "--n", "8", "--rate", "0.5", "--k", "5",
+          "--out", "cb.gkcb"),
+         "--kind explicit takes --rate, not --k"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):
@@ -430,6 +436,25 @@ def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, mes
     assert "grandkit: error:" in err or f"grandkit {argv[0]}: error:" in err
     assert message in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exponents", *BSC, "--rate-grid", "0.05:0.1:0.95", "--auto-delta", "--p-abandon",
+         "0.01", "--n", "75"),
+        ("exponents", "--model", "markov", "--a", "0.05", "--b", "0.3", "--rate-grid",
+         "0.1:0.2:0.9"),
+        ("simulate", *BSC, "--mode", "race", "--n", "40", "--rate", "0.5", "--trials", "50"),
+        ("simulate", *BSC, "--mode", "explicit", "--n", "12", "--rate", "0.5", "--trials", "20",
+         "--seed", "3"),
+    ],
+)
+def test_out_file_holds_the_bytes_printed_without_it(capsys, tmp_path, argv):
+    printed = run_cli(capsys, *argv)
+    path = tmp_path / "out.dat"
+    assert run_cli(capsys, *argv, "--out", str(path)) == ""
+    assert printed and path.read_bytes() == printed.encode()
 
 
 def test_decode_rejects_a_non_binary_codebook(capsys, tmp_path):

@@ -565,6 +565,30 @@ def test_load_rejects_header_body_mismatch(tmp_path):
         load_codebook(str(path))
 
 
+@pytest.mark.parametrize("entry", [2, 0.5, -1, 257])
+def test_linear_rejects_generator_entries_other_than_0_and_1(entry):
+    # a cast to uint8 would read 2 as a 1 bit for membership but encode it mod 2 as 0
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        LinearCodebook(((1, 0, entry, 1), (0, 1, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "n, rate, a, body, match",
+    [
+        (2, 0.5, 1000, bytes([0, 5]), "alphabets up to 256 symbols"),
+        (2, math.nan, 3, bytes([0, 2]), "rate must be non-negative and finite"),
+        (2, -0.5, 3, bytes([0, 2]), "rate must be non-negative and finite"),
+        (0, 0.5, 2, b"", "n must be >= 1"),
+    ],
+)
+def test_load_rejects_bad_explicit_header_fields(tmp_path, n, rate, a, body, match):
+    path = tmp_path / "cb.bin"
+    header = struct.pack("<IQQdH", n, 1, 0, rate, a)
+    path.write_bytes(codebook._MAGIC_EXPLICIT + header + body)
+    with pytest.raises(ValueError, match=match):
+        load_codebook(str(path))
+
+
 def test_load_rejects_symbol_outside_alphabet(tmp_path):
     path = tmp_path / "cb.bin"
     save_codebook(build_uniform_codebook(4, 0.5, seed=1, alphabet_size=3), str(path))
