@@ -8,7 +8,7 @@ codebook is the minimum of M_n independent uniforms on {1, ..., |A|^n}.
 
 Membership is one method, ``bind(y)``: a test of noise patterns z (packed
 ints when binary) against the received word y, giving the codeword y (-) z or
-None. ``contains`` and ``decode_to_info`` bind the word and test z = 0.
+None. ``contains`` and ``decode_to_info`` look the word up as y with z = 0.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 # Explicit storage cap. Besides its symbol-array row, a stored word keeps 8 bytes
-# of sorted key, 8 of order and at most 16 of prefilter; a key past int64 is also
-# an int object of at most 48 + bits / 4 bytes. Object and array headers: < 4 KB.
+# of sorted key, 8 of info index and at most 16 of prefilter; a key past int64 is
+# also an int object of at most 48 + bits / 4 bytes. Object and array headers: < 4 KB.
 _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
@@ -68,14 +68,10 @@ class _Membership:
     """``contains`` for both codebooks: the word bound with ``bind`` and
     tested at z = 0. A word with a symbol outside the alphabet is no member."""
 
-    def _codeword(self, word) -> tuple[int, ...] | None:
-        word = _checked(word, self.n, self.alphabet_size)
-        if word is None:
-            return None
-        return self.bind(word)(0 if self.alphabet_size == 2 else (0,) * self.n)
-
     def contains(self, word) -> bool:
-        return self._codeword(word) is not None
+        zero = 0 if self.alphabet_size == 2 else (0,) * self.n
+        word = _checked(word, self.n, self.alphabet_size)
+        return word is not None and self.bind(word)(zero) is not None
 
 
 @dataclass(eq=False)
@@ -102,9 +98,9 @@ class ExplicitCodebook(_Membership):
     ``words[i]`` is the codeword of info index ``i``; duplicates are allowed
     and membership deduplicates, resolving collisions to the lowest index.
     ``words`` may be given as int tuples or as an (m, n) integer array.
-    The index is the words' base-|A| keys, sorted, with their stable order and
-    a byte prefilter of 8-16 slots per word over the keys' low bits. Words that
-    share low-order symbols only slow the prefilter; they never change answers.
+    The index: the words' base-|A| keys, sorted; their order, holding each run of
+    equal keys' lowest info index at its first slot; a byte prefilter of 8-16 slots
+    per word over the keys' low bits, which shared low-order symbols only slow.
     """
 
     n: int
@@ -123,18 +119,23 @@ class ExplicitCodebook(_Membership):
         if words.size and words.shape[1:] != (self.n,):
             raise ValueError("codeword length mismatch")
         array = words.astype(np.min_scalar_type(a - 1), copy=False).reshape(-1, self.n)
-        if a < 2 or words.size and (not np.array_equal(array, words) or array.max() >= a):
+        lossless = array.dtype == words.dtype or np.array_equal(array, words)
+        if a < 2 or words.size and (not lossless or array.max() >= a):
             raise ValueError(f"need alphabet_size >= 2 and int symbols in 0..{a - 1}")
-        keys = np.zeros(len(array), np.int64 if a**self.n < 2**63 else object)
-        for column in array.T:  # Horner's rule: the _key of every row
-            keys *= a
-            np.add(keys, column, out=keys, casting="unsafe")
-        order = np.argsort(keys, kind="stable")
+        key_type = np.int64 if a**self.n < 2**63 else object
+        powers = np.array([a**i for i in range(self.n - 1, -1, -1)], key_type)
+        keys, rows = np.empty(len(array), key_type), max(1, 2**16 // self.n)
+        for i in range(0, len(array), rows):  # the _key of every row
+            keys[i : i + rows] = array[i : i + rows].astype(key_type) @ powers
         mask = (1 << (8 * len(keys) - 1).bit_length()) - 1
-        seen = np.zeros(mask + 1, np.uint8)
-        seen[(keys & mask).astype(np.intp)] = 1
+        seen = bytearray(mask + 1)
+        np.frombuffer(seen, np.uint8)[(keys & mask).astype(np.intp, copy=False)] = 1
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # runs of equal keys (keys >= 0)
+        order[starts] = np.minimum.reduceat(order, starts)
         object.__setattr__(self, "words", _Words(array))
-        object.__setattr__(self, "_index", (keys[order], order, seen.tobytes(), mask))
+        object.__setattr__(self, "_index", (keys, order, seen, mask))
 
     @property
     def size(self) -> int:
@@ -144,19 +145,23 @@ class ExplicitCodebook(_Membership):
         """Membership of y (-) z for the received word ``y``: a function of
         the noise pattern z returning that stored codeword, or None. Patterns
         are packed ints for a binary alphabet and int tuples otherwise."""
-        a, words, (keys, order, seen, mask) = self.alphabet_size, self.words, self._index
-        y = _received(y, self.n, a)
+        a, words, (_, _, seen, mask) = self.alphabet_size, self.words, self._index
+        y, info_index = _received(y, self.n, a), self._info_index
         key = _pack(y).__xor__ if a == 2 else (
             lambda z: _key(((s - t) % a for s, t in zip(y, z)), a))
 
         def hit(z):
-            if seen[(k := key(z)) & mask]:
-                i = keys.searchsorted(k)
-                if i < len(keys) and keys[i] == k:
-                    return words[order[i]]
+            if seen[(k := key(z)) & mask] and (i := info_index(k)) is not None:
+                return words[i]
             return None
 
         return hit
+
+    def _info_index(self, key) -> int | None:
+        """The lowest info index of a stored word with this key, or None."""
+        keys, order, _, _ = self._index
+        i = keys.searchsorted(key)
+        return order[i] if i < len(keys) and keys[i] == key else None
 
     def encode(self, info_index: int) -> tuple[int, ...]:
         if not 0 <= info_index < len(self.words):
@@ -164,19 +169,18 @@ class ExplicitCodebook(_Membership):
         return self.words[info_index]
 
     def decode_to_info(self, word) -> int:
-        codeword = self._codeword(word)
-        if codeword is None:
+        word = _checked(word, self.n, self.alphabet_size)
+        if word is None or (i := self._info_index(_key(word, self.alphabet_size))) is None:
             raise NotACodewordError("word is not in the codebook")
-        keys, order = self._index[:2]
-        return int(order[keys.searchsorted(_key(codeword, self.alphabet_size))])
+        return int(i)
 
 
 @dataclass(frozen=True)
 class LinearCodebook(_Membership):
     """Binary linear code in systematic form: G = [I | P], H = [P^T | I].
 
-    Membership is a syndrome check against the columns of H, kept as int
-    bitmasks; the info word of a codeword is its first ``k`` bits.
+    Membership is a syndrome check on H's columns as int bitmasks, with a byte
+    table per 8 of them for H y; the info word of a codeword is its first ``k`` bits.
     """
 
     generator: tuple[tuple[int, ...], ...]
@@ -195,8 +199,12 @@ class LinearCodebook(_Membership):
         object.__setattr__(self, "_g", g)
         h = np.concatenate([g[:, k:].T, np.eye(n - k, dtype=np.uint8)], axis=1)
         # _columns[b]: the column of H, as an int, of symbol n - 1 - b (bit b)
-        columns = np.packbits(h[:, ::-1], axis=0).T
-        object.__setattr__(self, "_columns", [int.from_bytes(c, "big") for c in columns])
+        columns = [int.from_bytes(c, "big") for c in np.packbits(h[:, ::-1], axis=0).T]
+        tables = [[0] for _ in range(0, n, 8)]  # tables[j][v] = H (v << 8 j), as an int
+        for b, column in enumerate(columns):
+            tables[b // 8] += [s ^ column for s in tables[b // 8]]
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_tables", tables)
 
     @property
     def n(self) -> int:
@@ -220,19 +228,21 @@ class LinearCodebook(_Membership):
 
     def bind(self, y):
         """Membership of y XOR z for the received word ``y``: a function of the packed
-        noise pattern z returning that codeword, or None. The syndrome s = H y is taken
-        once per word; y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
-        n, columns = self.n, self._columns
+        noise pattern z returning that codeword, or None. The syndrome s = H y is read
+        once per word from the byte tables; y XOR z is a codeword when s XOR H's
+        columns at z's bits is zero."""
+        n, columns, tables = self.n, self._columns, self._tables
         y_packed = _pack(_received(y, n, 2))
+        y_bytes = y_packed.to_bytes(len(tables), "little")
+        s_y = reduce(int.__xor__, map(list.__getitem__, tables, y_bytes), 0)
 
-        def syndrome(rest, s=0):
+        def syndrome(rest, s):
             while rest:
                 low = rest & -rest
                 s ^= columns[low.bit_length() - 1]
                 rest ^= low
             return s
 
-        s_y = syndrome(y_packed)
         return lambda z: None if syndrome(z, s_y) else _unpack(y_packed ^ z, n)
 
     def encode(self, info_word) -> tuple[int, ...]:
@@ -316,7 +326,7 @@ def build_linear_codebook(n: int, k: int, seed: int) -> LinearCodebook:
     rng = np.random.default_rng(seed)
     p = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
     g = np.concatenate([np.eye(k, dtype=np.uint8), p], axis=1)
-    return LinearCodebook(tuple(tuple(int(b) for b in row) for row in g), seed=seed)
+    return LinearCodebook(tuple(map(tuple, g.tolist())), seed=seed)
 
 
 # ---------------------------------------------------------------------------

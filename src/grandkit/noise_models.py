@@ -171,12 +171,12 @@ def shannon_entropy_rate(model: NoiseModel) -> float:
 @lru_cache(maxsize=64)
 def renyi_entropy_rate(model: NoiseModel, alpha: float) -> float:
     """Renyi entropy rate at parameter ``alpha`` (alpha > 0, alpha != 1), base
-    |A|: L(alpha) / (1 - alpha)."""
+    |A|: L(alpha) / (1 - alpha), clamped at 0, where rounding can take it below."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon rate; use shannon_entropy_rate")
-    return _renyi_log_sum(model, alpha)[0] / (1.0 - alpha)
+    return max(_renyi_log_sum(model, alpha)[0] / (1.0 - alpha), 0.0)
 
 
 def min_entropy_rate(model: NoiseModel) -> float:

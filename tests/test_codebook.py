@@ -28,8 +28,9 @@ from grandkit.codebook import (
     sample_u_exact,
     save_codebook,
 )
+from grandkit.decoder import grand_decode
 from grandkit.guesswork import guess_rank
-from grandkit.noise_models import _pack, _unpack, bsc
+from grandkit.noise_models import IIDNoise, _pack, _unpack, bsc
 
 from .oracles import TupleIndexCodebook, sample_u_wide, u_survival_approx, u_survival_exact
 
@@ -89,7 +90,7 @@ def _rate_for(m: int, n: int, a: int) -> float:
 )
 def test_memory_guard_bounds_what_a_build_keeps(monkeypatch, n, m, a):
     # the guard's estimate: per word, the symbol row, 8 bytes of sorted key, 8
-    # of order and at most 16 of prefilter, plus an int object of at most
+    # of info index and at most 16 of prefilter, plus an int object of at most
     # 48 + bits / 4 bytes for keys past int64; 4 KB of object and array headers. A
     # cap at the estimate lets the build through, and what it keeps, traced,
     # fits under that cap
@@ -118,6 +119,37 @@ def test_build_draws_the_words_of_one_unchunked_draw(a, m, n):
     draw = np.random.default_rng(11).integers(0, a, size=(m, n), dtype=np.int64)
     assert np.array_equal(cb.words.array, draw)
     assert cb.words == tuple(tuple(row) for row in draw.tolist())
+
+
+def test_benchmark_codebook_is_one_unchunked_draw():
+    # the benchmark's 2^18-word codebook: its words, and so every decode on
+    # it, stay those of one draw
+    cb = build_uniform_codebook(24, 0.75, seed=5)
+    draw = np.random.default_rng(5).integers(0, 2, (2**18, 24))
+    assert np.array_equal(cb.words.array, draw)
+
+
+@pytest.mark.parametrize("n, a", [(24, 2), (70, 2), (5, 3)])
+def test_empty_explicit_codebook_holds_no_word(tmp_path, n, a):
+    # n = 70 gives keys past int64
+    cb = ExplicitCodebook(n=n, rate=0.0, seed=0, alphabet_size=a, words=np.empty((0, n), int))
+    assert cb.size == 0 and not cb.contains((0,) * n)
+    assert cb.bind((1,) * n)(0 if a == 2 else (0,) * n) is None
+    with pytest.raises(NotACodewordError):
+        cb.decode_to_info((0,) * n)
+    with pytest.raises(ValueError, match="codebook is empty"):
+        grand_decode(cb, (0,) * n, IIDNoise((0.9, 0.1)) if a == 2 else IIDNoise((0.8, 0.1, 0.1)))
+    save_codebook(cb, str(tmp_path / "empty.cb"))
+    assert load_codebook(str(tmp_path / "empty.cb")) == cb
+
+
+@pytest.mark.parametrize("n, a", [(1, 2), (24, 2), (70, 2), (4, 3)])
+def test_identical_words_decode_to_index_zero(n, a):
+    # one run of equal keys spans the whole index
+    word = tuple(i % a for i in range(n))
+    cb = ExplicitCodebook(n=n, rate=0.5, seed=0, alphabet_size=a, words=[word] * 9)
+    assert cb.decode_to_info(word) == 0
+    assert cb.bind(word)(0 if a == 2 else (0,) * n) == word
 
 
 @pytest.mark.parametrize(
@@ -291,15 +323,18 @@ def test_linear_encode_is_matrix_product():
 
 
 def test_linear_generator_parity_orthogonal():
-    # membership is exactly a zero syndrome under H = [P^T | I]
-    cb = build_linear_codebook(15, 7, seed=8)
-    g = np.array(cb.generator, dtype=np.uint8)
-    h = np.concatenate([g[:, 7:].T, np.eye(8, dtype=np.uint8)], axis=1)
-    assert not ((g @ h.T) % 2).any()
-    rng = np.random.default_rng(8)
-    for w in rng.integers(0, 2, size=(300, 15)):
-        for word in (w, cb.encode(w[:7])):
-            assert cb.contains(word) == (not ((h @ word) % 2).any())
+    # membership is exactly a zero syndrome under H = [P^T | I]; H y is read
+    # from one table per byte of y, so the lengths straddle the byte edges
+    for n in (1, 7, 8, 9, 15, 16, 17, 75):
+        k = (n + 1) // 2
+        cb = build_linear_codebook(n, k, seed=8)
+        g = np.array(cb.generator, dtype=np.uint8)
+        h = np.concatenate([g[:, k:].T, np.eye(n - k, dtype=np.uint8)], axis=1)
+        assert not ((g @ h.T) % 2).any()
+        rng = np.random.default_rng(8)
+        for w in rng.integers(0, 2, size=(300, n)):
+            for word in (w, cb.encode(w[:k])):
+                assert cb.contains(word) == (not ((h @ word) % 2).any()), n
 
 
 def test_linear_bind_at_the_operating_point_matches_re_encoding():

@@ -93,6 +93,17 @@ def test_renyi_non_increasing_in_alpha(model):
     assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
 
 
+def test_renyi_rate_is_never_negative():
+    # a Renyi entropy is >= 0, but a near-deterministic chain's L(1/2) can
+    # round below zero: to -6.2e-64 for this law
+    assert renyi_entropy_rate(BinaryMarkovNoise(0.387, 4.3e-64), 0.5) == 0.0
+    rng = np.random.default_rng(16)
+    for a, b in zip(rng.uniform(0, 1, 300), 10.0 ** rng.uniform(-120, -10, 300)):
+        for model in (BinaryMarkovNoise(a, b), BinaryMarkovNoise(b, a), bsc(b)):
+            for alpha in (0.25, 0.5, 2.0, 16.0):
+                assert renyi_entropy_rate(model, alpha) >= 0.0, (model, alpha)
+
+
 @pytest.mark.parametrize(
     "model",
     [bsc(0.1), bsc(0.01), IIDNoise((0.2, 0.5, 0.3)), BinaryMarkovNoise(0.05, 0.4)],
