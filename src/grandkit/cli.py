@@ -45,17 +45,22 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pmf", type=str, help="comma-separated symbol probabilities")
 
 
+# the parameter flags of each --model
+_MODEL_FLAGS = {"bsc": ("p",), "markov": ("a", "b"), "iid": ("pmf",)}
+
+
 def _build_model(args):
+    own = _MODEL_FLAGS[args.model]
+    if any(getattr(args, f) is None for f in own):
+        raise ValueError(f"--model {args.model} requires {' and '.join('--' + f for f in own)}")
+    foreign = [f"--{f}" for fs in _MODEL_FLAGS.values() for f in fs
+               if f not in own and getattr(args, f) is not None]
+    if foreign:
+        raise ValueError(f"--model {args.model} does not take {', '.join(foreign)}")
     if args.model == "bsc":
-        if args.p is None:
-            raise ValueError("--model bsc requires --p")
         return bsc(args.p)
     if args.model == "markov":
-        if args.a is None or args.b is None:
-            raise ValueError("--model markov requires --a and --b")
         return BinaryMarkovNoise(args.a, args.b)
-    if args.pmf is None:
-        raise ValueError("--model iid requires --pmf")
     return IIDNoise(tuple(float(x) for x in args.pmf.split(",")))
 
 
@@ -140,6 +145,8 @@ def _delta(args, model):
 
 
 def _cmd_exponents(args) -> None:
+    if args.n is not None and not args.auto_delta:
+        raise ValueError("exponents --n requires --auto-delta")
     model = _build_model(args)
     delta = _delta(args, model)
     reports = [

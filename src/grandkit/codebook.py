@@ -22,6 +22,7 @@ from functools import cached_property, reduce
 import mpmath
 import numpy as np
 
+from .guesswork import _guess_prefix
 from .noise_models import _pack, _symbols, _unpack
 
 __all__ = [
@@ -88,6 +89,8 @@ class _Words(Sequence):
         return tuple(map(tuple, rows)) if isinstance(i, slice) else tuple(rows)
 
     def __eq__(self, other):
+        if isinstance(other, _Words):
+            return np.array_equal(self.array, other.array)
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
@@ -181,6 +184,10 @@ class LinearCodebook(_Membership):
 
     Membership is a syndrome check on H's columns as int bitmasks, with a byte
     table per 8 of them for H y; the info word of a codeword is its first ``k`` bits.
+    Per noise model, a map from each syndrome to the first pattern of guesswork's
+    cached guess-order prefix that has it (a truncated coset-leader table) lets the
+    decoder answer that prefix with one lookup of H y. It is built at the first
+    decode under the model and is kept on the codebook, so it dies with it.
     """
 
     generator: tuple[tuple[int, ...], ...]
@@ -205,6 +212,7 @@ class LinearCodebook(_Membership):
             tables[b // 8] += [s ^ column for s in tables[b // 8]]
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_leader_tables", {})  # model -> _leaders(model)
 
     @property
     def n(self) -> int:
@@ -229,21 +237,26 @@ class LinearCodebook(_Membership):
     def bind(self, y):
         """Membership of y XOR z for the received word ``y``: a function of the packed
         noise pattern z returning that codeword, or None. The syndrome s = H y is read
-        once per word from the byte tables; y XOR z is a codeword when s XOR H's
-        columns at z's bits is zero."""
+        once per word from the byte tables, and the function carries it as its
+        ``syndrome``; y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
         n, columns, tables = self.n, self._columns, self._tables
         y_packed = _pack(_received(y, n, 2))
         y_bytes = y_packed.to_bytes(len(tables), "little")
         s_y = reduce(int.__xor__, map(list.__getitem__, tables, y_bytes), 0)
+        hit = lambda z: None if _xor_columns(columns, z, s_y) else _unpack(y_packed ^ z, n)
+        hit.syndrome = s_y
+        return hit
 
-        def syndrome(rest, s):
-            while rest:
-                low = rest & -rest
-                s ^= columns[low.bit_length() - 1]
-                rest ^= low
-            return s
-
-        return lambda z: None if syndrome(z, s_y) else _unpack(y_packed ^ z, n)
+    def _leaders(self, model) -> dict[int, int]:
+        """{syndrome: index of the first pattern with it} over the cached guess-order
+        prefix ``_guess_prefix(model, n)``, built at the first call per model."""
+        leaders = self._leader_tables.get(model)
+        if leaders is None:
+            leaders = {}
+            for i, z in enumerate(_guess_prefix(model, self.n)[0]):
+                leaders.setdefault(_xor_columns(self._columns, z), i)
+            self._leader_tables[model] = leaders
+        return leaders
 
     def encode(self, info_word) -> tuple[int, ...]:
         u = np.asarray(info_word, dtype=np.uint8)
@@ -261,6 +274,15 @@ class LinearCodebook(_Membership):
 
 
 Codebook = ExplicitCodebook | LinearCodebook
+
+
+def _xor_columns(columns: list[int], z: int, s: int = 0) -> int:
+    """``s`` XOR the columns of H at the set bits of the packed pattern ``z``."""
+    while z:
+        low = z & -z
+        s ^= columns[low.bit_length() - 1]
+        z ^= low
+    return s
 
 
 def _checked(word, n: int, alphabet_size: int) -> tuple[int, ...] | None:

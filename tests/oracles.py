@@ -17,7 +17,14 @@ from scipy.optimize import brentq, minimize_scalar
 
 from grandkit import simulator
 from grandkit.codebook import ExplicitCodebook, NotACodewordError, UHitModel
-from grandkit.guesswork import _class_table, _multinomial, guess_rank, rate_function_value
+from grandkit.decoder import DecodeResult, DecodeStatus
+from grandkit.guesswork import (
+    _class_table,
+    _multinomial,
+    guess_groups,
+    guess_rank,
+    rate_function_value,
+)
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
@@ -520,6 +527,22 @@ def brute_force_ml(cb: ExplicitCodebook, y, model: NoiseModel) -> tuple[int, ...
             best_lp = lp
             best = c
     return best
+
+
+def walk_decode(cb, y, model: NoiseModel, max_queries: int | None = None) -> DecodeResult:
+    """``grand_decode`` as a plain walk: every pattern ``guess_groups`` yields,
+    in turn, tested with ``cb.bind(y)``; no syndrome lookup and no cached prefix."""
+    hit = cb.bind(y)
+    queries = 0
+    for lp, patterns in guess_groups(model, cb.n):
+        for z in patterns:
+            queries += 1
+            codeword = hit(z)
+            if codeword is not None:
+                return DecodeResult(codeword, queries, DecodeStatus.DECODED, lp)
+            if queries == max_queries:
+                return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
+    raise AssertionError("guess enumeration exhausted with a non-empty codebook")
 
 
 def u_survival_exact(m: UHitModel, threshold: int) -> float:

@@ -258,6 +258,19 @@ def test_explicit_codebook_survives_a_pickle_round_trip(n, a):
         assert copy.bind(y)(pattern) == cb.bind(y)(pattern)
 
 
+def test_stored_words_compare_by_their_symbols():
+    # two symbol arrays compare as arrays; any other sequence, word by word
+    cb = build_uniform_codebook(12, 0.5, seed=4, alphabet_size=3)
+    copy = pickle.loads(pickle.dumps(cb))
+    assert copy.words == cb.words == [tuple(row) for row in cb.words.array.tolist()]
+    changed = cb.words.array.copy()
+    changed[5, 7] = (changed[5, 7] + 1) % 3
+    other = ExplicitCodebook(n=12, rate=0.5, seed=4, alphabet_size=3, words=changed)
+    assert other != cb and other.words != cb.words
+    assert cb.words != [tuple(row) for row in changed.tolist()]
+    assert cb.words != cb.words.array.tolist()  # lists of lists are not int tuples
+
+
 def test_explicit_membership_exhaustive():
     cb = build_uniform_codebook(8, 0.5, seed=9)
     members = set(cb.words)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from grandkit.codebook import (
+    ExplicitCodebook,
     LinearCodebook,
     UHitModel,
     build_linear_codebook,
@@ -16,7 +18,7 @@ from grandkit.decoder import (
     abandonment_threshold,
     grand_decode,
 )
-from grandkit.guesswork import guess_rank
+from grandkit.guesswork import _guess_prefix, guess_rank, iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
@@ -24,7 +26,13 @@ from grandkit.noise_models import (
     sample_noise_with,
 )
 
-from .oracles import TupleIndexCodebook, brute_force_ml, sample_noise, sequence_log_prob
+from .oracles import (
+    TupleIndexCodebook,
+    brute_force_ml,
+    sample_noise,
+    sequence_log_prob,
+    walk_decode,
+)
 from .test_codebook import HAMMING_G
 
 
@@ -162,6 +170,85 @@ def test_abandonment_exactly_at_the_budget_at_the_operating_point():
     short = grand_decode(cb, y, model, max_queries=full.queries - 1)
     assert (short.status, short.queries) == (DecodeStatus.ABANDONED, full.queries - 1)
     assert grand_decode(cb, y, model, max_queries=full.queries) == full
+
+
+def _noisy(cb, z, rng):
+    """A random codeword of the linear code ``cb`` plus the noise ``z``."""
+    c = cb.encode(tuple(int(b) for b in rng.integers(0, 2, size=cb.k)))
+    return _xor(c, z)
+
+
+@pytest.mark.parametrize("budget", [1, 76, 77, 2850, 2851, 2852, 64026])
+def test_syndrome_lookup_decodes_like_the_walk_at_the_operating_point(budget):
+    # the cached prefix is weights 0-2, 2851 patterns: the noise is each guess at
+    # its edges (the last weight-1, the first weight-2, the last in the prefix and
+    # the first two past it) and random noise of weight 0-4; the budgets hit and
+    # abandon on each side of the prefix's end
+    model = bsc(0.01)
+    cb = build_linear_codebook(75, 54, seed=1)
+    assert len(_guess_prefix(model, 75)[0]) == 2851
+    guesses = [z for z, _ in itertools.islice(iter_guesses(model, 75), 2853)]
+    noise = [guesses[i] for i in (0, 75, 76, 2849, 2850, 2851, 2852)]
+    rng = np.random.default_rng(budget)
+    for w in range(5):
+        for _ in range(2):
+            flips = set(rng.choice(75, size=w, replace=False).tolist())
+            noise.append(tuple(int(i in flips) for i in range(75)))
+    for z in noise:
+        y = _noisy(cb, z, rng)
+        assert grand_decode(cb, y, model, max_queries=budget) == walk_decode(cb, y, model, budget)
+
+
+@pytest.mark.parametrize(
+    "model, n, k",
+    [
+        (BinaryMarkovNoise(0.05, 0.3), 24, 12),
+        (bsc(0.5), 16, 8),  # one tie group of 2^16 patterns: the prefix is empty
+    ],
+)
+def test_syndrome_lookup_decodes_like_the_walk(model, n, k):
+    cb = build_linear_codebook(n, k, seed=n)
+    size = len(_guess_prefix(model, n)[0])
+    assert (size == 0) == (model == bsc(0.5))
+    rng = np.random.default_rng(k)
+    for t in range(24):
+        # noise of the model, then noise that is uniform, which ends past the prefix
+        z = sample_noise_with(model, n, rng) if t % 2 else rng.integers(0, 2, size=n)
+        y = _noisy(cb, tuple(int(b) for b in z), rng)
+        for budget in (None, 1, max(size, 1), size + 1, 2 * size + 50):
+            assert grand_decode(cb, y, model, budget) == walk_decode(cb, y, model, budget)
+
+
+@pytest.mark.parametrize("model", [bsc(0.1), BinaryMarkovNoise(0.1, 0.3)])
+def test_syndrome_lookup_is_ml_where_the_prefix_holds_every_pattern(model):
+    # n = 10: all 2^10 patterns fit in the prefix, so no decode walks
+    cb = build_linear_codebook(10, 5, seed=3)
+    assert len(_guess_prefix(model, 10)[0]) == 2**10
+    words = [cb.encode(u) for u in itertools.product((0, 1), repeat=5)]
+    explicit = ExplicitCodebook(n=10, rate=0.5, seed=0, alphabet_size=2, words=words)
+    for v in range(2**10):
+        y = tuple((v >> (9 - i)) & 1 for i in range(10))
+        res = grand_decode(cb, y, model)
+        assert res == walk_decode(cb, y, model)
+        best = brute_force_ml(explicit, y, model)
+        assert res.decoded_log_prob == sequence_log_prob(model, _xor(y, best))
+        assert res.decoded_log_prob == sequence_log_prob(model, _xor(y, res.decoded))
+
+
+def test_one_code_keeps_one_syndrome_index_per_model():
+    cb = build_linear_codebook(24, 12, seed=5)
+    models = (bsc(0.05), BinaryMarkovNoise(0.05, 0.3))
+    rng = np.random.default_rng(5)
+    tables = None
+    for _ in range(3):
+        for model in models:  # interleaved, so a mixed-up index would show
+            y = _noisy(cb, tuple(int(b) for b in sample_noise_with(model, 24, rng)), rng)
+            assert grand_decode(cb, y, model) == walk_decode(cb, y, model)
+        if tables is None:
+            tables = dict(cb._leader_tables)
+        assert cb._leader_tables.keys() == set(models)
+        assert all(cb._leader_tables[m] is tables[m] for m in models)  # built once
+    assert tables[models[0]] != tables[models[1]]
 
 
 def test_threshold_value():

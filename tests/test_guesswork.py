@@ -14,8 +14,10 @@ from grandkit.analysis import _weight_layers
 from grandkit.codebook import build_linear_codebook
 from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
+    _PREFIX_CAP,
     _brentq,
     _class_table,
+    _guess_prefix,
     _markov_path_count,
     guess_groups,
     guess_rank,
@@ -115,6 +117,33 @@ def test_lazy_iteration_matches_enumerator(model):
 def test_packed_pattern_stream_matches_enumerator(model, n):
     stream = [(_unpack(z, n), lp) for lp, zs in guess_groups(model, n) for z in zs]
     assert stream == list(GuessEnumerator(model, n))
+
+
+@pytest.mark.parametrize(
+    "model, n, size, groups",
+    [
+        (bsc(0.01), 75, 2851, 3),  # weights 0-2; weight 3 would make 70 376
+        (BinaryMarkovNoise(0.05, 0.3), 24, 3938, 76),
+        (bsc(0.1), 12, 2**12, 13),  # the whole space
+        (bsc(0.5), 16, 0, 0),  # one tie group of 2^16
+        (IIDNoise((0.5, 0.2, 0.3)), 6, 729, 28),
+    ],
+)
+def test_guess_prefix_is_the_head_of_the_guess_order(model, n, size, groups):
+    # whole tie groups, as many as fit in the cap, read off guess_groups
+    patterns, log_probs, skip = _guess_prefix(model, n)
+    assert (len(patterns), skip) == (size, groups)
+    stream = ((z, lp) for lp, zs in guess_groups(model, n) for z in zs)
+    head = list(itertools.islice(stream, size + 1))
+    assert list(zip(patterns, log_probs)) == head[:size]
+    following = next(itertools.islice(guess_groups(model, n), skip, None), None)
+    if following is None:
+        assert size == model.alphabet_size**n
+    else:  # a walk past the prefix resumes at its next pattern, which opens a group too big
+        lp, zs = following
+        group = list(itertools.islice(zs, _PREFIX_CAP + 1))
+        assert (group[0], lp) == head[size] and lp not in log_probs[-1:]
+        assert size + len(group) > _PREFIX_CAP
 
 
 @pytest.mark.parametrize("model", MODELS)
