@@ -357,21 +357,6 @@ BSC = ("--model", "bsc", "--p", "0.01")
          "--model bsc requires --p"),
         (("guess-order", "--model", "iid", "--pmf", "0.5,x", "--n", "3", "--limit", "3"),
          "could not convert"),
-        (("guess-order", *BSC, "--a", "0.1", "--b", "0.3", "--n", "3", "--limit", "3"),
-         "--model bsc does not take --a, --b"),
-        (("exponents", *BSC, "--pmf", "0.9,0.1", "--rate-grid", "0.1:0.2:0.9", "--delta", "0.1"),
-         "--model bsc does not take --pmf"),
-        (("simulate", "--model", "markov", "--a", "0.05", "--b", "0.3", "--p", "0.01", "--mode",
-          "race", "--n", "20", "--rate", "0.5", "--trials", "10"),
-         "--model markov does not take --p"),
-        (("decode", "--model", "iid", "--pmf", "0.9,0.1", "--b", "0.3", "--codebook",
-          "missing.gkcb", "--y", "0"),
-         "--model iid does not take --b"),
-        (("figure-sweep", *BSC, "--a", "0.1", "--n", "20", "--rate-grid", "0.1:0.2:0.9",
-          "--delta", "0.1", "--out", "unused.csv"),
-         "--model bsc does not take --a"),
-        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--delta", "0.1", "--n", "75"),
-         "exponents --n requires --auto-delta"),
         (("exponents", *BSC, "--rate-grid", "0.1:0.2"), "--rate-grid must be start:step:stop"),
         (("exponents", *BSC, "--rate-grid", "0.9:0.1:0.1"), "step > 0 and start <= stop"),
         (("exponents", *BSC, "--rate-grid", "0.1:0:0.9"), "step > 0 and start <= stop"),
@@ -439,6 +424,21 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("make-codebook", "--kind", "explicit", "--n", "8", "--rate", "0.5", "--k", "5",
           "--out", "cb.gkcb"),
          "--kind explicit takes --rate, not --k"),
+        (("guess-order", *BSC, "--a", "0.1", "--b", "0.3", "--n", "3", "--limit", "3"),
+         "--model bsc does not take --a, --b"),
+        (("exponents", *BSC, "--pmf", "0.9,0.1", "--rate-grid", "0.1:0.2:0.9", "--delta", "0.1"),
+         "--model bsc does not take --pmf"),
+        (("simulate", "--model", "markov", "--a", "0.05", "--b", "0.3", "--p", "0.01", "--mode",
+          "race", "--n", "20", "--rate", "0.5", "--trials", "10"),
+         "--model markov does not take --p"),
+        (("decode", "--model", "iid", "--pmf", "0.9,0.1", "--b", "0.3", "--codebook",
+          "missing.gkcb", "--y", "0"),
+         "--model iid does not take --b"),
+        (("figure-sweep", *BSC, "--a", "0.1", "--n", "20", "--rate-grid", "0.1:0.2:0.9",
+          "--delta", "0.1", "--out", "unused.csv"),
+         "--model bsc does not take --a"),
+        (("exponents", *BSC, "--rate-grid", "0.1:0.2:0.9", "--delta", "0.1", "--n", "75"),
+         "exponents --n requires --auto-delta"),
     ],
 )
 def test_bad_input_is_an_argparse_error(capsys, tmp_path, monkeypatch, argv, message):
