@@ -47,6 +47,7 @@ _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
 _MAGIC_LINEAR = b"GKCBL1\n"
+_BYTES = bytes(range(256))  # byte i is symbol i
 
 
 class ExplicitModeTooLargeError(RuntimeError):
@@ -66,13 +67,20 @@ def codebook_size(alphabet_size: int, n: int, rate: float) -> int:
 
 
 class _Membership:
-    """``contains`` for both codebooks: the word bound with ``bind`` and
-    tested at z = 0. A word with a symbol outside the alphabet is no member."""
+    """``bind`` and ``contains`` for both codebooks, which check the word once for
+    ``_bind``. A word with a symbol outside the alphabet is no member."""
+
+    def bind(self, y):
+        """Membership of y (-) z for the received word ``y``: a function of the noise
+        pattern z (a packed int when binary, else an int tuple) giving that codeword, or None."""
+        if (checked := _checked(y, self.n, self.alphabet_size)) is None:
+            raise ValueError(f"received word has a symbol outside 0..{self.alphabet_size - 1}")
+        return self._bind(checked)
 
     def contains(self, word) -> bool:
         zero = 0 if self.alphabet_size == 2 else (0,) * self.n
         word = _checked(word, self.n, self.alphabet_size)
-        return word is not None and self.bind(word)(zero) is not None
+        return word is not None and self._bind(word)(zero) is not None
 
 
 @dataclass(eq=False)
@@ -144,12 +152,10 @@ class ExplicitCodebook(_Membership):
     def size(self) -> int:
         return len(self.words)
 
-    def bind(self, y):
-        """Membership of y (-) z for the received word ``y``: a function of
-        the noise pattern z returning that stored codeword, or None. Patterns
-        are packed ints for a binary alphabet and int tuples otherwise."""
-        a, words, (_, _, seen, mask) = self.alphabet_size, self.words, self._index
-        y, info_index = _received(y, self.n, a), self._info_index
+    def _bind(self, y):
+        """``bind`` for the checked word ``y``."""
+        a, words, info_index = self.alphabet_size, self.words, self._info_index
+        _, _, seen, mask = self._index
         key = _pack(y).__xor__ if a == 2 else (
             lambda z: _key(((s - t) % a for s, t in zip(y, z)), a))
 
@@ -234,13 +240,10 @@ class LinearCodebook(_Membership):
     def size(self) -> int:
         return 2**self.k
 
-    def bind(self, y):
-        """Membership of y XOR z for the received word ``y``: a function of the packed
-        noise pattern z returning that codeword, or None. The syndrome s = H y is read
-        once per word from the byte tables, and the function carries it as its
-        ``syndrome``; y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
-        n, columns, tables = self.n, self._columns, self._tables
-        y_packed = _pack(_received(y, n, 2))
+    def _bind(self, y):
+        """``bind`` for the checked ``y``, carrying s = H y, read from the byte tables, as
+        ``syndrome``: y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
+        n, columns, tables, y_packed = self.n, self._columns, self._tables, _pack(y)
         y_bytes = y_packed.to_bytes(len(tables), "little")
         s_y = reduce(int.__xor__, map(list.__getitem__, tables, y_bytes), 0)
         hit = lambda z: None if _xor_columns(columns, z, s_y) else _unpack(y_packed ^ z, n)
@@ -268,9 +271,9 @@ class LinearCodebook(_Membership):
         word = _checked(word, self.n, 2)
         if word is None:
             raise NotACodewordError("word is not binary")
-        if self.bind(word)(0) is None:
+        if self._bind(word)(0) is None:
             raise NotACodewordError("word is not in the codebook")
-        return word[: self.k]
+        return tuple(word[: self.k])
 
 
 Codebook = ExplicitCodebook | LinearCodebook
@@ -285,16 +288,23 @@ def _xor_columns(columns: list[int], z: int, s: int = 0) -> int:
     return s
 
 
-def _checked(word, n: int, alphabet_size: int) -> tuple[int, ...] | None:
-    """``word`` as an int tuple, or None when a symbol lies outside the alphabet."""
-    if not isinstance(word, np.ndarray):
+def _checked(word, n: int, alphabet_size: int) -> bytes | tuple[int, ...] | None:
+    """``word`` as bytes or an int tuple, or None when a symbol lies outside the alphabet.
+    ``bytes()`` reads a tuple or list in one pass and raises on a symbol that is no int in
+    0..255; those words and other types go symbol by symbol, which accepts 1.0 as 1."""
+    if alphabet_size <= 256 and isinstance(word, (tuple, list)):
+        try:
+            word = bytes(word)
+        except (TypeError, ValueError):
+            pass
+    if not isinstance(word, (bytes, np.ndarray)):
         word = tuple(word)
     if len(word) != n:
         raise ValueError("word length mismatch")
+    if isinstance(word, bytes):  # deleting the alphabet's symbols leaves the others
+        return None if word.translate(None, _BYTES[:alphabet_size]) else word
     word = _symbols(word)
-    if word is None:
-        return None
-    inside = min(word, default=0) >= 0 and max(word, default=0) < alphabet_size
+    inside = word is not None and 0 <= min(word, default=0) <= max(word, default=0) < alphabet_size
     return word if inside else None
 
 
@@ -302,13 +312,6 @@ def _key(word, a: int):
     """Index key of a word: its symbols read as a base-``a`` number, first
     symbol most significant (``_pack`` when binary)."""
     return reduce(lambda key, s: key * a + s, word, 0)
-
-
-def _received(y, n: int, alphabet_size: int) -> tuple[int, ...]:
-    y = _checked(y, n, alphabet_size)
-    if y is None:
-        raise ValueError(f"received word has a symbol outside 0..{alphabet_size - 1}")
-    return y
 
 
 def build_uniform_codebook(

@@ -7,12 +7,10 @@ first member is a maximum-likelihood decoding. With a query budget it
 abandons instead (GRANDAB). A binary pattern is a packed int, so no tuple is
 built per guess.
 
-For a linear code the first member is the first z with H z = H y. The
-leading whole tie groups of the guess order, at most 2^12 patterns, are
-cached per (model, n), and the code maps each of their syndromes to its
-first pattern: one lookup of H y answers them all, and the walk resumes past
-them only when it misses. At BSC(0.01), n = 75 that prefix is Hamming
-weights 0-2, 2851 patterns. The first decode under each model builds the map.
+For a linear code the first member is the first z with H z = H y. The code
+maps each syndrome of guesswork's cached prefix of the guess order to its
+first pattern there, so one lookup of H y answers that prefix; the guess
+stream is started, past it, only when the lookup misses.
 """
 
 from __future__ import annotations
@@ -66,19 +64,17 @@ def grand_decode(
         raise ValueError("model and codebook alphabets disagree")
     if max_queries is not None and max_queries < 1:
         raise ValueError("max_queries must be >= 1")
-    hit = cb.bind(y)
-    queries, groups = 0, guess_groups(model, cb.n)
+    hit, queries, skip = cb.bind(y), 0, 0
     if isinstance(cb, LinearCodebook):
-        # the walk would test the first ``tested`` prefix patterns; one lookup does
+        # the walk would test the first ``queries`` prefix patterns; one lookup does
         prefix, log_probs, skip = _guess_prefix(model, cb.n)
         i = cb._leaders(model).get(hit.syndrome)
-        tested = len(prefix) if max_queries is None else min(max_queries, len(prefix))
-        if i is not None and i < tested:
+        queries = len(prefix) if max_queries is None else min(max_queries, len(prefix))
+        if i is not None and i < queries:
             return DecodeResult(hit(prefix[i]), i + 1, DecodeStatus.DECODED, log_probs[i])
-        if tested == max_queries:
-            return DecodeResult(None, tested, DecodeStatus.ABANDONED, None)
-        queries, groups = tested, itertools.islice(groups, skip, None)
-    for lp, patterns in groups:
+        if queries == max_queries:
+            return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
+    for lp, patterns in itertools.islice(guess_groups(model, cb.n), skip, None):
         for z in patterns:
             queries += 1
             codeword = hit(z)

@@ -232,17 +232,17 @@ _PREFIX_CAP = 2**12
 @lru_cache(maxsize=64)
 def _guess_prefix(model: NoiseModel, n: int):
     """The leading whole tie groups of ``guess_groups(model, n)`` that fit in
-    ``_PREFIX_CAP`` patterns: the patterns in guess order, each one's group
-    log-probability, and the number of groups, where a walk past them resumes."""
-    patterns, log_probs, groups = [], [], 0
-    for lp, zs in guess_groups(model, n):
-        group = list(itertools.islice(zs, _PREFIX_CAP + 1 - len(patterns)))
-        if len(patterns) + len(group) > _PREFIX_CAP:
+    ``_PREFIX_CAP`` patterns, sized from the class table before any is drawn: the patterns
+    in guess order, each one's group log-probability, and the number of groups."""
+    entries, _ = _class_table(model, n)
+    sizes = (sum(e[2] for e in g) for _, g in itertools.groupby(entries, key=lambda e: e[0]))
+    patterns, log_probs = [], []
+    for (lp, zs), size in zip(guess_groups(model, n), sizes):
+        if len(patterns) + size > _PREFIX_CAP:
             break
-        patterns += group
-        log_probs += [lp] * len(group)
-        groups += 1
-    return tuple(patterns), tuple(log_probs), groups
+        patterns += zs
+        log_probs += [lp] * size
+    return tuple(patterns), tuple(log_probs), len(set(log_probs))  # a group per log-prob
 
 
 def iter_guesses(model: NoiseModel, n: int):

@@ -1,3 +1,4 @@
+import array
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from scipy.stats import ks_2samp
 from grandkit.codebook import (
     ExplicitCodebook,
     LinearCodebook,
+    NotACodewordError,
     UHitModel,
     build_linear_codebook,
     build_uniform_codebook,
@@ -22,6 +24,7 @@ from grandkit.guesswork import _guess_prefix, guess_rank, iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
+    _unpack,
     bsc,
     sample_noise_with,
 )
@@ -350,3 +353,94 @@ def test_int_keyed_codebook_decodes_like_the_tuple_index_oracle():
         z = sample_noise_with(model, 24, rng)
         y = tuple((np.asarray(cb.words[i]) ^ z).tolist())
         assert grand_decode(cb, y, model) == grand_decode(oracle, y, model)
+
+
+# Received words as each input type the boundary accepts, by what the parent of
+# the one-pass byte check accepted: the type, then the word as the ints it stands for.
+_ACCEPTED = {
+    "tuple": lambda w: w,
+    "list": list,
+    "int ndarray": np.array,
+    "float ndarray": lambda w: np.array(w, dtype=float),
+    "array.array": lambda w: array.array("i", w),
+    "bytes": bytes,
+    "bools": lambda w: tuple(s == 1 for s in w),
+    "np.int64": lambda w: tuple(map(np.int64, w)),
+    "integral floats": lambda w: tuple(map(float, w)),
+    "np.float64": lambda w: list(map(np.float64, w)),
+}
+# ... and the inputs it rejects: a symbol that is no integer or lies outside the
+# alphabet (2 only when binary), or a word of the wrong length
+_REJECTED = {
+    "0.7": lambda w: (0.7,) + w[1:],
+    "0.7 in a list": lambda w: [0.7] + list(w[1:]),
+    "-1": lambda w: w[:-1] + (-1,),
+    "2": lambda w: w[:-1] + (2,),
+    "300": lambda w: w[:-1] + (300,),
+    "300 in a list": lambda w: list(w[:-1]) + [300],
+    "str": lambda w: "".join(map(str, w)),
+}
+_SHORT = {"short tuple": lambda w: w[:-1], "long list": lambda w: list(w) + [0]}
+
+_BOUNDARY_CODEBOOKS = {
+    "linear": (LinearCodebook(HAMMING_G), bsc(0.1)),
+    "explicit binary": (build_uniform_codebook(8, 0.5, seed=0), bsc(0.1)),
+    "explicit ternary": (
+        build_uniform_codebook(5, 0.4, seed=2, alphabet_size=3), IIDNoise((0.7, 0.2, 0.1))),
+}
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("codebook", list(_BOUNDARY_CODEBOOKS))
+@pytest.mark.parametrize("kind", [*_ACCEPTED, *_REJECTED, *_SHORT])
+def test_the_boundary_accepts_and_rejects_each_input_type(kind, codebook):
+    cb, model = _BOUNDARY_CODEBOOKS[codebook]
+    a = cb.alphabet_size
+    calls = (cb.contains, cb.decode_to_info, lambda w: grand_decode(cb, w, model))
+    c = cb.encode((0, 1, 1, 0) if isinstance(cb, LinearCodebook) else 1)
+    for word in (c, ((c[0] + 1) % a,) + c[1:]):  # a codeword, and a word next to one
+        if kind in _SHORT:
+            for call in calls:
+                with pytest.raises(ValueError, match="length mismatch"):
+                    call(_SHORT[kind](word))
+        elif kind in _ACCEPTED or kind == "2" and a > 2:
+            y = (_ACCEPTED | _REJECTED)[kind](word)
+            ints = tuple(int(s) for s in y)
+            for call in calls:
+                assert _outcome(call, y) == _outcome(call, ints)
+            if ints == c:
+                assert cb.contains(y)
+                assert grand_decode(cb, y, model).queries == 1
+        else:
+            y = _REJECTED[kind](word)
+            assert cb.contains(y) is False
+            with pytest.raises(NotACodewordError):
+                cb.decode_to_info(y)
+            with pytest.raises(ValueError, match="outside"):
+                grand_decode(cb, y, model)
+
+
+def test_a_syndrome_lookup_hit_starts_no_guess_stream(monkeypatch):
+    # every noise of weight <= 2 is answered, or abandoned inside the budget, by
+    # the one lookup, so the guess order is never walked
+    model = bsc(0.01)
+    cb = build_linear_codebook(75, 54, seed=1)
+    rng = np.random.default_rng(75)
+    noisy = [_noisy(cb, _unpack(z, 75), rng) for z in _guess_prefix(model, 75)[0]]
+    expected = {b: [walk_decode(cb, y, model, b) for y in noisy] for b in (None, 100)}
+    assert max(r.queries for r in expected[None]) <= 2851
+    expected[64026] = expected[None]  # so a budget past the prefix changes none
+
+    def walk(*args):
+        raise AssertionError("the guess stream was started")
+
+    monkeypatch.setattr("grandkit.decoder.guess_groups", walk)
+    assert len(noisy) == 2851
+    for budget, results in expected.items():
+        assert [grand_decode(cb, y, model, budget) for y in noisy] == results
