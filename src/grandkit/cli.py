@@ -31,7 +31,7 @@ from .codebook import (
 )
 from .decoder import grand_decode
 from .guesswork import iter_guesses
-from .noise_models import BinaryMarkovNoise, IIDNoise, bsc, model_error_probability
+from .noise_models import BinaryMarkovNoise, IIDNoise, _unpack, bsc, model_error_probability
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -88,7 +88,7 @@ def _parse_word(text: str, n: int) -> tuple[int, ...]:
         raise ValueError(f"word {text} is negative")
     if value >= 1 << n:
         raise ValueError(f"word 0x{text} does not fit in {n} bits")
-    return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+    return _unpack(value, n)
 
 
 def _non_negative_int(text: str) -> int:

@@ -18,6 +18,8 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import compress
+from typing import ClassVar
 
 import mpmath
 import numpy as np
@@ -47,6 +49,11 @@ _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
 _MAGIC_LINEAR = b"GKCBL1\n"
+# a codebook file's header after its magic: the struct format, and the attributes it holds
+_HEADERS = {
+    _MAGIC_EXPLICIT: ("<IQQdH", ("n", "size", "seed", "rate", "alphabet_size")),
+    _MAGIC_LINEAR: ("<IIQ", ("n", "k", "seed")),
+}
 _BYTES = bytes(range(256))  # byte i is symbol i
 
 
@@ -188,8 +195,10 @@ class ExplicitCodebook(_Membership):
 class LinearCodebook(_Membership):
     """Binary linear code in systematic form: G = [I | P], H = [P^T | I].
 
-    Membership is a syndrome check on H's columns as int bitmasks, with a byte
-    table per 8 of them for H y; the info word of a codeword is its first ``k`` bits.
+    The code is kept as G's rows, packed as ints in ``_pack``'s order: ``encode`` XORs
+    them, and H's columns, int bitmasks, are their parity bits beside the identity. A byte
+    table per 8 columns gives H y for membership's syndrome check, and the info word of a
+    codeword is its first ``k`` bits.
     Per noise model, a map from each syndrome to the first pattern of guesswork's
     cached guess-order prefix that has it (a truncated coset-leader table) lets the
     decoder answer that prefix with one lookup of H y. It is built at the first
@@ -198,6 +207,9 @@ class LinearCodebook(_Membership):
 
     generator: tuple[tuple[int, ...], ...]
     seed: int = 0
+    n: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    alphabet_size: ClassVar[int] = 2
 
     def __post_init__(self):
         g = np.asarray(self.generator)
@@ -205,36 +217,24 @@ class LinearCodebook(_Membership):
             raise ValueError("generator must be k x n with k <= n")
         if not ((g == 0) | (g == 1)).all():  # before the cast, which would wrap or truncate
             raise ValueError("generator entries must be 0 or 1")
-        g = g.astype(np.uint8)
         k, n = g.shape
-        if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
+        rows = [_pack(row) for row in g.astype(np.uint8)]
+        if any(row >> (n - k) != 1 << (k - 1 - i) for i, row in enumerate(rows)):
             raise ValueError("generator must be systematic: G = [I | P]")
-        object.__setattr__(self, "_g", g)
-        h = np.concatenate([g[:, k:].T, np.eye(n - k, dtype=np.uint8)], axis=1)
         # _columns[b]: the column of H, as an int, of symbol n - 1 - b (bit b)
-        columns = [int.from_bytes(c, "big") for c in np.packbits(h[:, ::-1], axis=0).T]
+        columns = [1 << b if b < n - k else rows[n - 1 - b] & ((1 << (n - k)) - 1)
+                   for b in range(n)]
         tables = [[0] for _ in range(0, n, 8)]  # tables[j][v] = H (v << 8 j), as an int
         for b, column in enumerate(columns):
             tables[b // 8] += [s ^ column for s in tables[b // 8]]
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_tables", tables)
-        object.__setattr__(self, "_leader_tables", {})  # model -> _leaders(model)
-
-    @property
-    def n(self) -> int:
-        return self._g.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self._g.shape[0]
+        state = dict(n=n, k=k, _rows=rows, _columns=columns, _tables=tables,
+                     _leader_tables={})  # _leader_tables: model -> _leaders(model)
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     @property
     def rate(self) -> float:
         return self.k / self.n
-
-    @property
-    def alphabet_size(self) -> int:
-        return 2
 
     @property
     def size(self) -> int:
@@ -262,10 +262,9 @@ class LinearCodebook(_Membership):
         return leaders
 
     def encode(self, info_word) -> tuple[int, ...]:
-        u = np.asarray(info_word, dtype=np.uint8)
-        if u.shape != (self.k,):
-            raise ValueError("info word length mismatch")
-        return tuple(int(b) for b in (u @ self._g) % 2)
+        if (u := _checked(info_word, self.k, 2)) is None:
+            raise ValueError("info word must be binary")
+        return _unpack(reduce(int.__xor__, compress(self._rows, u), 0), self.n)
 
     def decode_to_info(self, word) -> tuple[int, ...]:
         word = _checked(word, self.n, 2)
@@ -406,37 +405,18 @@ def sample_u_exact(m: UHitModel, v: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pack_words(words, alphabet_size: int) -> bytes:
-    if alphabet_size > 256:
-        raise ValueError("serialization supports alphabets up to 256 symbols")
-    words = np.asarray(words, dtype=np.uint8)
-    return (np.packbits(words) if alphabet_size == 2 else words).tobytes()
-
-
-def _unpack_words(body: bytes, count: int, n: int, alphabet_size: int) -> np.ndarray:
-    if alphabet_size > 256:
-        raise ValueError("serialization supports alphabets up to 256 symbols")
-    flat = np.frombuffer(body, dtype=np.uint8)
-    if alphabet_size == 2:
-        flat = np.unpackbits(flat, count=count * n)
-    return flat.reshape(count, n)
-
-
 def save_codebook(cb: Codebook, path: str) -> None:
-    """Write a codebook to ``path`` in the library's binary format."""
+    """Write ``cb`` to ``path``: its magic, the header ``_HEADERS`` lays out, its words."""
+    if cb.alphabet_size > 256:
+        raise ValueError("serialization supports alphabets up to 256 symbols")
+    linear = isinstance(cb, LinearCodebook)
+    magic = _MAGIC_LINEAR if linear else _MAGIC_EXPLICIT
+    fmt, names = _HEADERS[magic]
+    words = np.asarray(cb.generator if linear else cb.words.array, dtype=np.uint8)
+    body = np.packbits(words) if cb.alphabet_size == 2 else words  # binary words as bits
+    header = struct.pack(fmt, *(getattr(cb, name) for name in names))
     with open(path, "wb") as f:
-        if isinstance(cb, ExplicitCodebook):
-            f.write(_MAGIC_EXPLICIT)
-            f.write(
-                struct.pack(
-                    "<IQQdH", cb.n, cb.size, cb.seed, cb.rate, cb.alphabet_size
-                )
-            )
-            f.write(_pack_words(cb.words.array, cb.alphabet_size))
-        else:
-            f.write(_MAGIC_LINEAR)
-            f.write(struct.pack("<IIQ", cb.n, cb.k, cb.seed))
-            f.write(_pack_words(cb.generator, 2))
+        f.write(magic + header + body.tobytes())
 
 
 def load_codebook(path: str) -> Codebook:
@@ -449,26 +429,24 @@ def load_codebook(path: str) -> Codebook:
     with open(path, "rb") as f:
         data = f.read()
     magic = data[: len(_MAGIC_EXPLICIT)]
-    if magic not in (_MAGIC_EXPLICIT, _MAGIC_LINEAR):
+    if magic not in _HEADERS:
         raise ValueError(f"{path} is not a recognized codebook file")
-    fmt = "<IQQdH" if magic == _MAGIC_EXPLICIT else "<IIQ"
+    fmt, names = _HEADERS[magic]
     start = len(magic) + struct.calcsize(fmt)
     if len(data) < start:
         raise ValueError(f"{path}: truncated codebook header")
-    fields = struct.unpack_from(fmt, data, len(magic))
-    if magic == _MAGIC_EXPLICIT:
-        n, count, seed, rate, a = fields
-    else:
-        n, count, seed = fields
-        a = 2
-    bits = count * n
-    expected = (bits + 7) // 8 if a == 2 else bits
-    body = data[start:]
+    header = dict(zip(names, struct.unpack_from(fmt, data, len(magic))))
+    rows = header.pop("size" if magic == _MAGIC_EXPLICIT else "k")  # words stored
+    n, a = header["n"], header.get("alphabet_size", 2)
+    expected = (rows * n + 7) // 8 if a == 2 else rows * n
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
     if len(body) != expected:
         raise ValueError(
             f"{path}: codebook body has {len(body)} bytes, header implies {expected}"
         )
-    words = _unpack_words(body, count, n, a)
+    if a > 256:
+        raise ValueError("serialization supports alphabets up to 256 symbols")
+    words = (np.unpackbits(body, count=rows * n) if a == 2 else body).reshape(rows, n)
     if magic == _MAGIC_EXPLICIT:
-        return ExplicitCodebook(n=n, rate=rate, seed=seed, alphabet_size=a, words=words)
-    return LinearCodebook(tuple(map(tuple, words.tolist())), seed=seed)
+        return ExplicitCodebook(**header, words=words)
+    return LinearCodebook(tuple(map(tuple, words.tolist())), seed=header["seed"])

@@ -62,8 +62,8 @@ def grand_decode(
         raise ValueError("codebook is empty")
     if model.alphabet_size != cb.alphabet_size:
         raise ValueError("model and codebook alphabets disagree")
-    if max_queries is not None and max_queries < 1:
-        raise ValueError("max_queries must be >= 1")
+    if max_queries is not None:
+        max_queries = _positive_int("max_queries", max_queries)
     hit, queries, skip = cb.bind(y), 0, 0
     if isinstance(cb, LinearCodebook):
         # the walk would test the first ``queries`` prefix patterns; one lookup does
@@ -83,6 +83,15 @@ def grand_decode(
             if queries == max_queries:
                 return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
     raise AssertionError("guess enumeration exhausted with a non-empty codebook")
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1 (numpy's count, bools not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):  # int's protocol
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
 
 
 def abandonment_threshold(n: int, H: float, delta: float) -> int:

@@ -37,7 +37,7 @@ from .codebook import (
     build_uniform_codebook,
     sample_u_exact,
 )
-from .decoder import DecodeStatus, abandonment_threshold, grand_decode
+from .decoder import DecodeStatus, _positive_int, abandonment_threshold, grand_decode
 from .guesswork import guess_rank
 from .noise_models import (
     NoiseModel,
@@ -72,20 +72,15 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        budget = () if self.abandon_after is None else ("abandon_after",)
+        for name in ("n", "trials", "workers", *budget):  # stored as ints, which JSON takes
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
         if not 0.0 < self.rate < 1.0:
             raise ValueError("rate must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.mode not in ("explicit", "linear", "race"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.abandon_after is not None and self.p_abandon is not None:
             raise ValueError("give either a fixed budget or p_abandon, not both")
-        if self.abandon_after is not None and self.abandon_after < 1:
-            raise ValueError("abandon_after must be >= 1")
         if self.p_abandon is not None and not 0.0 < self.p_abandon < 1.0:
             raise ValueError("p_abandon must lie in (0, 1)")
 

@@ -375,6 +375,24 @@ def test_linear_bind_at_the_operating_point_matches_re_encoding():
             assert hit(noise) == _unpack(sent, n)
 
 
+def test_linear_encode_xors_the_rows_of_a_binary_info_word():
+    # the byte-edge lengths of test_linear_generator_parity_orthogonal
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 8, 9, 15, 16, 17, 75):
+        k = (n + 1) // 2
+        cb = build_linear_codebook(n, k, seed=8)
+        g = np.array(cb.generator, dtype=np.int64)
+        for u in rng.integers(0, 2, size=(50, k)):
+            expected = tuple(int(b) for b in (u @ g) % 2)
+            assert cb.encode(u) == cb.encode(tuple(map(int, u))) == expected, n
+        for bad in (2, 0.5, -1, 256):  # not binary: an error, never a 0 bit
+            with pytest.raises(ValueError, match="info word must be binary"):
+                cb.encode((bad,) + (0,) * (k - 1))
+        for length in (k - 1, k + 1):
+            with pytest.raises(ValueError, match="length mismatch"):
+                cb.encode((0,) * length)
+
+
 def test_linear_roundtrip():
     cb = build_linear_codebook(10, 4, seed=1)
     for u in itertools.product((0, 1), repeat=4):
@@ -565,6 +583,14 @@ def test_saved_files_keep_their_bytes(tmp_path, capsys, write, digest):
     path.write_bytes(data)
     save_codebook(load_codebook(str(path)), str(path))
     assert path.read_bytes() == data
+
+
+def test_a_failed_save_writes_no_file(tmp_path):
+    path = tmp_path / "cb.bin"
+    cb = ExplicitCodebook(n=2, rate=0.5, seed=0, alphabet_size=300, words=[(0, 299)])
+    with pytest.raises(ValueError, match="alphabets up to 256 symbols"):
+        save_codebook(cb, str(path))
+    assert not path.exists()
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -444,3 +444,20 @@ def test_a_syndrome_lookup_hit_starts_no_guess_stream(monkeypatch):
     assert len(noisy) == 2851
     for budget, results in expected.items():
         assert [grand_decode(cb, y, model, budget) for y in noisy] == results
+
+
+@pytest.mark.parametrize("codebook", ["linear", "explicit binary"])
+def test_a_query_budget_is_an_int(codebook):
+    cb, model = _BOUNDARY_CODEBOOKS[codebook]
+    y = cb.encode((0, 1, 1, 0) if isinstance(cb, LinearCodebook) else 1)
+    y = ((y[0] + 1) % 2,) + y[1:]
+    for budget in (1.5, True, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="^max_queries must be an int"):
+            grand_decode(cb, y, model, max_queries=budget)
+    for budget in (0, -2, np.int64(0)):
+        with pytest.raises(ValueError, match="^max_queries must be >= 1"):
+            grand_decode(cb, y, model, max_queries=budget)
+    for budget in (1, 3, 100):
+        expected = grand_decode(cb, y, model, max_queries=budget)
+        got = grand_decode(cb, y, model, max_queries=np.int64(budget))
+        assert got == expected and type(got.queries) is int

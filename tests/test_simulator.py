@@ -39,13 +39,25 @@ def test_config_validation():
     "field, value",
     [("n", 0), ("n", -3), ("rate", 0.0), ("rate", 1.0), ("rate", 1.5), ("rate", -0.2),
      ("p_abandon", 0.0), ("p_abandon", 1.0), ("p_abandon", 2.0),
-     ("abandon_after", 0), ("abandon_after", -5)],
+     ("abandon_after", 0), ("abandon_after", -5),
+     ("abandon_after", 1.5), ("abandon_after", True), ("trials", 1.5), ("trials", True),
+     ("n", 10.0), ("workers", 2.0)],
 )
 def test_config_rejects_out_of_range_values(field, value):
     kwargs = dict(model=bsc(0.1), n=8, rate=0.5, trials=10)
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{field} must"):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("mode", ["race", "linear", "explicit"])
+def test_config_keeps_numpy_integers_as_ints(mode):
+    ints = dict(n=8, trials=20, abandon_after=5, workers=1)
+    cfg = SimConfig(model=bsc(0.1), rate=0.5, mode=mode, seed=2, n=np.int64(8),
+                    trials=np.int32(20), abandon_after=np.uint16(5), workers=np.int64(1))
+    plain = SimConfig(model=bsc(0.1), rate=0.5, mode=mode, seed=2, **ints)
+    assert all(type(getattr(cfg, k)) is int for k in ints) and cfg == plain
+    assert report_to_json(run_simulation(cfg)) == report_to_json(run_simulation(plain))
 
 
 def test_reports_reproducible_bit_for_bit():
