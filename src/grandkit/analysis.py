@@ -21,6 +21,7 @@ from .guesswork import _brentq, _legendre_point, _rho_bracket, rate_function_val
 from .noise_models import (
     IIDNoise,
     NoiseModel,
+    _positive_int,
     _renyi_log_sum,
     min_entropy_rate,
     renyi_entropy_rate,
@@ -190,8 +191,7 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
         raise ValueError("p_abandon must lie in (0, 1)")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_int("n", n)
     target = p_abandon * min(p * n, 1.0)
     t = -math.log2(target) / n
     if t <= 0.0:
@@ -259,9 +259,9 @@ def exponent_report(
 # ---------------------------------------------------------------------------
 # Finite-blocklength BSC formulas.
 #
-# Guesses against Bernoulli(p) noise proceed through Hamming-weight layers:
-# ranks (l_{k-1}, l_k] all have probability q_k = p^k (1-p)^(n-k), where l_k
-# counts strings of weight <= k. The accidental-hit time is approximately
+# Guesses against Bernoulli(p) noise, p <= 1/2, proceed through Hamming-weight
+# layers: ranks (l_{k-1}, l_k] all have probability q_k = p^k (1-p)^(n-k), where
+# l_k counts strings of weight <= k. The accidental-hit time is approximately
 # exponential with rate c = 2^(-n(1-R)). Every sum below exploits this layer
 # structure so no loop ever touches individual ranks.
 # ---------------------------------------------------------------------------
@@ -272,9 +272,10 @@ def _weight_layers(n: int, p):
 
     Yields (size, l_prev, l_k, q_k): the size = C(n, k) sequences of weight k
     hold ranks (l_prev, l_k], each with probability q_k = p^k (1-p)^(n-k),
-    computed in the arithmetic of ``p`` (float or mpmath).
+    computed in the arithmetic of ``p`` (float or mpmath). Past p = 1/2 these are the layers
+    of 1 - p: complementing the noise maps them onto BSC(p)'s, so G has one law for both.
     """
-    l_prev = 0
+    p, l_prev = min(p, 1 - p), 0
     for k in range(n + 1):
         size = comb(n, k)
         l_k = l_prev + size
@@ -282,15 +283,15 @@ def _weight_layers(n: int, p):
         l_prev = l_k
 
 
-def _check_bsc(n: int, p: float, R: float | None = None) -> None:
+def _check_bsc(n: int, p: float, R: float | None = None) -> int:
     """The block length, flip probability and rate (if any) rules shared by
-    the formulas below; written so that NaN fails them."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    the formulas below, written so that NaN fails them; n as an int."""
+    n = _positive_int("n", n)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     if R is not None and not 0.0 < R < 1.0:
         raise ValueError("R must lie in (0, 1)")
+    return n
 
 
 def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
@@ -300,7 +301,7 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
     probability is one minus this value. Sub-second even at n in the
     hundreds because the weight loop terminates once survival underflows.
     """
-    _check_bsc(n, p, R)
+    n = _check_bsc(n, p, R)
     log2_c = -n * (1.0 - R)
     c = 2.0**log2_c
     denom = -math.expm1(-c)
@@ -317,7 +318,7 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
 
 def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
     """Smallest rank m with P(G <= m) >= prob, for Bernoulli(p) noise."""
-    _check_bsc(n, p)
+    n = _check_bsc(n, p)
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie in (0, 1)")
     with mpmath.workdps(60):
@@ -346,9 +347,9 @@ def expected_queries_fine(
     count of blocks that produce a decoding). Uses the exponential
     accidental-hit law and closed-form geometric sums per weight layer.
     """
-    _check_bsc(n, p, R)
-    if max_queries is not None and max_queries < 1:
-        raise ValueError("max_queries must be >= 1")
+    n = _check_bsc(n, p, R)
+    if max_queries is not None:
+        max_queries = _positive_int("max_queries", max_queries)
     if conditional and max_queries is None:
         raise ValueError("conditional mean requires a query budget")
     total_seq = 2**n

@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from .guesswork import _guess_prefix
-from .noise_models import _pack, _symbols, _unpack
+from .noise_models import _pack, _positive_int, _seed, _symbols, _unpack
 
 __all__ = [
     "ExplicitCodebook",
@@ -129,8 +129,8 @@ class ExplicitCodebook(_Membership):
     _index: tuple = field(repr=False, hash=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", _positive_int("n", self.n))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not 0.0 <= self.rate < math.inf:
             raise ValueError("rate must be non-negative and finite")
         a, words = self.alphabet_size, np.asarray(self.words)
@@ -227,7 +227,7 @@ class LinearCodebook(_Membership):
         tables = [[0] for _ in range(0, n, 8)]  # tables[j][v] = H (v << 8 j), as an int
         for b, column in enumerate(columns):
             tables[b // 8] += [s ^ column for s in tables[b // 8]]
-        state = dict(n=n, k=k, _rows=rows, _columns=columns, _tables=tables,
+        state = dict(n=n, k=k, seed=_seed(self.seed), _rows=rows, _columns=columns, _tables=tables,
                      _leader_tables={})  # _leader_tables: model -> _leaders(model)
         for name, value in state.items():
             object.__setattr__(self, name, value)
@@ -321,8 +321,7 @@ def build_uniform_codebook(
     Raises ExplicitModeTooLargeError, before drawing, when the stored words
     and their index would take more than 1 GiB.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, seed = _positive_int("n", n), _seed(seed)
     m = codebook_size(alphabet_size, n, rate)
     dtype = np.min_scalar_type(alphabet_size - 1)
     index = 32 + (48 + n * math.log2(alphabet_size) / 4 if alphabet_size**n >= 2**63 else 0)
@@ -345,7 +344,8 @@ def build_linear_codebook(n: int, k: int, seed: int) -> LinearCodebook:
 
     Systematic form makes G full rank by construction.
     """
-    if not 1 <= k <= n:
+    n, k, seed = _positive_int("n", n), _positive_int("k", k), _seed(seed)
+    if k > n:
         raise ValueError("need 1 <= k <= n")
     rng = np.random.default_rng(seed)
     p = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
@@ -371,8 +371,7 @@ class UHitModel:
     alphabet_size: int = 2
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", _positive_int("n", self.n))
         if self.alphabet_size < 2:
             raise ValueError("alphabet_size must be >= 2")
         if not 0.0 <= self.rate < math.inf:

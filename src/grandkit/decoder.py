@@ -24,7 +24,7 @@ import mpmath
 
 from .codebook import Codebook, LinearCodebook
 from .guesswork import _guess_prefix, guess_groups
-from .noise_models import NoiseModel
+from .noise_models import NoiseModel, _positive_int
 
 __all__ = [
     "DecodeStatus",
@@ -85,15 +85,6 @@ def grand_decode(
     raise AssertionError("guess enumeration exhausted with a non-empty codebook")
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= 1 (numpy's count, bools not)."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):  # int's protocol
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return int(value)
-
-
 def abandonment_threshold(n: int, H: float, delta: float) -> int:
     """Query budget ceil(2^(n(H + delta))), clamped to 2^n.
 
@@ -101,8 +92,7 @@ def abandonment_threshold(n: int, H: float, delta: float) -> int:
     larger ones: ``H`` and ``delta`` are in bits. The exponent is capped at
     64 so a typo cannot request astronomical budgets.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_int("n", n)
     if not 0.0 <= H < math.inf:
         raise ValueError("H must be non-negative and finite")
     if not 0.0 < delta < math.inf:

@@ -29,6 +29,7 @@ from .noise_models import (
     _class_key,
     _class_log_prob,
     _pack,
+    _positive_int,
     _renyi_log_sum,
     _symbols,
     _unpack,
@@ -57,16 +58,6 @@ def _multinomial(counts) -> int:
     return out
 
 
-def _iid_compositions(n: int, parts: int):
-    """All count vectors of length ``parts`` summing to ``n``."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _iid_compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
 def _markov_path_count(start: int, trans) -> int:
     """Number of binary strings starting at ``start`` with the given counts of
     (00, 01, 10, 11) transitions, given as a tuple or a list. Zero when no
@@ -86,19 +77,20 @@ def _markov_path_count(start: int, trans) -> int:
 
 @lru_cache(maxsize=64)
 def _class_table(model: NoiseModel, n: int):
-    """Probability classes of length-n sequences, sorted by decreasing
-    probability: list of (log_prob, class_key, size), and the number of
-    sequences in the classes before each one.
-
-    IID class keys are symbol-count vectors; Markov class keys are
-    (first_symbol, transition-count 4-tuple).
+    """The tie groups of length-n sequences, most likely first, and |A|^n: per group
+    of equally likely classes, (log_prob, [(class_key, size), ...], the number of
+    sequences before it). Enumeration, rank and the cached prefix read these groups.
+    IID class keys are symbol-count vectors; Markov class keys are (first_symbol,
+    transition-count 4-tuple).
     """
-    entries = []
+    table = {}  # log_prob -> its tie group's [(class_key, size), ...]
     if isinstance(model, IIDNoise):
-        a = model.alphabet_size
-        for counts in _iid_compositions(n, a):
+        heads = [()]  # every count vector's first |A| - 2 counts; the last two split the rest
+        for _ in range(model.alphabet_size - 2):
+            heads = [h + (c,) for h in heads for c in range(n + 1 - sum(h))]
+        for counts in (h + (c, n - sum(h) - c) for h in heads for c in range(n + 1 - sum(h))):
             size = _multinomial(counts)
-            entries.append((_class_log_prob(model, counts), counts, size))
+            table.setdefault(_class_log_prob(model, counts), []).append((counts, size))
     else:
         m = n - 1
         for c10 in range(m // 2 + 1):
@@ -110,9 +102,13 @@ def _class_table(model: NoiseModel, n: int):
                         continue
                     # the complement class starts at 1 and has the same size
                     for key in ((0, trans), (1, trans[::-1])):
-                        entries.append((_class_log_prob(model, key), key, size))
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return entries, list(itertools.accumulate((e[2] for e in entries), initial=0))
+                        table.setdefault(_class_log_prob(model, key), []).append((key, size))
+    groups, before = [], 0
+    for lp in sorted(table, reverse=True):
+        groups.append((lp, table[lp], before))
+        for _, size in table[lp]:
+            before += size
+    return groups, before
 
 
 def _class_walk(model: NoiseModel, key):
@@ -213,15 +209,10 @@ def guess_groups(model: NoiseModel, n: int):
     merge yields in ascending numeric order, the tie-break. Binary sequences
     are packed ints, others int tuples. Walks the class table, not a frontier,
     so long decodes accumulate no state."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    entries, _ = _class_table(model, n)
+    groups, _ = _class_table(model, _positive_int("n", n))
     binary_iid = isinstance(model, IIDNoise) and model.alphabet_size == 2
     members = _weight_patterns if binary_iid else lambda key: _class_members(model, key)
-    return (
-        (lp, heapq.merge(*(members(key) for _, key, _ in group)))
-        for lp, group in itertools.groupby(entries, key=lambda e: e[0])
-    )
+    return ((lp, heapq.merge(*(members(key) for key, _ in group))) for lp, group, _ in groups)
 
 
 # Most patterns _guess_prefix keeps; at BSC(0.01), n = 75 it holds weights 0-2
@@ -232,17 +223,16 @@ _PREFIX_CAP = 2**12
 @lru_cache(maxsize=64)
 def _guess_prefix(model: NoiseModel, n: int):
     """The leading whole tie groups of ``guess_groups(model, n)`` that fit in
-    ``_PREFIX_CAP`` patterns, sized from the class table before any is drawn: the patterns
-    in guess order, each one's group log-probability, and the number of groups."""
-    entries, _ = _class_table(model, n)
-    sizes = (sum(e[2] for e in g) for _, g in itertools.groupby(entries, key=lambda e: e[0]))
+    ``_PREFIX_CAP`` patterns, counted off the class table before any is drawn: the
+    patterns in guess order, each one's group log-probability, and the number of groups."""
+    groups, total = _class_table(model, n)
+    # the groups that start within the cap, less the one that crosses it, if any
+    count = bisect.bisect_right(groups, _PREFIX_CAP, key=lambda g: g[2]) - (total > _PREFIX_CAP)
     patterns, log_probs = [], []
-    for (lp, zs), size in zip(guess_groups(model, n), sizes):
-        if len(patterns) + size > _PREFIX_CAP:
-            break
+    for lp, zs in itertools.islice(guess_groups(model, n), count):
         patterns += zs
-        log_probs += [lp] * size
-    return tuple(patterns), tuple(log_probs), len(set(log_probs))  # a group per log-prob
+        log_probs += [lp] * (len(patterns) - len(log_probs))
+    return tuple(patterns), tuple(log_probs), count
 
 
 def iter_guesses(model: NoiseModel, n: int):
@@ -273,24 +263,21 @@ def _weight_less(z: int, w: int) -> int:
 def guess_rank(model: NoiseModel, z) -> int:
     """Position of ``z`` in the guessing order, in {1, ..., |A|^n}.
 
-    Counts whole probability classes with strictly higher probability, then
-    ranks ``z`` numerically among the equal-probability sequences; no
-    enumeration of predecessors takes place.
+    Counts the sequences of the tie groups ahead of z's, then ranks ``z``
+    numerically within its group, class by class; no enumeration of
+    predecessors takes place.
     """
     z = _symbols(z)
     if z is None:
         raise ValueError("symbols must be integers")
     lp_z = _class_log_prob(model, _class_key(model, z))
-    entries, cum = _class_table(model, len(z))
-    # the first class in z's tie group; entries run in descending log-probability
-    lo = bisect.bisect_left(entries, -lp_z, key=lambda e: -e[0])
-    rank = cum[lo] + 1
+    groups, _ = _class_table(model, len(z))
+    # z's tie group; groups run in descending log-probability
+    _, members, rank = groups[bisect.bisect_left(groups, -lp_z, key=lambda g: -g[0])]
     packed = _pack(z) if isinstance(model, IIDNoise) and model.alphabet_size == 2 else None
-    while lo < len(entries) and entries[lo][0] == lp_z:
-        key = entries[lo][1]
+    for key, _ in members:
         rank += _count_less(model, key, z) if packed is None else _weight_less(packed, key[1])
-        lo += 1
-    return rank
+    return rank + 1
 
 
 # ---------------------------------------------------------------------------

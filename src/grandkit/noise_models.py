@@ -194,6 +194,22 @@ def model_error_probability(model: NoiseModel) -> float:
     return model.stationary_flip_probability
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1 (numpy's count, bools not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):  # int's protocol
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
+
+
+def _seed(value) -> int:
+    """``value`` as an int; ValueError unless it is an integer in [0, 2^64), as files store."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def _symbols(word) -> tuple[int, ...] | None:
     """``word`` as an int tuple, or None when a symbol is not an integer:
     0.7 is no symbol, where int() would truncate it to 0."""
@@ -255,8 +271,7 @@ def _class_log_prob(model: NoiseModel, key) -> float:
 
 def sample_noise_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a length-``n`` noise realization from the generator ``rng``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_int("n", n)
     if isinstance(model, IIDNoise):
         return rng.choice(model.alphabet_size, size=n, p=model.pmf).astype(np.uint8)
     out = np.empty(n, dtype=np.uint8)

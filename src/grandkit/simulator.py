@@ -37,10 +37,12 @@ from .codebook import (
     build_uniform_codebook,
     sample_u_exact,
 )
-from .decoder import DecodeStatus, _positive_int, abandonment_threshold, grand_decode
+from .decoder import DecodeStatus, abandonment_threshold, grand_decode
 from .guesswork import guess_rank
 from .noise_models import (
     NoiseModel,
+    _positive_int,
+    _seed,
     model_error_probability,
     renyi_entropy_rate,
     sample_noise_with,
@@ -75,6 +77,7 @@ class SimConfig:
         budget = () if self.abandon_after is None else ("abandon_after",)
         for name in ("n", "trials", "workers", *budget):  # stored as ints, which JSON takes
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not 0.0 < self.rate < 1.0:
             raise ValueError("rate must lie in (0, 1)")
         if self.mode not in ("explicit", "linear", "race"):
@@ -291,6 +294,7 @@ def figure_sweep(
 ) -> None:
     """Per-rate CSV combining the asymptotic per-bit predictions with
     optional Monte Carlo columns (enabled by ``trials`` > 0)."""
+    n = _positive_int("n", n)
     cap = capacity(model)
     h_half = renyi_entropy_rate(model, 0.5)
     log2_a = math.log2(model.alphabet_size)

@@ -584,9 +584,9 @@ def guess_rank_walk(model: IIDNoise, z) -> int:
     once c is placed there after z's prefix."""
     z = tuple(int(s) for s in z)
     lp_z = _class_log_prob(model, _class_key(model, z))
-    entries, _ = _class_table(model, len(z))
+    groups, _ = _class_table(model, len(z))
     rank = 1
-    for lp, counts, size in entries:
+    for lp, counts, size in ((lp, *member) for lp, members, _ in groups for member in members):
         if lp > lp_z:
             rank += size
         elif lp == lp_z:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grandkit import analysis as an
-from grandkit.guesswork import rate_function_value
+from grandkit.guesswork import iter_guesses, rate_function_value
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
@@ -395,6 +395,33 @@ def test_fine_formulas_reject_empty_blocks(n, p, R, match):
     if match != "R must":
         with pytest.raises(ValueError, match=match):
             an.bsc_guesswork_quantile(n, p, 0.99)
+
+
+@pytest.mark.parametrize("p", [0.7, 0.9, 0.99])
+def test_bsc_formulas_have_one_law_for_p_and_its_complement(p):
+    """Complementing the noise maps each weight layer of BSC(p)'s guess order onto
+    one of BSC(1 - p)'s of the same size and probability."""
+    q = 1 - p
+    assert an.bsc_success_prob_fine(75, 0.72, p) == pytest.approx(
+        an.bsc_success_prob_fine(75, 0.72, q), rel=1e-12)
+    assert an.expected_queries_fine(75, 0.72, p) == pytest.approx(
+        an.expected_queries_fine(75, 0.72, q), rel=1e-12)
+    assert an.expected_queries_fine(75, 0.72, p, max_queries=64026, conditional=True) == (
+        pytest.approx(an.expected_queries_fine(75, 0.72, q, max_queries=64026, conditional=True),
+                      rel=1e-12))
+    for prob in (0.01, 0.5, 0.99):
+        assert an.bsc_guesswork_quantile(20, p, prob) == an.bsc_guesswork_quantile(20, q, prob)
+
+
+@pytest.mark.parametrize("prob", [0.1, 0.5, 0.9])
+def test_guesswork_quantile_walks_the_guess_order_above_one_half(prob):
+    n, p = 12, 0.8
+    cdf = 0.0
+    for rank, (_, lp) in enumerate(iter_guesses(bsc(p), n), 1):
+        cdf += 2.0**lp
+        if cdf >= prob:
+            break
+    assert an.bsc_guesswork_quantile(n, p, prob) == rank
 
 
 def test_expected_queries_truncation_monotone():

@@ -43,6 +43,27 @@ HAMMING_G = (
 )
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", np.float64(2.0)])
+def test_a_seed_is_an_int_a_codebook_file_holds(seed):
+    makers = (
+        lambda: LinearCodebook(HAMMING_G, seed=seed),
+        lambda: ExplicitCodebook(n=2, rate=0.5, seed=seed, alphabet_size=2, words=[(0, 1)]),
+        lambda: build_uniform_codebook(4, 0.5, seed),
+        lambda: build_linear_codebook(7, 4, seed),
+    )
+    for make in makers:
+        with pytest.raises(ValueError, match="^seed must"):
+            make()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_edge_seeds_save_and_load(tmp_path, seed):
+    for cb in (build_linear_codebook(7, 4, seed), build_uniform_codebook(4, 0.5, seed)):
+        assert type(cb.seed) is int and cb.seed == seed
+        save_codebook(cb, str(tmp_path / "cb"))
+        assert load_codebook(str(tmp_path / "cb")) == cb
+
+
 def test_size_formula():
     assert codebook_size(2, 4, 0.0) == 1
     assert codebook_size(2, 16, 0.8) == 7131  # floor(2^12.8)

@@ -281,11 +281,33 @@ def test_markov_path_count_matches_brute_force(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_markov_class_table_covers_every_string(n):
     markov = BinaryMarkovNoise(0.1, 0.3)
-    entries, cum = _class_table(markov, n)
+    groups, total = _class_table(markov, n)
+    entries = [member for _, members, _ in groups for member in members]
     found = Counter(_class_key(markov, z) for z in itertools.product((0, 1), repeat=n))
-    assert {key: size for _, key, size in entries} == found
+    assert dict(entries) == found
     assert len(entries) == len(found)
-    assert cum[-1] == 2**n
+    assert total == 2**n
+
+
+@pytest.mark.parametrize(
+    "pmf", [(0.5, 0.5), (0.9, 0.1), (0.5, 0.2, 0.3), (0.6, 0.4, 0.0), (0.4, 0.3, 0.2, 0.1)]
+)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_iid_class_table_lists_each_count_vector_once(pmf, n):
+    model = IIDNoise(pmf)
+    a = model.alphabet_size
+    groups, total = _class_table(model, n)
+    entries = [member for _, members, _ in groups for member in members]
+    found = Counter(_class_key(model, z) for z in itertools.product(range(a), repeat=n))
+    assert dict(entries) == found
+    assert len(entries) == len(found)
+    assert total == sum(size for _, size in entries) == a**n
+    log_probs = [lp for lp, _, _ in groups]
+    assert all(x > y for x, y in zip(log_probs, log_probs[1:]))
+    sizes = [sum(size for _, size in members) for _, members, _ in groups]
+    assert [before for _, _, before in groups] == list(itertools.accumulate(sizes[:-1], initial=0))
+    if pmf == (0.5, 0.5):
+        assert len(groups) == 1
 
 
 def test_markov_decode_long_block_does_not_recurse_per_symbol():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from grandkit.noise_models import (
     shannon_entropy_rate,
 )
 
-from grandkit.guesswork import guess_rank
+from grandkit import analysis
+from grandkit.codebook import (
+    ExplicitCodebook,
+    UHitModel,
+    build_linear_codebook,
+    build_uniform_codebook,
+)
+from grandkit.decoder import abandonment_threshold
+from grandkit.guesswork import guess_groups, guess_rank
+from grandkit.simulator import figure_sweep
 
 from .oracles import (
     _log_terms,
@@ -280,3 +290,39 @@ def test_normalization_property_binary(p, n):
     for z in itertools.product((0, 1), repeat=n):
         total += 2.0 ** sequence_log_prob(model, z)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+# (entry point, the count it takes, a good value): every count passes one rule
+COUNTED = {
+    "expected_queries_fine": (
+        lambda v: analysis.expected_queries_fine(75, 0.72, 0.01, max_queries=v), "max_queries", 9),
+    "abandonment_threshold": (lambda v: abandonment_threshold(v, 0.08, 0.1), "n", 75),
+    "select_delta": (lambda v: analysis.select_delta(bsc(0.01), v, 0.01, 0.01), "n", 75),
+    "UHitModel": (lambda v: UHitModel(n=v, rate=0.5), "n", 8),
+    "guess_groups": (lambda v: guess_groups(bsc(0.01), v), "n", 8),
+    "bsc_guesswork_quantile": (lambda v: analysis.bsc_guesswork_quantile(v, 0.01, 0.5), "n", 8),
+    "bsc_success_prob_fine": (lambda v: analysis.bsc_success_prob_fine(v, 0.5, 0.01), "n", 8),
+    "figure_sweep": (lambda v: figure_sweep(bsc(0.1), v, [0.5], os.devnull), "n", 8),
+    "sample_noise_with": (
+        lambda v: sample_noise_with(BinaryMarkovNoise(0.1, 0.3), v, np.random.default_rng(1)),
+        "n", 8),
+    "build_uniform_codebook": (lambda v: build_uniform_codebook(v, 0.5, 1), "n", 8),
+    "build_linear_codebook n": (lambda v: build_linear_codebook(v, 1, 1), "n", 8),
+    "build_linear_codebook k": (lambda v: build_linear_codebook(75, v, 1), "k", 54),
+    "ExplicitCodebook": (
+        lambda v: ExplicitCodebook(n=v, rate=0.0, seed=0, alphabet_size=2, words=[(0,) * 8]),
+        "n", 8),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTED)
+def test_every_count_is_an_int_of_at_least_one(entry):
+    call, name, good = COUNTED[entry]
+    for value in (2.5, True, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            call(value)
+    for value in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            call(value)
+    call(good)
+    call(np.int64(good))

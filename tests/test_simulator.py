@@ -41,7 +41,8 @@ def test_config_validation():
      ("p_abandon", 0.0), ("p_abandon", 1.0), ("p_abandon", 2.0),
      ("abandon_after", 0), ("abandon_after", -5),
      ("abandon_after", 1.5), ("abandon_after", True), ("trials", 1.5), ("trials", True),
-     ("n", 10.0), ("workers", 2.0)],
+     ("n", 10.0), ("workers", 2.0),
+     ("seed", -1), ("seed", 2**64), ("seed", 1.5), ("seed", True)],
 )
 def test_config_rejects_out_of_range_values(field, value):
     kwargs = dict(model=bsc(0.1), n=8, rate=0.5, trials=10)
