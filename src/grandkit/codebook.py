@@ -65,8 +65,16 @@ class NotACodewordError(ValueError):
     """Word presented for information decoding is not in the codebook."""
 
 
+def _alphabet_size(value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 2 (numpy's ints, bools not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 2:  # int's protocol
+        raise ValueError(f"need an int alphabet_size >= 2, got {value!r}")
+    return int(value)
+
+
 def codebook_size(alphabet_size: int, n: int, rate: float) -> int:
     """M_n = floor(|A|^(n R)), exact for any block length."""
+    alphabet_size = _alphabet_size(alphabet_size)
     if not 0.0 <= rate < math.inf:
         raise ValueError("rate must be non-negative and finite")
     with mpmath.workdps(max(30, int(n * rate * math.log10(alphabet_size)) + 30)):
@@ -131,6 +139,7 @@ class ExplicitCodebook(_Membership):
     def __post_init__(self):
         object.__setattr__(self, "n", _positive_int("n", self.n))
         object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "alphabet_size", _alphabet_size(self.alphabet_size))
         if not 0.0 <= self.rate < math.inf:
             raise ValueError("rate must be non-negative and finite")
         a, words = self.alphabet_size, np.asarray(self.words)
@@ -138,8 +147,8 @@ class ExplicitCodebook(_Membership):
             raise ValueError("codeword length mismatch")
         array = words.astype(np.min_scalar_type(a - 1), copy=False).reshape(-1, self.n)
         lossless = array.dtype == words.dtype or np.array_equal(array, words)
-        if a < 2 or words.size and (not lossless or array.max() >= a):
-            raise ValueError(f"need alphabet_size >= 2 and int symbols in 0..{a - 1}")
+        if words.size and (not lossless or array.max() >= a):
+            raise ValueError(f"need int symbols in 0..{a - 1}, the alphabet")
         key_type = np.int64 if a**self.n < 2**63 else object
         powers = np.array([a**i for i in range(self.n - 1, -1, -1)], key_type)
         keys, rows = np.empty(len(array), key_type), max(1, 2**16 // self.n)
@@ -321,7 +330,7 @@ def build_uniform_codebook(
     Raises ExplicitModeTooLargeError, before drawing, when the stored words
     and their index would take more than 1 GiB.
     """
-    n, seed = _positive_int("n", n), _seed(seed)
+    n, seed, alphabet_size = _positive_int("n", n), _seed(seed), _alphabet_size(alphabet_size)
     m = codebook_size(alphabet_size, n, rate)
     dtype = np.min_scalar_type(alphabet_size - 1)
     index = 32 + (48 + n * math.log2(alphabet_size) / 4 if alphabet_size**n >= 2**63 else 0)
@@ -372,8 +381,7 @@ class UHitModel:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _positive_int("n", self.n))
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+        object.__setattr__(self, "alphabet_size", _alphabet_size(self.alphabet_size))
         if not 0.0 <= self.rate < math.inf:
             raise ValueError("rate must be non-negative and finite")
 

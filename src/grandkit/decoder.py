@@ -42,7 +42,7 @@ class DecodeStatus(Enum):
     ABANDONED = "abandoned"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     decoded: tuple[int, ...] | None
     queries: int

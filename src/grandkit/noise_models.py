@@ -78,6 +78,15 @@ class IIDNoise(_RenyiCurve):
             math.log(p) / math.log(a) if p > 0.0 else -math.inf for p in self.pmf
         )
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The cumulative pmf divided by its last entry, read-only, as ``Generator.choice``
+        builds it from ``p``: uniforms searched in it give ``choice``'s draws."""
+        cdf = np.array(self.pmf, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
 
 @dataclass(frozen=True)
 class BinaryMarkovNoise(_RenyiCurve):
@@ -270,17 +279,24 @@ def _class_log_prob(model: NoiseModel, key) -> float:
 
 
 def sample_noise_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a length-``n`` noise realization from the generator ``rng``."""
+    """Draw a length-``n`` noise realization from the generator ``rng``.
+
+    Each symbol takes one uniform of ``rng.random(n)``. IID noise looks it up in the
+    cumulative pmf, as ``Generator.choice(p=pmf)`` does; the Markov chain starts in
+    state 0 when the first is below ``initial_dist[0]``, and leaves a state when a
+    later one is at least that state's stay probability. These are the draws, and the
+    generator state after them, of the ``choice`` call and symbol loop the sampler
+    first used, so reports made with those reproduce.
+    """
     n = _positive_int("n", n)
-    if isinstance(model, IIDNoise):
-        return rng.choice(model.alphabet_size, size=n, p=model.pmf).astype(np.uint8)
-    out = np.empty(n, dtype=np.uint8)
     u = rng.random(n)
-    state = 0 if u[0] < model.initial_dist[0] else 1
-    out[0] = state
-    stay = (1.0 - model.a, 1.0 - model.b)
-    for i in range(1, n):
-        if u[i] >= stay[state]:
-            state = 1 - state
+    if isinstance(model, IIDNoise):
+        symbols = model._cdf.searchsorted(u, side="right")
+        return symbols.astype(np.min_scalar_type(model.alphabet_size - 1))
+    u, out, stay = u.tolist(), bytearray(n), (1.0 - model.a, 1.0 - model.b)
+    state = out[0] = 0 if u[0] < model.initial_dist[0] else 1
+    for i, x in enumerate(u[1:], 1):
+        if x >= stay[state]:
+            state ^= 1
         out[i] = state
-    return out
+    return np.frombuffer(out, np.uint8)

@@ -88,7 +88,7 @@ class SimConfig:
             raise ValueError("p_abandon must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimReport:
     schema_version: int
     config: dict
@@ -194,12 +194,12 @@ def _codebook_worker(args) -> _Tally:
     a = model.alphabet_size
     for _ in range(trials):
         if hasattr(cb, "k"):
-            info = tuple(int(b) for b in rng.integers(0, 2, size=cb.k))
+            info = tuple(rng.integers(0, 2, size=cb.k).tolist())
         else:
             info = int(rng.integers(0, cb.size))
         c = cb.encode(info)
-        z = sample_noise_with(model, cb.n, rng)
-        y = tuple((ci + int(zi)) % a for ci, zi in zip(c, z))
+        z = sample_noise_with(model, cb.n, rng).tolist()
+        y = tuple((ci + zi) % a for ci, zi in zip(c, z))
         res = grand_decode(cb, y, model, max_queries=threshold)
         abandoned = res.status is DecodeStatus.ABANDONED
         error = abandoned or cb.decode_to_info(res.decoded) != info
@@ -229,11 +229,12 @@ def _run_workers(worker, arg_builder, cfg: SimConfig) -> _Tally:
 
 def _report(cfg: SimConfig, threshold: int | None, tally: _Tally, wall: float) -> SimReport:
     t = cfg.trials
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     err = tally.errors / t
     half = 1.96 * math.sqrt(max(err * (1.0 - err), 0.0) / t)
     return SimReport(
         schema_version=SCHEMA_VERSION,
-        config={**vars(cfg), "model": repr(cfg.model), "abandon_after": threshold},
+        config={**config, "model": repr(cfg.model), "abandon_after": threshold},
         trials=t,
         block_error_rate=err,
         block_error_ci95=(max(err - half, 0.0), min(err + half, 1.0)),

@@ -42,6 +42,23 @@ def sample_noise(model: NoiseModel, n: int, rng_seed: int) -> np.ndarray:
     return sample_noise_with(model, n, rng)
 
 
+def sample_noise_choice(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_noise_with`` as it first drew noise: IID symbols by ``rng.choice``
+    with ``p``, the Markov chain one numpy symbol at a time."""
+    if isinstance(model, IIDNoise):
+        return rng.choice(model.alphabet_size, size=n, p=model.pmf).astype(np.uint8)
+    out = np.empty(n, dtype=np.uint8)
+    u = rng.random(n)
+    state = 0 if u[0] < model.initial_dist[0] else 1
+    out[0] = state
+    stay = (1.0 - model.a, 1.0 - model.b)
+    for i in range(1, n):
+        if u[i] >= stay[state]:
+            state = 1 - state
+        out[i] = state
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Entropy rates by their direct formulas, each apart from the Renyi log-sum
 # ``grandkit.noise_models._renyi_log_sum`` that the library reads them off.

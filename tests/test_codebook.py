@@ -179,7 +179,8 @@ def test_identical_words_decode_to_index_zero(n, a):
      (2, ((0, -1),), "symbols in 0..1"), (2, ((1, 1), (0, 2)), "symbols in 0..1"),
      # 300 would be 44 as a uint8 symbol
      (256, ((0, 300),), "symbols in 0..255"),
-     (1, ((0, 0),), "alphabet_size >= 2"), (2, ((0, 1, 1),), "length mismatch")],
+     (1, ((0, 0),), "alphabet_size >= 2"), (2, ((0, 1, 1),), "length mismatch"),
+     (2.5, ((0, 1),), "alphabet_size >= 2"), (True, ((0, 1),), "alphabet_size >= 2")],
 )
 def test_explicit_rejects_bad_stored_words(a, words, match):
     with pytest.raises(ValueError, match=match):
@@ -438,11 +439,33 @@ def test_contains_is_false_for_non_integral_symbols():
 @pytest.mark.parametrize(
     "kwargs", [dict(n=0, rate=0.5), dict(n=-1, rate=0.5),
                dict(n=10, rate=0.5, alphabet_size=1), dict(n=10, rate=-0.1),
-               dict(n=10, rate=math.nan), dict(n=10, rate=math.inf)],
+               dict(n=10, rate=math.nan), dict(n=10, rate=math.inf),
+               dict(n=8, rate=0.5, alphabet_size=2.5), dict(n=8, rate=0.5, alphabet_size=True)],
 )
 def test_u_hit_model_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         UHitModel(**kwargs)
+
+
+# every entry point that takes an alphabet size, called with it
+ALPHABET_TAKERS = {
+    "codebook_size": lambda a: codebook_size(a, 4, 0.5),
+    "UHitModel": lambda a: UHitModel(n=8, rate=0.5, alphabet_size=a).M_n,
+    "ExplicitCodebook": lambda a: ExplicitCodebook(
+        n=2, rate=0.5, seed=0, alphabet_size=a, words=[(0, 1)]),
+    "build_uniform_codebook": lambda a: build_uniform_codebook(4, 0.5, 1, alphabet_size=a),
+}
+
+
+@pytest.mark.parametrize("entry", ALPHABET_TAKERS)
+def test_every_alphabet_size_is_an_int_of_at_least_two(entry):
+    call = ALPHABET_TAKERS[entry]
+    for value in (2.5, True, False, 3.0, np.float64(3.0), "3", 1, 0, -2, np.int64(1)):
+        with pytest.raises(ValueError, match="alphabet_size >= 2"):
+            call(value)
+    assert call(3) == call(np.int64(3)) == call(np.uint8(3))
+    if entry.lower().endswith("codebook"):
+        assert type(call(np.int64(3)).alphabet_size) is int
 
 
 @pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])

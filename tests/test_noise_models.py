@@ -35,6 +35,7 @@ from .oracles import (
     entropy_rate_reference,
     renyi_log_sum_direct,
     sample_noise,
+    sample_noise_choice,
     sequence_log_prob,
 )
 from .test_guesswork import REFERENCE_MODELS
@@ -201,6 +202,33 @@ def test_degenerate_noise_samples_all_zero():
 def test_sampling_rejects_empty_length(model):
     with pytest.raises(ValueError, match="n must be >= 1"):
         sample_noise_with(model, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [bsc(0.01), bsc(0.5), IIDNoise((0.7, 0.2, 0.1)), IIDNoise((0.6, 0.0, 0.4)),
+     BinaryMarkovNoise(0.05, 0.3), BinaryMarkovNoise(0.1, 0.2, initial=(0.0, 1.0)),
+     BinaryMarkovNoise(0.3, 0.4, initial=(0.9, 0.1))],
+    ids=repr,
+)
+def test_sampler_draws_what_choice_and_the_symbol_loop_drew(model):
+    """Old reports reproduce: the same symbols, dtype and generator state after,
+    which also catches a numpy whose ``choice`` stops drawing this way."""
+    for seed in range(8):
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 2, 75, 1, 75):
+            z, expected = sample_noise_with(model, n, rng), sample_noise_choice(model, n, old)
+            assert z.dtype == expected.dtype and np.array_equal(z, expected)
+            assert rng.bit_generator.state == old.bit_generator.state
+
+
+def test_sampler_keeps_symbols_past_255():
+    rng = np.random.default_rng(0)
+    z = sample_noise_with(IIDNoise((0.0,) * 299 + (1.0,)), 3, rng)
+    assert z.dtype == np.uint16 and z.tolist() == [299] * 3
+    z = sample_noise_with(IIDNoise((0.5,) + (0.0,) * 298 + (0.5,)), 3, rng)
+    assert set(z.tolist()) <= {0, 299}
+    assert sample_noise_with(IIDNoise((0.0,) * 255 + (1.0,)), 2, rng).dtype == np.uint8
 
 
 def test_empirical_frequency_matches_model():

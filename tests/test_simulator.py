@@ -71,6 +71,13 @@ def test_reports_reproducible_bit_for_bit():
     assert report_to_json(run_simulation(cfg_e)) == report_to_json(run_simulation(cfg_e))
 
 
+def test_kept_records_hold_no_instance_dict():
+    """Callers keep many reports and decode results: slots, not a dict each."""
+    report = run_race(SimConfig(model=bsc(0.1), n=8, rate=0.5, trials=5))
+    result = grand_decode(LinearCodebook(HAMMING_G), (0,) * 7, bsc(0.1))
+    assert not hasattr(report, "__dict__") and not hasattr(result, "__dict__")
+
+
 def test_error_and_success_rates_sum_to_one():
     cfg = SimConfig(model=bsc(0.2), n=8, rate=0.5, trials=400, mode="race", seed=1)
     rep = run_race(cfg)
