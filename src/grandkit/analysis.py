@@ -21,8 +21,11 @@ from .guesswork import _brentq, _legendre_point, _rho_bracket, rate_function_val
 from .noise_models import (
     IIDNoise,
     NoiseModel,
+    _finite,
+    _number,
     _positive_int,
     _renyi_log_sum,
+    _unit,
     min_entropy_rate,
     renyi_entropy_rate,
     shannon_entropy_rate,
@@ -46,13 +49,6 @@ __all__ = [
 ]
 
 
-def _check_rate(R: float) -> None:
-    """The rate rule shared by the exponent functions: any R but NaN, which
-    would compare false everywhere. An R outside [0, 1] keeps its meaning."""
-    if math.isnan(R):
-        raise ValueError("R must be a number, not NaN")
-
-
 def capacity(model: NoiseModel) -> float:
     """Channel capacity 1 - H for invertible additive noise, base |A|."""
     return 1.0 - shannon_entropy_rate(model)
@@ -66,8 +62,7 @@ def error_exponent(model: NoiseModel, R: float) -> float:
     1 - x*, and at the right edge, giving I_N(1 - R), from there (or, with no
     x*, everywhere) up to capacity.
     """
-    _check_rate(R)
-    if R >= capacity(model):
+    if _number("R", R) >= capacity(model):
         return 0.0
     x_star = critical_rate_x_star(model)
     if x_star is not None and R < 1.0 - x_star:
@@ -77,8 +72,7 @@ def error_exponent(model: NoiseModel, R: float) -> float:
 
 def success_exponent(model: NoiseModel, R: float) -> float:
     """Decay rate of the probability of correct decoding above capacity."""
-    _check_rate(R)
-    if R <= 1.0 - shannon_entropy_rate(model):
+    if _number("R", R) <= 1.0 - shannon_entropy_rate(model):
         return 0.0
     return rate_function_value(model, 1.0 - R)
 
@@ -109,8 +103,8 @@ def error_exponent_pair(model: NoiseModel, R: float, delta: float | None):
     eps_AB = min(eps, I_N(min(H + delta, 1))). Otherwise eps_AB is None.
     Only eps depends on R: H, H_{1/2} and x* are computed once per model, and
     the abandonment term I_N(min(H + delta, 1)) once per (model, delta)."""
-    if delta is not None and not 0.0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
+    if delta is not None:
+        _finite("delta", delta, positive=True)
     eps = error_exponent(model, R)
     if delta is None or R >= 1.0 - shannon_entropy_rate(model):
         return eps, None
@@ -128,14 +122,11 @@ def complexity_exponents(
 ) -> tuple[float, float]:
     """Growth exponents of the expected query count, without and with
     abandonment."""
-    _check_rate(R)
-    if delta is not None and not 0.0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
     # H_{1/2} >= H, so from capacity (R >= 1 - H) up the minimum is 1 - R
-    grand = min(renyi_entropy_rate(model, 0.5), 1.0 - R)
+    grand = min(renyi_entropy_rate(model, 0.5), 1.0 - _number("R", R))
     if delta is None:
         return grand, grand
-    return grand, min(grand, shannon_entropy_rate(model) + delta)
+    return grand, min(grand, shannon_entropy_rate(model) + _finite("delta", delta, positive=True))
 
 
 def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
@@ -151,8 +142,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     below I_U up to the support edge L(0) = log_|A| #{p_i > 0}, where I_N
     becomes infinite: that edge is y*.
     """
-    _check_rate(R)
-    if R >= 1.0 - min_entropy_rate(model):
+    if _number("R", R) >= 1.0 - min_entropy_rate(model):
         return None
     edge, slope = model._edge
     if -slope <= 1.0 - R:
@@ -187,15 +177,11 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
         raise ValueError(
             "the abandonment budget rule needs every noise symbol to have positive probability"
         )
-    if not 0.0 < p_abandon < 1.0:
-        raise ValueError("p_abandon must lie in (0, 1)")
+    _unit("p_abandon", p_abandon)
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     n = _positive_int("n", n)
-    target = p_abandon * min(p * n, 1.0)
-    t = -math.log2(target) / n
-    if t <= 0.0:
-        raise ValueError("abandonment target requires a positive exponent")
+    t = -math.log2(p_abandon * min(p * n, 1.0)) / n  # > 0: the target lies in (0, 1)
 
     def f(rho: float) -> float:
         return _legendre_point(model, rho)[1] - t
@@ -285,12 +271,11 @@ def _weight_layers(n: int, p):
 
 def _check_bsc(n: int, p: float, R: float | None = None) -> int:
     """The block length, flip probability and rate (if any) rules shared by
-    the formulas below, written so that NaN fails them; n as an int."""
+    the formulas below; n as an int."""
     n = _positive_int("n", n)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    if R is not None and not 0.0 < R < 1.0:
-        raise ValueError("R must lie in (0, 1)")
+    _unit("p", p)
+    if R is not None:
+        _unit("R", R)
     return n
 
 
@@ -319,10 +304,8 @@ def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
 def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
     """Smallest rank m with P(G <= m) >= prob, for Bernoulli(p) noise."""
     n = _check_bsc(n, p)
-    if not 0.0 < prob < 1.0:
-        raise ValueError("prob must lie in (0, 1)")
     with mpmath.workdps(60):
-        target = mpmath.mpf(prob)
+        target = mpmath.mpf(_unit("prob", prob))
         cdf = mpmath.mpf(0)
         for size, l_prev, _, q_k in _weight_layers(n, mpmath.mpf(p)):
             layer_mass = size * q_k
@@ -398,7 +381,8 @@ def max_achievable_rate(
     p_abandon * min(p n, 1), the abandonment probability the budget allows.
     """
     delta = select_delta(model, n, p_abandon, p)
-    need, allowed = -math.log2(p_block_target) / n, p_abandon * min(p * n, 1.0)
+    need = -math.log2(_unit("p_block_target", p_block_target)) / n
+    allowed = p_abandon * min(p * n, 1.0)
 
     def f(R: float) -> float:
         return grandab_error_exponent(model, R, delta) - need

@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from .guesswork import _guess_prefix
-from .noise_models import _pack, _positive_int, _seed, _symbols, _unpack
+from .noise_models import _finite, _pack, _positive_int, _seed, _symbols, _unit, _unpack
 
 __all__ = [
     "ExplicitCodebook",
@@ -74,9 +74,8 @@ def _alphabet_size(value) -> int:
 
 def codebook_size(alphabet_size: int, n: int, rate: float) -> int:
     """M_n = floor(|A|^(n R)), exact for any block length."""
-    alphabet_size = _alphabet_size(alphabet_size)
-    if not 0.0 <= rate < math.inf:
-        raise ValueError("rate must be non-negative and finite")
+    alphabet_size, n = _alphabet_size(alphabet_size), _positive_int("n", n)
+    _finite("rate", rate)
     with mpmath.workdps(max(30, int(n * rate * math.log10(alphabet_size)) + 30)):
         return int(mpmath.floor(mpmath.mpf(alphabet_size) ** (mpmath.mpf(n) * mpmath.mpf(rate))))
 
@@ -140,8 +139,7 @@ class ExplicitCodebook(_Membership):
         object.__setattr__(self, "n", _positive_int("n", self.n))
         object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "alphabet_size", _alphabet_size(self.alphabet_size))
-        if not 0.0 <= self.rate < math.inf:
-            raise ValueError("rate must be non-negative and finite")
+        _finite("rate", self.rate)
         a, words = self.alphabet_size, np.asarray(self.words)
         if words.size and words.shape[1:] != (self.n,):
             raise ValueError("codeword length mismatch")
@@ -208,10 +206,6 @@ class LinearCodebook(_Membership):
     them, and H's columns, int bitmasks, are their parity bits beside the identity. A byte
     table per 8 columns gives H y for membership's syndrome check, and the info word of a
     codeword is its first ``k`` bits.
-    Per noise model, a map from each syndrome to the first pattern of guesswork's
-    cached guess-order prefix that has it (a truncated coset-leader table) lets the
-    decoder answer that prefix with one lookup of H y. It is built at the first
-    decode under the model and is kept on the codebook, so it dies with it.
     """
 
     generator: tuple[tuple[int, ...], ...]
@@ -259,16 +253,21 @@ class LinearCodebook(_Membership):
         hit.syndrome = s_y
         return hit
 
-    def _leaders(self, model) -> dict[int, int]:
-        """{syndrome: index of the first pattern with it} over the cached guess-order
-        prefix ``_guess_prefix(model, n)``, built at the first call per model."""
-        leaders = self._leader_tables.get(model)
-        if leaders is None:
+    def _leaders(self, model):
+        """The decoder's answer to the leading guesses: {syndrome: index of the first
+        pattern with it} over guesswork's cached guess-order prefix (a truncated
+        coset-leader table), then ``_guess_prefix(model, n)``'s patterns, log-probabilities
+        and group count. At BSC(0.01), n = 75 its 2851 patterns have 2845 syndromes under
+        ``build_linear_codebook(75, 54, 1)``. Built at the first call per model and kept on
+        the code, so it dies with it."""
+        entry = self._leader_tables.get(model)
+        if entry is None:
+            prefix = _guess_prefix(model, self.n)
             leaders = {}
-            for i, z in enumerate(_guess_prefix(model, self.n)[0]):
+            for i, z in enumerate(prefix[0]):
                 leaders.setdefault(_xor_columns(self._columns, z), i)
-            self._leader_tables[model] = leaders
-        return leaders
+            entry = self._leader_tables[model] = (leaders, *prefix)
+        return entry
 
     def encode(self, info_word) -> tuple[int, ...]:
         if (u := _checked(info_word, self.k, 2)) is None:
@@ -382,8 +381,7 @@ class UHitModel:
     def __post_init__(self):
         object.__setattr__(self, "n", _positive_int("n", self.n))
         object.__setattr__(self, "alphabet_size", _alphabet_size(self.alphabet_size))
-        if not 0.0 <= self.rate < math.inf:
-            raise ValueError("rate must be non-negative and finite")
+        _finite("rate", self.rate)
 
     @cached_property
     def M_n(self) -> int:
@@ -398,8 +396,7 @@ def sample_u_exact(m: UHitModel, v: float) -> int:
     as the survival level, exact to the working precision: 40 decimal digits
     beyond those of T = |A|^n.
     """
-    if not 0.0 < v < 1.0:
-        raise ValueError("v must lie strictly in (0, 1)")
+    _unit("v", v)
     with mpmath.workdps(math.ceil(m.n * math.log10(m.alphabet_size)) + 40):
         total = mpmath.mpf(m.alphabet_size) ** m.n
         frac = -mpmath.expm1(mpmath.log(mpmath.mpf(v)) / m.M_n)

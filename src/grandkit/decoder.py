@@ -5,26 +5,21 @@
 the received word y with ``cb.bind(y)``, whether y (-) z is a member; the
 first member is a maximum-likelihood decoding. With a query budget it
 abandons instead (GRANDAB). A binary pattern is a packed int, so no tuple is
-built per guess.
-
-For a linear code the first member is the first z with H z = H y. The code
-maps each syndrome of guesswork's cached prefix of the guess order to its
-first pattern there, so one lookup of H y answers that prefix; the guess
-stream is started, past it, only when the lookup misses.
+built per guess. A linear code answers the leading guesses with one lookup
+(``LinearCodebook._leaders``); the guess stream starts only past them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
 
 from .codebook import Codebook, LinearCodebook
-from .guesswork import _guess_prefix, guess_groups
-from .noise_models import NoiseModel, _positive_int
+from .guesswork import guess_groups
+from .noise_models import NoiseModel, _finite, _positive_int
 
 __all__ = [
     "DecodeStatus",
@@ -67,8 +62,8 @@ def grand_decode(
     hit, queries, skip = cb.bind(y), 0, 0
     if isinstance(cb, LinearCodebook):
         # the walk would test the first ``queries`` prefix patterns; one lookup does
-        prefix, log_probs, skip = _guess_prefix(model, cb.n)
-        i = cb._leaders(model).get(hit.syndrome)
+        leaders, prefix, log_probs, skip = cb._leaders(model)
+        i = leaders.get(hit.syndrome)
         queries = len(prefix) if max_queries is None else min(max_queries, len(prefix))
         if i is not None and i < queries:
             return DecodeResult(hit(prefix[i]), i + 1, DecodeStatus.DECODED, log_probs[i])
@@ -92,11 +87,7 @@ def abandonment_threshold(n: int, H: float, delta: float) -> int:
     larger ones: ``H`` and ``delta`` are in bits. The exponent is capped at
     64 so a typo cannot request astronomical budgets.
     """
-    n = _positive_int("n", n)
-    if not 0.0 <= H < math.inf:
-        raise ValueError("H must be non-negative and finite")
-    if not 0.0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
+    n, H, delta = _positive_int("n", n), _finite("H", H), _finite("delta", delta, positive=True)
     exponent = n * min(H + delta, 1.0)
     if exponent > _EXPONENT_CAP:
         raise ValueError(

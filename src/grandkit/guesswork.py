@@ -28,6 +28,7 @@ from .noise_models import (
     NoiseModel,
     _class_key,
     _class_log_prob,
+    _number,
     _pack,
     _positive_int,
     _renyi_log_sum,
@@ -361,9 +362,9 @@ def rate_function_value(model: NoiseModel, x: float) -> float:
 
     +inf outside [0, 1] and past the support edge L(0) = log_|A| #{p_i > 0};
     on the linear segment below gamma, where x(rho) stops moving before it
-    reaches x, I_N = H_min - x. Float error below 0 near x = H reads 0.
+    reaches x, I_N = H_min - x. Float error below 0 near x = H reads 0. A NaN x raises.
     """
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 <= _number("x", x) <= 1.0:
         return math.inf
     edge, slope = model._edge
     if x >= edge:

@@ -179,11 +179,10 @@ def shannon_entropy_rate(model: NoiseModel) -> float:
 
 @lru_cache(maxsize=64)
 def renyi_entropy_rate(model: NoiseModel, alpha: float) -> float:
-    """Renyi entropy rate at parameter ``alpha`` (alpha > 0, alpha != 1), base
-    |A|: L(alpha) / (1 - alpha), clamped at 0, where rounding can take it below."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
+    """Renyi entropy rate at a finite parameter ``alpha`` > 0, alpha != 1 (the alpha -> inf
+    limit is ``min_entropy_rate``), base |A|: L(alpha) / (1 - alpha), clamped at 0, where
+    rounding can take it below."""
+    if _finite("alpha", alpha, positive=True) == 1.0:
         raise ValueError("alpha = 1 is the Shannon rate; use shannon_entropy_rate")
     return max(_renyi_log_sum(model, alpha)[0] / (1.0 - alpha), 0.0)
 
@@ -203,12 +202,13 @@ def model_error_probability(model: NoiseModel) -> float:
     return model.stationary_flip_probability
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= 1 (numpy's count, bools not)."""
+def _positive_int(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``least``, by default 1
+    (numpy's count, bools not)."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):  # int's protocol
         raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
     return int(value)
 
 
@@ -217,6 +217,30 @@ def _seed(value) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__") or not 0 <= value < 2**64:
         raise ValueError(f"seed must be an int in [0, 2**64), got {value!r}")
     return int(value)
+
+
+# The rules for real parameters; each returns ``value`` and is written so that NaN fails it.
+
+
+def _unit(name: str, value: float) -> float:
+    """``value``; ValueError unless it lies in the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return value
+
+
+def _finite(name: str, value: float, positive: bool = False) -> float:
+    """``value``; ValueError unless it is finite and non-negative (positive, if asked)."""
+    if not (0.0 < value if positive else 0.0 <= value) or value == math.inf:
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'} and finite")
+    return value
+
+
+def _number(name: str, value: float) -> float:
+    """``value``; ValueError when it is NaN, which would compare false everywhere."""
+    if math.isnan(value):
+        raise ValueError(f"{name} must be a number, not NaN")
+    return value
 
 
 def _symbols(word) -> tuple[int, ...] | None:

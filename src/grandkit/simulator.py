@@ -43,6 +43,7 @@ from .noise_models import (
     NoiseModel,
     _positive_int,
     _seed,
+    _unit,
     model_error_probability,
     renyi_entropy_rate,
     sample_noise_with,
@@ -78,14 +79,13 @@ class SimConfig:
         for name in ("n", "trials", "workers", *budget):  # stored as ints, which JSON takes
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
         object.__setattr__(self, "seed", _seed(self.seed))
-        if not 0.0 < self.rate < 1.0:
-            raise ValueError("rate must lie in (0, 1)")
+        _unit("rate", self.rate)
         if self.mode not in ("explicit", "linear", "race"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.abandon_after is not None and self.p_abandon is not None:
             raise ValueError("give either a fixed budget or p_abandon, not both")
-        if self.p_abandon is not None and not 0.0 < self.p_abandon < 1.0:
-            raise ValueError("p_abandon must lie in (0, 1)")
+        if self.p_abandon is not None:
+            _unit("p_abandon", self.p_abandon)
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,7 +295,7 @@ def figure_sweep(
 ) -> None:
     """Per-rate CSV combining the asymptotic per-bit predictions with
     optional Monte Carlo columns (enabled by ``trials`` > 0)."""
-    n = _positive_int("n", n)
+    n, trials = _positive_int("n", n), _positive_int("trials", trials, least=0)
     cap = capacity(model)
     h_half = renyi_entropy_rate(model, 0.5)
     log2_a = math.log2(model.alphabet_size)
