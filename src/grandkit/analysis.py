@@ -86,9 +86,7 @@ def critical_rate_x_star(model: NoiseModel) -> float | None:
     degenerate (uniform) noise, where the rate function never steepens.
     """
     x = _legendre_point(model, 0.5)[0]
-    if x >= 1.0 - 1e-9:
-        return None
-    return x
+    return None if x >= 1.0 - 1e-9 else x
 
 
 @lru_cache(maxsize=64)
@@ -181,17 +179,18 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     n = _positive_int("n", n)
-    t = -math.log2(p_abandon * min(p * n, 1.0)) / n  # > 0: the target lies in (0, 1)
+    q = p_abandon * min(p * n, 1.0)  # in (0, 1), unless it underflows: then sum the logs
+    t = -(math.log2(q) if q else math.log2(p_abandon) + math.log2(min(p * n, 1.0))) / n
 
     def f(rho: float) -> float:
         return _legendre_point(model, rho)[1] - t
 
     if f(0.0) < 0.0:
-        raise ValueError(
-            f"target exponent {t:.4g} exceeds the rate function's range"
-        )
-    rho = _brentq(f, 0.0, 1.0, xtol=1e-14)
-    delta = _legendre_point(model, rho)[0] - shannon_entropy_rate(model)
+        raise ValueError(f"target exponent {t:.4g} exceeds the rate function's range")
+    delta = 0.0  # f(1) >= 0, t within float error of I(H) = 0, puts the root where x <= H
+    if f(1.0) < 0.0:
+        rho = _brentq(f, 0.0, 1.0, xtol=1e-14)
+        delta = _legendre_point(model, rho)[0] - shannon_entropy_rate(model)
     if delta <= 0.0:
         raise ValueError("abandonment target gives a non-positive margin")
     return delta
@@ -335,8 +334,7 @@ def expected_queries_fine(
         max_queries = _positive_int("max_queries", max_queries)
     if conditional and max_queries is None:
         raise ValueError("conditional mean requires a query budget")
-    total_seq = 2**n
-    T = total_seq if max_queries is None else min(max_queries, total_seq)
+    T = 2**n if max_queries is None else min(max_queries, 2**n)
     with mpmath.workdps(60):
         c = mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
         r = mpmath.e**-c
@@ -353,9 +351,7 @@ def expected_queries_fine(
                 ra = r**a
                 rb1 = r ** (b + 1)
                 s0 = (ra - rb1) / one_minus_r
-                s1 = (a * ra - (b + 1) * rb1) / one_minus_r + (
-                    ra * r - rb1 * r
-                ) / one_minus_r**2
+                s1 = (a * ra - (b + 1) * rb1) / one_minus_r + (ra * r - rb1 * r) / one_minus_r**2
                 expectation += tail_k * s0 + q_k * (l_k * s0 - s1)
             tail = tail_k
             if l_k >= T:

@@ -77,7 +77,7 @@ def grand_decode(
                 return DecodeResult(codeword, queries, DecodeStatus.DECODED, lp)
             if queries == max_queries:
                 return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
-    raise AssertionError("guess enumeration exhausted with a non-empty codebook")
+    # unreached: the walk holds every z, -inf classes too, so it meets y (-) z for a codeword
 
 
 def abandonment_threshold(n: int, H: float, delta: float) -> int:

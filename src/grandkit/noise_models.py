@@ -41,7 +41,9 @@ class _RenyiCurve:
         else:
             # [P_ij^rho] has the eigenvalues of the symmetric [[d1, c], [c, d2]]
             # whose entries are the exps of rho times these
-            logs = (math.log1p(-self.a), math.log1p(-self.b), 0.5 * math.log(self.a * self.b))
+            ab = self.a * self.b  # 0 only when both are tiny: then the logs are added
+            logs = (math.log1p(-self.a), math.log1p(-self.b),
+                    0.5 * (math.log(ab) if ab else math.log(self.a) + math.log(self.b)))
         top = max(logs)
         return logs, top, tuple(l - top for l in logs), math.log(self.alphabet_size)
 

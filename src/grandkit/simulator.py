@@ -3,7 +3,9 @@
 Three modes, trading memory for fidelity:
 
 * ``explicit`` — materialize a uniform random codebook and decode end to end;
-* ``linear`` — random systematic binary code with syndrome membership;
+* ``linear`` — random systematic binary code with syndrome membership. A
+  trial decodes the noise z on the all-zero codeword: y = c + z has z's
+  syndrome, so it decodes to c + w, in as many queries, when z decodes to w;
 * ``race`` — no codebook at all: the noise guesswork rank races a sample of
   the accidental-hit time drawn from its exact min-of-uniforms law, which is
   what makes large block lengths simulable.
@@ -32,6 +34,7 @@ from .analysis import (
     select_delta,
 )
 from .codebook import (
+    LinearCodebook,
     UHitModel,
     build_linear_codebook,
     build_uniform_codebook,
@@ -191,18 +194,16 @@ def _codebook_worker(args) -> _Tally:
     cb, model, trials, threshold, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     tally = _Tally()
-    a = model.alphabet_size
+    # a linear trial decodes z on the all-zero codeword; its info draw only keeps the stream
+    a, linear = model.alphabet_size, isinstance(cb, LinearCodebook)
     for _ in range(trials):
-        if hasattr(cb, "k"):
-            info = tuple(rng.integers(0, 2, size=cb.k).tolist())
-        else:
-            info = int(rng.integers(0, cb.size))
-        c = cb.encode(info)
+        info = rng.integers(0, 2, size=cb.k) if linear else int(rng.integers(0, cb.size))
         z = sample_noise_with(model, cb.n, rng).tolist()
-        y = tuple((ci + zi) % a for ci, zi in zip(c, z))
-        res = grand_decode(cb, y, model, max_queries=threshold)
+        word = z if linear else tuple((ci + zi) % a for ci, zi in zip(cb.encode(info), z))
+        res = grand_decode(cb, word, model, max_queries=threshold)
         abandoned = res.status is DecodeStatus.ABANDONED
-        error = abandoned or cb.decode_to_info(res.decoded) != info
+        error = abandoned or (
+            any(res.decoded) if linear else cb.decode_to_info(res.decoded) != info)
         tally.record(res.queries, error, abandoned)
     return tally
 

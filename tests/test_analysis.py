@@ -1,8 +1,11 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grandkit import analysis as an
 from grandkit.guesswork import iter_guesses, rate_function_value
@@ -331,6 +334,35 @@ def test_select_delta_rejects_non_binary_alphabet():
     # the target exponent is in bits while a ternary entropy rate is in trits
     with pytest.raises(ValueError, match="binary"):
         an.select_delta(IIDNoise((0.9, 0.05, 0.05)), 20, 0.01, 0.1)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+SELECT_DELTA_ERRORS = re.compile(
+    r"target exponent \S+ exceeds the rate function's range"
+    r"|abandonment target gives a non-positive margin"
+)
+
+
+@given(
+    model=st.one_of(st.builds(bsc, UNIT), st.builds(BinaryMarkovNoise, UNIT, UNIT)),
+    n=st.integers(min_value=1, max_value=5000),
+    p_abandon=UNIT,
+    p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+# the product p_abandon * p n underflows; t lies below the float error of I_N(H) = 0;
+# a Markov chain whose a * b underflows
+@example(bsc(0.5 - 1e-9), 1, 1e-300, 1e-300)
+@example(bsc(0.3), 75, 1 - 1e-15, 1.0)
+@example(BinaryMarkovNoise(0.8693739787270164, 0.9521247473822373), 75, 1 - 1e-15, 1.0)
+@example(BinaryMarkovNoise(3.1383938809418802e-167, 1.3003309306564163e-205), 75, 0.18, 1.0)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_select_delta_gives_a_margin_or_a_documented_error(model, n, p_abandon, p):
+    try:
+        delta = an.select_delta(model, n, p_abandon, p)
+    except ValueError as e:
+        assert SELECT_DELTA_ERRORS.fullmatch(str(e)), str(e)
+    else:
+        assert math.isfinite(delta) and delta > 0.0
 
 
 def test_block_error_fine_headline_values():

@@ -13,7 +13,12 @@ import tempfile
 
 import pytest
 
-from grandkit.analysis import bsc_guesswork_quantile, expected_queries_fine, max_achievable_rate
+from grandkit.analysis import (
+    bsc_guesswork_quantile,
+    expected_queries_fine,
+    max_achievable_rate,
+    select_delta,
+)
 from grandkit.codebook import (
     LinearCodebook,
     UHitModel,
@@ -102,6 +107,24 @@ CHECKS = [
                  id="sweep-trials=1.5"),
     pytest.param(lambda: "mc_block_error" in _sweep(10, trials=0)[0], False,
                  id="sweep-trials=0"),
+    # select_delta's target t: p_abandon * min(p n, 1) underflows to 0 here, and t
+    # lies below the float error of I_N(H) = 0 in the next three, so no root has x > H
+    pytest.param(lambda: select_delta(bsc(0.5 - 1e-9), 1, 1e-300, 1e-300),
+                 ValueError("target exponent 1993 exceeds the rate function's range"),
+                 id="select-delta-target-underflows"),
+    pytest.param(lambda: select_delta(bsc(0.3), 75, 1 - 1e-15, 1.0),
+                 ValueError("abandonment target gives a non-positive margin"),
+                 id="select-delta-t-below-float-error"),
+    pytest.param(lambda: select_delta(BinaryMarkovNoise(0.8693739787270164, 0.9521247473822373),
+                                      75, 1 - 1e-15, 1.0),
+                 ValueError("abandonment target gives a non-positive margin"),
+                 id="select-delta-markov-t-below-float-error"),
+    pytest.param(lambda: select_delta(BinaryMarkovNoise(0.869, 0.952), 75, 1 - 1e-15, 1.0),
+                 ValueError("abandonment target gives a non-positive margin"),
+                 id="select-delta-markov-root-at-h"),
+    pytest.param(lambda: expected_queries_fine(1000, 0.5, 0.3, max_queries=1, conditional=True),
+                 ValueError("abandonment is certain; conditional mean undefined"),
+                 id="queries-abandonment-certain"),
 ]
 
 

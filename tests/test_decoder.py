@@ -254,6 +254,32 @@ def test_one_code_keeps_one_syndrome_index_per_model():
     assert tables[models[0]] != tables[models[1]]
 
 
+@pytest.mark.parametrize("model", [bsc(0.05), BinaryMarkovNoise(0.05, 0.3)])
+@pytest.mark.parametrize("n, k", [(8, 8), (12, 6), (24, 12)])
+def test_a_linear_decode_of_c_plus_z_is_c_plus_the_decode_of_z(model, n, k):
+    # the all-zero codeword argument that linear-mode trials rest on: y = c + z
+    # and z have one syndrome, so each guess hits for both or for neither. k = n
+    # is the code of every word; at n = 12 the prefix holds every pattern, at
+    # n = 24 uniform noise walks past it; the budgets end on each side of it
+    cb = build_linear_codebook(n, k, seed=n + k)
+    size = len(_guess_prefix(model, n)[0])
+    rng = np.random.default_rng(n * k)
+    budgets = [None, 1] + [b for b in (size - 1, size, size + 1) if b > 1]
+    for t in range(16):
+        z = sample_noise_with(model, n, rng) if t % 2 else rng.integers(0, 2, size=n)
+        z = tuple(z.tolist())
+        c = cb.encode(tuple(rng.integers(0, 2, size=k).tolist()))
+        for budget in budgets:
+            on_zero = grand_decode(cb, z, model, budget)
+            on_c = grand_decode(cb, _xor(c, z), model, budget)
+            assert (on_c.status, on_c.queries, on_c.decoded_log_prob) == (
+                on_zero.status, on_zero.queries, on_zero.decoded_log_prob)
+            if on_zero.decoded is None:
+                assert on_c.decoded is None
+            else:
+                assert _xor(on_c.decoded, c) == on_zero.decoded
+
+
 def test_threshold_value():
     # ceil(2^(75 * (0.0808 + 0.12))) = ceil(2^15.06) = 34160 (50-digit oracle)
     assert abandonment_threshold(75, 0.0808, 0.12) == 34160

@@ -9,9 +9,9 @@ from scipy.stats import ks_2samp
 
 from grandkit import analysis as an
 from grandkit import simulator
-from grandkit.codebook import LinearCodebook, UHitModel, sample_u_exact
-from grandkit.decoder import grand_decode
-from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc
+from grandkit.codebook import LinearCodebook, UHitModel, build_linear_codebook, sample_u_exact
+from grandkit.decoder import DecodeStatus, grand_decode
+from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc, sample_noise_with
 from grandkit.simulator import (
     SimConfig,
     report_to_json,
@@ -145,6 +145,27 @@ def test_linear_mode_runs_and_is_reasonable():
     pred = 1.0 - an.bsc_success_prob_fine(n, 54 / 75, p)
     # random linear codes behave like the uniform ensemble, loosely
     assert rep.block_error_rate < max(10 * pred, 0.05)
+
+
+@pytest.mark.parametrize(
+    "model, n, budget",
+    [(bsc(0.05), 20, None), (bsc(0.05), 20, 40), (BinaryMarkovNoise(0.05, 0.3), 24, 100)],
+)
+def test_linear_trials_tally_as_end_to_end_decodes(model, n, budget):
+    # a linear trial decodes its noise on the all-zero codeword; the end-to-end
+    # trial it stands for encodes the drawn info word, decodes y = c + z and
+    # inverts the decoding, on the same random stream, and tallies the same
+    cb, trials, seed = build_linear_codebook(n, n // 2, seed=3), 150, np.random.SeedSequence(9)
+    rng, expected = np.random.default_rng(seed), simulator._Tally()
+    for _ in range(trials):
+        info = tuple(rng.integers(0, 2, size=cb.k).tolist())
+        z = sample_noise_with(model, n, rng).tolist()
+        res = grand_decode(cb, tuple(c ^ e for c, e in zip(cb.encode(info), z)), model, budget)
+        abandoned = res.status is DecodeStatus.ABANDONED
+        expected.record(res.queries, abandoned or cb.decode_to_info(res.decoded) != info,
+                        abandoned)
+    assert 0 < expected.errors - expected.abandons < trials
+    assert simulator._codebook_worker((cb, model, trials, budget, seed)) == expected
 
 
 def test_hamming_block_error_matches_binomial_tail():
