@@ -9,9 +9,9 @@ probability classes at once, so ranks stay exact even when they are
 astronomically large. Enumeration (``_class_members``) and rank (``_count_less``)
 walk one class description, ``_class_walk``; binary IID noise has closed forms.
 
-Log probabilities are always derived from sufficient statistics in a fixed
-summation order, so two sequences in the same probability class compare as
-bit-identical floats everywhere in this module.
+Log probabilities come from class statistics (``_class_log_prob``), which sum equal
+factors as one term and read a stationary chain's class through its reversal: classes
+tied by equal factors or by reversal get one float and share one tie group.
 """
 
 from __future__ import annotations

@@ -286,19 +286,25 @@ def _unpack(z: int, n: int) -> tuple[int, ...]:
 
 
 def _class_log_prob(model: NoiseModel, key) -> float:
-    """Base-|A| log probability shared by every sequence of class ``key``,
-    summed in a fixed order."""
+    """Base-|A| log probability of every sequence of class ``key``. Classes tied by equal
+    factors or by reversal get one float: equal factors are summed as one term, and a
+    stationary chain, which gives a string and its reverse one law, reads the smaller key."""
     if isinstance(model, IIDNoise):
-        lp = 0.0
-        counts, logs = key, model.symbol_log_probs
+        factors = zip(model.symbol_log_probs, key)
     else:
+        if model.initial is None:
+            first, (c00, c01, c10, c11) = key
+            key = min(key, (first + c01 - c10, (c00, c10, c01, c11)))
         first, counts = key
         init = model.initial_dist[first]
         if init <= 0.0:
             return -math.inf
-        lp = math.log2(init)
-        logs = model.transition_log_probs
-    for c, l in zip(counts, logs):
+        factors = [(math.log2(init), 1), *zip(model.transition_log_probs, counts)]
+    terms = {}
+    for l, c in factors:
+        terms[l] = terms.get(l, 0) + c
+    lp = 0.0
+    for l, c in terms.items():  # a loop: sum() compensates from Python 3.12 on
         if c:
             lp += c * l
     return lp

@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -129,21 +130,19 @@ class _Tally:
     errors: int = 0
     abandons: int = 0
     total_queries: int = 0
-    histogram: dict = field(default_factory=dict)
+    histogram: Counter = field(default_factory=Counter)
 
     def record(self, queries: int, error: bool, abandoned: bool) -> None:
         self.errors += error
         self.abandons += abandoned
         self.total_queries += queries
-        b = queries.bit_length() - 1
-        self.histogram[b] = self.histogram.get(b, 0) + 1
+        self.histogram[queries.bit_length() - 1] += 1
 
     def merge(self, other: "_Tally") -> None:
         self.errors += other.errors
         self.abandons += other.abandons
         self.total_queries += other.total_queries
-        for k, v in other.histogram.items():
-            self.histogram[k] = self.histogram.get(k, 0) + v
+        self.histogram.update(other.histogram)
 
 
 def _u_screen(hit: UHitModel):
@@ -208,21 +207,16 @@ def _codebook_worker(args) -> _Tally:
     return tally
 
 
-def _split_trials(trials: int, workers: int) -> list[int]:
-    base, rem = divmod(trials, workers)
-    return [base + (1 if i < rem else 0) for i in range(workers)]
-
-
 def _run_workers(worker, arg_builder, cfg: SimConfig) -> _Tally:
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    chunks = _split_trials(cfg.trials, cfg.workers)
-    jobs = [arg_builder(t, s) for t, s in zip(chunks, seeds) if t > 0]
+    base, rem = divmod(cfg.trials, cfg.workers)
+    chunks = (base + (i < rem) for i in range(cfg.workers))
+    jobs = [arg_builder(t, s) for t, s in zip(chunks, seeds) if t]
+    if len(jobs) == 1:
+        return worker(jobs[0])
+    # one process per chunk with trials: a pool forks all its workers at the first submit
     total = _Tally()
-    if cfg.workers == 1:
-        for job in jobs:
-            total.merge(worker(job))
-        return total
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         for tally in pool.map(worker, jobs):
             total.merge(tally)
     return total

@@ -321,12 +321,13 @@ def test_closed_output_pipe_ends_quietly():
     assert err == b""
 
 
-def test_package_and_cli_import_no_scipy():
-    """scipy is a test dependency only: importing it would cost tens of MB
-    resident and over half a second at start-up, for no run-time use."""
+def test_package_and_cli_import_no_test_dependencies():
+    """scipy, hypothesis and pytest are test dependencies only: an installed package
+    lacks them, and scipy alone would cost tens of MB resident and over half a second
+    at start-up, for no run-time use."""
     code = (
-        "import sys, grandkit, grandkit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, grandkit, grandkit.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest', '_pytest')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, env=_package_env(), timeout=60

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_packed_pattern_stream_matches_enumerator(model, n):
     "model, n, size, groups",
     [
         (bsc(0.01), 75, 2851, 3),  # weights 0-2; weight 3 would make 70 376
-        (BinaryMarkovNoise(0.05, 0.3), 24, 3938, 76),
+        (BinaryMarkovNoise(0.05, 0.3), 24, 3938, 67),  # a string and its reverse share a group
         (bsc(0.1), 12, 2**12, 13),  # the whole space
         (bsc(0.5), 16, 0, 0),  # one tie group of 2^16
         (IIDNoise((0.5, 0.2, 0.3)), 6, 729, 28),
@@ -158,6 +159,40 @@ def test_rank_agrees_with_emission_position(model):
     n = 7 if model.alphabet_size == 2 else 4
     for i, (z, _) in enumerate(iter_guesses(model, n)):
         assert guess_rank(model, z) == i + 1
+
+
+def _exact_prob(model, z) -> Fraction:
+    """The probability of ``z`` as a fraction, from the model's float parameters."""
+    if isinstance(model, IIDNoise):
+        return math.prod(Fraction(model.pmf[s]) for s in z)
+    a, b = Fraction(model.a), Fraction(model.b)
+    start = (b / (a + b), a / (a + b)) if model.initial is None else model.initial
+    step = ((1 - a, a), (b, 1 - b))
+    return Fraction(start[z[0]]) * math.prod(step[x][y] for x, y in zip(z, z[1:]))
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (bsc(0.1), 12),
+        (IIDNoise((0.5, 0.25, 0.25)), 7),  # symbols 1 and 2 are equally likely
+        (IIDNoise((0.6, 0.3, 0.1)), 7),
+        (IIDNoise((0.7, 0.1, 0.1, 0.1)), 5),
+        (BinaryMarkovNoise(0.05, 0.3), 12),  # stationary: a string ties its reverse
+        (BinaryMarkovNoise(0.1, 0.1), 12),
+        (BinaryMarkovNoise(0.25, 0.75), 12),  # an IID law in chain form
+        (BinaryMarkovNoise(0.1, 0.2, initial=(0.5, 0.5)), 12),
+    ],
+)
+def test_exact_ties_break_by_ascending_value(model, n):
+    # exact, not float: equally likely sequences share a tie group however their
+    # log-probabilities would round, and the order never raises the probability
+    prev_p, prev_z = math.inf, None
+    for rank, (z, _) in enumerate(iter_guesses(model, n), 1):
+        p = _exact_prob(model, z)
+        assert p < prev_p or (p == prev_p and z > prev_z)
+        assert guess_rank(model, z) == rank
+        prev_p, prev_z = p, z
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -246,6 +246,36 @@ def test_worker_split_preserves_distribution():
     assert report_to_json(run_race(cfg2)) == report_to_json(r2)
 
 
+@pytest.mark.parametrize(
+    "workers, trials, pool",
+    [(6, 2, [(1, (0,)), (1, (1,))]), (3, 7, [(3, (0,)), (2, (1,)), (2, (2,))]),
+     (3, 1, None), (1, 5, None)],
+)
+def test_a_run_forks_one_process_per_chunk_with_trials(monkeypatch, workers, trials, pool):
+    # (trials, seed spawn key) per pooled job; a lone chunk runs in this process
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            asked.append((self.max_workers, [(j[3], j[5].spawn_key) for j in jobs]))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+    cfg = SimConfig(model=bsc(0.05), n=16, rate=0.5, trials=trials, workers=workers)
+    rep = run_simulation(cfg)
+    assert asked == ([] if pool is None else [(len(pool), pool)])
+    assert sum(rep.query_histogram.values()) == trials
+
+
 def test_figure_sweep_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     from grandkit.simulator import figure_sweep
