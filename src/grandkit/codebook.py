@@ -45,6 +45,7 @@ __all__ = [
 # Explicit storage cap. Besides its symbol-array row, a stored word keeps 8 bytes
 # of sorted key, 8 of info index and at most 16 of prefilter; a key past int64 is
 # also an int object of at most 48 + bits / 4 bytes. Object and array headers: < 4 KB.
+# Sorting in place, an int64-keyed build peaks at what it keeps plus 2^16-symbol buffers.
 _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
@@ -123,9 +124,10 @@ class ExplicitCodebook(_Membership):
     ``words[i]`` is the codeword of info index ``i``; duplicates are allowed
     and membership deduplicates, resolving collisions to the lowest index.
     ``words`` may be given as int tuples or as an (m, n) integer array.
-    The index: the words' base-|A| keys, sorted; their order, holding each run of
-    equal keys' lowest info index at its first slot; a byte prefilter of 8-16 slots
-    per word over the keys' low bits, which shared low-order symbols only slow.
+    The index: the words' base-|A| keys, sorted; their order, info indices with equal
+    keys ascending (one in-place sort of key << b | index when that fits in int64, else
+    a stable argsort), so a run's first slot holds its lowest; a byte prefilter of 8-16
+    slots per word over the keys' low bits, which shared low-order symbols only slow.
     """
 
     n: int
@@ -148,17 +150,24 @@ class ExplicitCodebook(_Membership):
         if words.size and (not lossless or array.max() >= a):
             raise ValueError(f"need int symbols in 0..{a - 1}, the alphabet")
         key_type = np.int64 if a**self.n < 2**63 else object
-        powers = np.array([a**i for i in range(self.n - 1, -1, -1)], key_type)
+        dot_type = np.float64 if a**self.n <= 2**53 else key_type  # BLAS, exact below 2^53
+        powers = np.array([a**i for i in range(self.n - 1, -1, -1)], dot_type)
         keys, rows = np.empty(len(array), key_type), max(1, 2**16 // self.n)
         for i in range(0, len(array), rows):  # the _key of every row
-            keys[i : i + rows] = array[i : i + rows].astype(key_type) @ powers
+            keys[i : i + rows] = array[i : i + rows].astype(dot_type) @ powers
         mask = (1 << (8 * len(keys) - 1).bit_length()) - 1
         seen = bytearray(mask + 1)
         np.frombuffer(seen, np.uint8)[(keys & mask).astype(np.intp, copy=False)] = 1
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # runs of equal keys (keys >= 0)
-        order[starts] = np.minimum.reduceat(order, starts)
+        bits = (len(keys) - 1).bit_length()  # of an info index
+        if a**self.n << bits < 2**63:  # one in-place sort of key << bits | info index
+            keys <<= bits
+            keys |= np.arange(len(keys))
+            keys.sort()
+            order = keys & ((1 << bits) - 1)
+            keys >>= bits
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys.sort()  # in place, where keys[order] would copy them
         object.__setattr__(self, "words", _Words(array))
         object.__setattr__(self, "_index", (keys, order, seen, mask))
 
@@ -326,6 +335,9 @@ def build_uniform_codebook(
 ) -> ExplicitCodebook:
     """Draw M_n = floor(|A|^(n R)) words uniformly with replacement.
 
+    The words are those of ``default_rng(seed).integers(0, |A|, (M_n, n))``, read from
+    the generator's raw 32-bit outputs when |A| is a power of two up to 2^32.
+
     Raises ExplicitModeTooLargeError, before drawing, when the stored words
     and their index would take more than 1 GiB.
     """
@@ -338,10 +350,15 @@ def build_uniform_codebook(
             f"explicit codebook needs {m} words of length {n}; "
             "use a linear codebook or race-mode simulation"
         )
-    words = np.empty((m, n), dtype)
-    rng, rows = np.random.default_rng(seed), max(1, 2**16 // n)  # rows drawn at once
-    for i in range(0, m, rows):
-        words[i : i + rows] = rng.integers(0, alphabet_size, (min(rows, m - i), n), np.int64)
+    words, rng = np.empty((m, n), dtype), np.random.default_rng(seed)
+    flat, shift = words.reshape(-1), 33 - alphabet_size.bit_length()
+    for i in range(0, flat.size, 2**16):  # symbols drawn at once
+        count = min(2**16, flat.size - i)
+        if alphabet_size & (alphabet_size - 1) or shift < 0:
+            flat[i : i + count] = rng.integers(0, alphabet_size, count, np.int64)
+        else:  # integers(0, 2^k) is the top k bits of each 32-bit draw: low half, then high
+            raw = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+            flat[i : i + count] = raw.view("<u4")[:count] >> shift
     return ExplicitCodebook(
         n=n, rate=rate, seed=seed, alphabet_size=alphabet_size, words=words
     )

@@ -132,14 +132,37 @@ def test_memory_guard_bounds_what_a_build_keeps(monkeypatch, n, m, a):
         build_uniform_codebook(n, rate, seed=1, alphabet_size=a)
 
 
-@pytest.mark.parametrize("a, m, n", [(2, 26616, 21), (3, 40000, 11), (300, 20000, 3)])
+@pytest.mark.parametrize(
+    # power-of-two alphabets read raw 32-bit draws; an odd m n splits the last
+    # 64-bit output; 4, 256 and 2^32 span several chunks
+    "a, m, n",
+    [(2, 26616, 21), (3, 40000, 11), (300, 20000, 3), (4, 30001, 7), (16, 9999, 5),
+     (256, 50001, 3), (2**32, 30001, 3)],
+)
 def test_build_draws_the_words_of_one_unchunked_draw(a, m, n):
-    # the build draws 2^16 // n rows at a time; none of these m is a multiple
-    assert m % (2**16 // n)
+    # the build draws 2^16 symbols at a time; none of these m n is a multiple
+    assert m * n % 2**16
     cb = build_uniform_codebook(n, _rate_for(m, n, a), seed=11, alphabet_size=a)
     draw = np.random.default_rng(11).integers(0, a, size=(m, n), dtype=np.int64)
     assert np.array_equal(cb.words.array, draw)
     assert cb.words == tuple(tuple(row) for row in draw.tolist())
+
+
+@pytest.mark.parametrize("n", [24, 54])
+def test_build_peaks_within_the_guard_estimate(n):
+    # the guard's estimate of what a build keeps also bounds what it holds at its
+    # peak, so a build the guard lets through fits: the benchmark's codebook, and
+    # at n = 54 keys too wide to pack with an info index
+    m = 2**18
+    estimate = m * (n + 32) + 4096
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_uniform_codebook(n, _rate_for(m, n, 2), seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
 
 
 def test_benchmark_codebook_is_one_unchunked_draw():
@@ -195,12 +218,15 @@ def test_build_rejects_alphabets_below_two(alphabet_size):
 
 @pytest.mark.parametrize(
     "n, a",
-    [(1, 2), (8, 2), (24, 2), (62, 2), (63, 2), (64, 2), (80, 2),
-     (5, 3), (39, 3), (40, 3), (3, 300), (8, 300), (1, 2**40), (2, 2**40)],
+    [(1, 2), (8, 2), (24, 2), (53, 2), (54, 2), (62, 2), (63, 2), (64, 2), (80, 2),
+     (5, 3), (39, 3), (40, 3), (3, 300), (8, 300), (1, 2**40), (2, 2**40),
+     (1, 2**54 - 1), (1, 2**54)],
 )
 def test_int_keyed_index_agrees_with_tuple_oracle(n, a):
     # keys are int64 while a^n < 2^63 (binary n = 62, |A| = 3 at n = 39,
-    # |A| = 300 at n = 3, |A| = 2^40 at n = 1) and Python ints beyond
+    # |A| = 300 at n = 3, |A| = 2^40 at n = 1) and Python ints beyond. With 300
+    # words the index packs key << 9 | info index while a^n << 9 < 2^63: a^n =
+    # 2^54 - 1 is just below that, and 2^54 (binary n = 54) at it, on the stable argsort
     rng = np.random.default_rng(1000 * n + a)
     words = rng.integers(0, a, size=(300, n))
     words[150::7] = words[:22]  # later duplicates of earlier words
@@ -651,7 +677,7 @@ def small_codebooks(draw):
     if draw(st.booleans()):
         return build_linear_codebook(n, draw(st.integers(1, n)), seed)
     rate = draw(st.floats(min_value=0.0, max_value=0.6))
-    return build_uniform_codebook(n, rate, seed, alphabet_size=draw(st.sampled_from((2, 3))))
+    return build_uniform_codebook(n, rate, seed, alphabet_size=draw(st.sampled_from((2, 3, 4))))
 
 
 @given(cb=small_codebooks())
