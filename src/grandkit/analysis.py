@@ -312,7 +312,7 @@ def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
                 need = (target - cdf) / q_k
                 return l_prev + int(mpmath.ceil(need))
             cdf += layer_mass
-        return 2**n
+        # unreached: at 60 digits the layers sum to 1 within 1e-58, past any prob <= 1 - 2^-53
 
 
 def expected_queries_fine(

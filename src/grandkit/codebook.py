@@ -42,10 +42,12 @@ __all__ = [
     "load_codebook",
 ]
 
-# Explicit storage cap. Besides its symbol-array row, a stored word keeps 8 bytes
-# of sorted key, 8 of info index and at most 16 of prefilter; a key past int64 is
-# also an int object of at most 48 + bits / 4 bytes. Object and array headers: < 4 KB.
-# Sorting in place, an int64-keyed build peaks at what it keeps plus 2^16-symbol buffers.
+# Explicit storage cap, which bounds a build's peak. Besides its symbol-array row, a stored
+# word keeps 8 bytes of sorted key, 8 of info index and at most 16 of prefilter; a key past
+# int64 is also an int object of at most 48 + bits / 4 bytes, and marking it in the prefilter
+# takes 40 bytes more (an int object and two 8-byte slots, before the info index exists).
+# The 2^16-symbol draw and key buffers take at most 48 bytes a symbol: an 8-byte slot, and
+# for object keys an int object of up to 64 bits. Object and array headers: < 4 KB.
 _MEMORY_LIMIT_BYTES = 2**30
 
 _MAGIC_EXPLICIT = b"GKCBE1\n"
@@ -338,14 +340,14 @@ def build_uniform_codebook(
     The words are those of ``default_rng(seed).integers(0, |A|, (M_n, n))``, read from
     the generator's raw 32-bit outputs when |A| is a power of two up to 2^32.
 
-    Raises ExplicitModeTooLargeError, before drawing, when the stored words
-    and their index would take more than 1 GiB.
+    Raises ExplicitModeTooLargeError, before drawing, when the build would peak
+    above 1 GiB: the stored words, their index and its working buffers.
     """
     n, seed, alphabet_size = _positive_int("n", n), _seed(seed), _alphabet_size(alphabet_size)
     m = codebook_size(alphabet_size, n, rate)
     dtype = np.min_scalar_type(alphabet_size - 1)
-    index = 32 + (48 + n * math.log2(alphabet_size) / 4 if alphabet_size**n >= 2**63 else 0)
-    if m * (n * dtype.itemsize + index) + 4096 > _MEMORY_LIMIT_BYTES:
+    index = 32 + (88 + n * math.log2(alphabet_size) / 4 if alphabet_size**n >= 2**63 else 0)
+    if m * (n * dtype.itemsize + index) + 2**16 * 48 + 4096 > _MEMORY_LIMIT_BYTES:
         raise ExplicitModeTooLargeError(
             f"explicit codebook needs {m} words of length {n}; "
             "use a linear codebook or race-mode simulation"

@@ -9,9 +9,12 @@ probability classes at once, so ranks stay exact even when they are
 astronomically large. Enumeration (``_class_members``) and rank (``_count_less``)
 walk one class description, ``_class_walk``; binary IID noise has closed forms.
 
-Log probabilities come from class statistics (``_class_log_prob``), which sum equal
-factors as one term and read a stationary chain's class through its reversal: classes
-tied by equal factors or by reversal get one float and share one tie group.
+This module says what a class is (``_class_key``), how likely (``_class_log_prob``: equal
+factors are summed as one term, and a stationary chain's class is read through its reversal,
+so classes tied that way share one float), which tie group holds it (``_class_table``, where
+``guess_rank`` looks z's class key up), and how its members are listed and ranked. Classes
+whose distinct factors multiply to one real value may still land in adjacent groups; both
+enumeration and rank read the table's groups, so they still agree there.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from math import comb
 from .noise_models import (
     IIDNoise,
     NoiseModel,
-    _class_key,
-    _class_log_prob,
     _number,
     _pack,
     _positive_int,
@@ -76,13 +77,52 @@ def _markov_path_count(start: int, trans) -> int:
     return comb(c00 + c10, c10) * ones
 
 
+def _class_key(model: NoiseModel, z: tuple[int, ...]):
+    """Probability class of the int tuple ``z``: its symbol counts for IID
+    noise, or (first symbol, (c00, c01, c10, c11) transition counts) for
+    Markov noise."""
+    if not z:
+        raise ValueError("empty sequence")
+    counts = tuple(map(z.count, range(model.alphabet_size)))
+    if sum(counts) != len(z):
+        raise ValueError("symbol outside alphabet")
+    if isinstance(model, IIDNoise):
+        return counts
+    steps = [2 * prev + cur for prev, cur in zip(z, z[1:])]
+    return z[0], tuple(map(steps.count, range(4)))
+
+
+def _class_log_prob(model: NoiseModel, key) -> float:
+    """Base-|A| log probability of every sequence of class ``key``. Classes tied by equal
+    factors or by reversal get one float: equal factors are summed as one term, and a
+    stationary chain, which gives a string and its reverse one law, reads the smaller key."""
+    if isinstance(model, IIDNoise):
+        factors = zip(model.symbol_log_probs, key)
+    else:
+        if model.initial is None:
+            first, (c00, c01, c10, c11) = key
+            key = min(key, (first + c01 - c10, (c00, c10, c01, c11)))
+        first, counts = key
+        init = model.initial_dist[first]
+        if init <= 0.0:
+            return -math.inf
+        factors = [(math.log2(init), 1), *zip(model.transition_log_probs, counts)]
+    terms = {}
+    for l, c in factors:
+        terms[l] = terms.get(l, 0) + c
+    lp = 0.0
+    for l, c in terms.items():  # a loop: sum() compensates from Python 3.12 on
+        if c:
+            lp += c * l
+    return lp
+
+
 @lru_cache(maxsize=64)
 def _class_table(model: NoiseModel, n: int):
-    """The tie groups of length-n sequences, most likely first, and |A|^n: per group
-    of equally likely classes, (log_prob, [(class_key, size), ...], the number of
-    sequences before it). Enumeration, rank and the cached prefix read these groups.
-    IID class keys are symbol-count vectors; Markov class keys are (first_symbol,
-    transition-count 4-tuple).
+    """The tie groups of length-n sequences, most likely first, |A|^n, and each class
+    key's group position: per group of equally likely classes, (log_prob, [(class_key,
+    size), ...], the number of sequences before it). Enumeration, rank and the cached
+    prefix read these groups; only this build calls ``_class_log_prob``.
     """
     table = {}  # log_prob -> its tie group's [(class_key, size), ...]
     if isinstance(model, IIDNoise):
@@ -107,9 +147,9 @@ def _class_table(model: NoiseModel, n: int):
     groups, before = [], 0
     for lp in sorted(table, reverse=True):
         groups.append((lp, table[lp], before))
-        for _, size in table[lp]:
-            before += size
-    return groups, before
+        before += sum(size for _, size in table[lp])
+    group_of = {key: i for i, (_, members, _) in enumerate(groups) for key, _ in members}
+    return groups, before, group_of
 
 
 def _class_walk(model: NoiseModel, key):
@@ -210,7 +250,7 @@ def guess_groups(model: NoiseModel, n: int):
     merge yields in ascending numeric order, the tie-break. Binary sequences
     are packed ints, others int tuples. Walks the class table, not a frontier,
     so long decodes accumulate no state."""
-    groups, _ = _class_table(model, _positive_int("n", n))
+    groups, _, _ = _class_table(model, _positive_int("n", n))
     binary_iid = isinstance(model, IIDNoise) and model.alphabet_size == 2
     members = _weight_patterns if binary_iid else lambda key: _class_members(model, key)
     return ((lp, heapq.merge(*(members(key) for key, _ in group))) for lp, group, _ in groups)
@@ -226,7 +266,7 @@ def _guess_prefix(model: NoiseModel, n: int):
     """The leading whole tie groups of ``guess_groups(model, n)`` that fit in
     ``_PREFIX_CAP`` patterns, counted off the class table before any is drawn: the
     patterns in guess order, each one's group log-probability, and the number of groups."""
-    groups, total = _class_table(model, n)
+    groups, total, _ = _class_table(model, n)
     # the groups that start within the cap, less the one that crosses it, if any
     count = bisect.bisect_right(groups, _PREFIX_CAP, key=lambda g: g[2]) - (total > _PREFIX_CAP)
     patterns, log_probs = [], []
@@ -264,17 +304,15 @@ def _weight_less(z: int, w: int) -> int:
 def guess_rank(model: NoiseModel, z) -> int:
     """Position of ``z`` in the guessing order, in {1, ..., |A|^n}.
 
-    Counts the sequences of the tie groups ahead of z's, then ranks ``z``
-    numerically within its group, class by class; no enumeration of
-    predecessors takes place.
+    Finds z's tie group by its class key, counts the sequences of the groups ahead
+    of it, then ranks ``z`` numerically within its group, class by class; no
+    enumeration of predecessors takes place.
     """
-    z = _symbols(z)
-    if z is None:
+    if (z := _symbols(z)) is None:
         raise ValueError("symbols must be integers")
-    lp_z = _class_log_prob(model, _class_key(model, z))
-    groups, _ = _class_table(model, len(z))
-    # z's tie group; groups run in descending log-probability
-    _, members, rank = groups[bisect.bisect_left(groups, -lp_z, key=lambda g: -g[0])]
+    cls = _class_key(model, z)
+    groups, _, group_of = _class_table(model, len(z))
+    _, members, rank = groups[group_of[cls]]
     packed = _pack(z) if isinstance(model, IIDNoise) and model.alphabet_size == 2 else None
     for key, _ in members:
         rank += _count_less(model, key, z) if packed is None else _weight_less(packed, key[1])

@@ -3,7 +3,8 @@
 Two models are supported: IID noise over a finite alphabet and a binary
 two-state Markov chain. All entropy rates are reported in logarithms of base
 equal to the alphabet size, so a maximally random source has rate 1. Natural
-logs never leave this module.
+logs never leave this module. It also holds the shared value checks, ``_symbols`` and
+binary pattern packing; the probability classes of sequences live in ``guesswork``.
 """
 
 from __future__ import annotations
@@ -255,23 +256,6 @@ def _symbols(word) -> tuple[int, ...] | None:
     return z if z == word else None
 
 
-def _class_key(model: NoiseModel, z: tuple[int, ...]):
-    """Probability class of the int tuple ``z``: its symbol counts for IID
-    noise, or (first symbol, (c00, c01, c10, c11) transition counts) for
-    Markov noise."""
-    if not z:
-        raise ValueError("empty sequence")
-    counts = tuple(map(z.count, range(model.alphabet_size)))
-    if sum(counts) != len(z):
-        raise ValueError("symbol outside alphabet")
-    if isinstance(model, IIDNoise):
-        return counts
-    trans = [0, 0, 0, 0]
-    for prev, cur in zip(z, z[1:]):
-        trans[2 * prev + cur] += 1
-    return z[0], tuple(trans)
-
-
 # Binary patterns pack into ints, symbol i of n in bit n - 1 - i, so the ints
 # order as the sequences do.
 _TO_DIGITS, _TO_SYMBOLS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
@@ -283,31 +267,6 @@ def _pack(word) -> int:
 
 def _unpack(z: int, n: int) -> tuple[int, ...]:
     return tuple(format(z, f"0{n}b").encode().translate(_TO_SYMBOLS))
-
-
-def _class_log_prob(model: NoiseModel, key) -> float:
-    """Base-|A| log probability of every sequence of class ``key``. Classes tied by equal
-    factors or by reversal get one float: equal factors are summed as one term, and a
-    stationary chain, which gives a string and its reverse one law, reads the smaller key."""
-    if isinstance(model, IIDNoise):
-        factors = zip(model.symbol_log_probs, key)
-    else:
-        if model.initial is None:
-            first, (c00, c01, c10, c11) = key
-            key = min(key, (first + c01 - c10, (c00, c10, c01, c11)))
-        first, counts = key
-        init = model.initial_dist[first]
-        if init <= 0.0:
-            return -math.inf
-        factors = [(math.log2(init), 1), *zip(model.transition_log_probs, counts)]
-    terms = {}
-    for l, c in factors:
-        terms[l] = terms.get(l, 0) + c
-    lp = 0.0
-    for l, c in terms.items():  # a loop: sum() compensates from Python 3.12 on
-        if c:
-            lp += c * l
-    return lp
 
 
 def sample_noise_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,8 @@ from grandkit import simulator
 from grandkit.codebook import ExplicitCodebook, NotACodewordError, UHitModel
 from grandkit.decoder import DecodeResult, DecodeStatus
 from grandkit.guesswork import (
+    _class_key,
+    _class_log_prob,
     _class_table,
     _multinomial,
     guess_groups,
@@ -28,8 +30,6 @@ from grandkit.guesswork import (
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
-    _class_key,
-    _class_log_prob,
     _pack,
     _unpack,
     sample_noise_with,
@@ -601,7 +601,7 @@ def guess_rank_walk(model: IIDNoise, z) -> int:
     once c is placed there after z's prefix."""
     z = tuple(int(s) for s in z)
     lp_z = _class_log_prob(model, _class_key(model, z))
-    groups, _ = _class_table(model, len(z))
+    groups, _, _ = _class_table(model, len(z))
     rank = 1
     for lp, counts, size in ((lp, *member) for lp, members, _ in groups for member in members):
         if lp > lp_z:

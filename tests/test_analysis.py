@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grandkit import analysis as an
-from grandkit.guesswork import iter_guesses, rate_function_value
+from grandkit.guesswork import _rho_bracket, iter_guesses, rate_function_value
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
+    _renyi_log_sum,
     bsc,
     min_entropy_rate,
     renyi_entropy_rate,
@@ -287,6 +288,18 @@ def test_supercritical_threshold_ulps_below_the_min_entropy_corner(m):
     for _ in range(40):
         R = math.nextafter(R, 0.0)
         assert an.supercritical_threshold_y_star(m, R) == pytest.approx(ref, abs=1e-9)
+
+
+def test_supercritical_threshold_where_the_root_search_levels_off():
+    # five tied most likely symbols: the float -L' levels off one ulp above H_min, so
+    # one ulp below R = 1 - H_min the bracket stops with -L' still above 1 - R, and y*
+    # is the Legendre point there, the limit log_6 5 of x(rho), as the root gives further in
+    m = IIDNoise((0.18,) * 5 + (0.1,))
+    R = math.nextafter(1.0 - min_entropy_rate(m), 0.0)
+    assert _rho_bracket(lambda rho: -_renyi_log_sum(m, rho)[1] - (1.0 - R))[1] > 0.0
+    y = an.supercritical_threshold_y_star(m, R)
+    assert y == pytest.approx(math.log(5) / math.log(6), abs=1e-13)
+    assert y == pytest.approx(an.supercritical_threshold_y_star(m, R - 1e-12), abs=1e-9)
 
 
 def test_select_delta_roundtrip():

@@ -96,6 +96,15 @@ def test_memory_guard_counts_stored_words(monkeypatch):
         build_uniform_codebook(26, 25 / 26, seed=0)
 
 
+def _guard_estimate(n: int, m: int, a: int) -> float:
+    """The guard's estimate of a build's peak: per word, the symbol row, 8 bytes of
+    sorted key, 8 of info index and at most 16 of prefilter, plus for keys past int64
+    an int object of at most 48 + bits / 4 bytes and 40 bytes of prefilter temporaries;
+    48 bytes for each of the 2^16 symbols of the working buffers; 4 KB of headers."""
+    key = 32 + (88 + n * math.log2(a) / 4 if a**n >= 2**63 else 0)
+    return m * (n * np.min_scalar_type(a - 1).itemsize + key) + 2**16 * 48 + 4096
+
+
 def _rate_for(m: int, n: int, a: int) -> float:
     """A rate R with floor(a^(n R)) = m."""
     rate = math.log2(m + 0.5) / (n * math.log2(a))
@@ -110,14 +119,10 @@ def _rate_for(m: int, n: int, a: int) -> float:
     [(24, 2**16 + 1, 2), (24, 2**18, 2), (11, 24576, 3), (80, 5000, 2), (3, 4000, 300)],
 )
 def test_memory_guard_bounds_what_a_build_keeps(monkeypatch, n, m, a):
-    # the guard's estimate: per word, the symbol row, 8 bytes of sorted key, 8
-    # of info index and at most 16 of prefilter, plus an int object of at most
-    # 48 + bits / 4 bytes for keys past int64; 4 KB of object and array headers. A
-    # cap at the estimate lets the build through, and what it keeps, traced,
-    # fits under that cap
+    # a cap at the guard's estimate lets the build through, and what it keeps,
+    # traced, fits under that cap
     rate = _rate_for(m, n, a)
-    key = 32 + (48 + n * math.log2(a) / 4 if a**n >= 2**63 else 0)
-    estimate = m * (n * np.min_scalar_type(a - 1).itemsize + key) + 4096
+    estimate = _guard_estimate(n, m, a)
     monkeypatch.setattr(codebook, "_MEMORY_LIMIT_BYTES", math.ceil(estimate))
     tracemalloc.start()
     try:
@@ -148,17 +153,21 @@ def test_build_draws_the_words_of_one_unchunked_draw(a, m, n):
     assert cb.words == tuple(tuple(row) for row in draw.tolist())
 
 
-@pytest.mark.parametrize("n", [24, 54])
-def test_build_peaks_within_the_guard_estimate(n):
-    # the guard's estimate of what a build keeps also bounds what it holds at its
-    # peak, so a build the guard lets through fits: the benchmark's codebook, and
-    # at n = 54 keys too wide to pack with an info index
-    m = 2**18
-    estimate = m * (n + 32) + 4096
+@pytest.mark.parametrize(
+    # the benchmark's codebook; at n = 54 keys too wide to pack with an info index;
+    # small builds, where the 2^16-symbol buffers and object keys dominate
+    "n, m, a",
+    [pytest.param(24, 2**18, 2, id="24"), pytest.param(54, 2**18, 2, id="54"),
+     (80, 5000, 2), (3, 4000, 300)],
+)
+def test_build_peaks_within_the_guard_estimate(n, m, a):
+    # the guard's estimate bounds what a build holds at its peak, so a build the
+    # guard lets through fits
+    estimate = _guard_estimate(n, m, a)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        build_uniform_codebook(n, _rate_for(m, n, 2), seed=5)
+        build_uniform_codebook(n, _rate_for(m, n, a), seed=5, alphabet_size=a)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -17,6 +17,7 @@ from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
     _PREFIX_CAP,
     _brentq,
+    _class_key,
     _class_table,
     _guess_prefix,
     _markov_path_count,
@@ -29,7 +30,6 @@ from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
     bsc,
-    _class_key,
     _unpack,
     min_entropy_rate,
     model_error_probability,
@@ -154,7 +154,15 @@ def test_log_probs_non_increasing(model):
     assert all(x >= y - 1e-12 for x, y in zip(lps, lps[1:]))
 
 
-@pytest.mark.parametrize("model", MODELS)
+# symbol probabilities that are power-of-2 multiples of each other: at n = 4, exactly
+# equally likely classes get log-probabilities a few ulps apart, in adjacent tie groups
+_SPLIT_TIE = IIDNoise(
+    (0.14211682552542493, 0.07105841276271246, 0.7335309521398283, 0.017764603190678116,
+     0.03552920638135623)
+)
+
+
+@pytest.mark.parametrize("model", MODELS + [_SPLIT_TIE])
 def test_rank_agrees_with_emission_position(model):
     n = 7 if model.alphabet_size == 2 else 4
     for i, (z, _) in enumerate(iter_guesses(model, n)):
@@ -316,10 +324,11 @@ def test_markov_path_count_matches_brute_force(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_markov_class_table_covers_every_string(n):
     markov = BinaryMarkovNoise(0.1, 0.3)
-    groups, total = _class_table(markov, n)
+    groups, total, group_of = _class_table(markov, n)
     entries = [member for _, members, _ in groups for member in members]
     found = Counter(_class_key(markov, z) for z in itertools.product((0, 1), repeat=n))
     assert dict(entries) == found
+    assert group_of == {key: i for i, (_, members, _) in enumerate(groups) for key, _ in members}
     assert len(entries) == len(found)
     assert total == 2**n
 
@@ -331,10 +340,11 @@ def test_markov_class_table_covers_every_string(n):
 def test_iid_class_table_lists_each_count_vector_once(pmf, n):
     model = IIDNoise(pmf)
     a = model.alphabet_size
-    groups, total = _class_table(model, n)
+    groups, total, group_of = _class_table(model, n)
     entries = [member for _, members, _ in groups for member in members]
     found = Counter(_class_key(model, z) for z in itertools.product(range(a), repeat=n))
     assert dict(entries) == found
+    assert group_of == {key: i for i, (_, members, _) in enumerate(groups) for key, _ in members}
     assert len(entries) == len(found)
     assert total == sum(size for _, size in entries) == a**n
     log_probs = [lp for lp, _, _ in groups]
