@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from .guesswork import _guess_prefix
-from .noise_models import _finite, _pack, _positive_int, _seed, _symbols, _unit, _unpack
+from .noise_models import _checked, _finite, _pack, _positive_int, _seed, _unit, _unpack
 
 __all__ = [
     "ExplicitCodebook",
@@ -57,7 +57,6 @@ _HEADERS = {
     _MAGIC_EXPLICIT: ("<IQQdH", ("n", "size", "seed", "rate", "alphabet_size")),
     _MAGIC_LINEAR: ("<IIQ", ("n", "k", "seed")),
 }
-_BYTES = bytes(range(256))  # byte i is symbol i
 
 
 class ExplicitModeTooLargeError(RuntimeError):
@@ -90,13 +89,13 @@ class _Membership:
     def bind(self, y):
         """Membership of y (-) z for the received word ``y``: a function of the noise
         pattern z (a packed int when binary, else an int tuple) giving that codeword, or None."""
-        if (checked := _checked(y, self.n, self.alphabet_size)) is None:
+        if (checked := _checked(y, self.alphabet_size, self.n)) is None:
             raise ValueError(f"received word has a symbol outside 0..{self.alphabet_size - 1}")
         return self._bind(checked)
 
     def contains(self, word) -> bool:
         zero = 0 if self.alphabet_size == 2 else (0,) * self.n
-        word = _checked(word, self.n, self.alphabet_size)
+        word = _checked(word, self.alphabet_size, self.n)
         return word is not None and self._bind(word)(zero) is not None
 
 
@@ -153,10 +152,12 @@ class ExplicitCodebook(_Membership):
             raise ValueError(f"need int symbols in 0..{a - 1}, the alphabet")
         key_type = np.int64 if a**self.n < 2**63 else object
         dot_type = np.float64 if a**self.n <= 2**53 else key_type  # BLAS, exact below 2^53
-        powers = np.array([a**i for i in range(self.n - 1, -1, -1)], dot_type)
+        wide = key_type is object  # summed as _key does: n powers would take n^2 log2|A| / 16 bytes
+        powers = None if wide else np.array([a**i for i in range(self.n - 1, -1, -1)], dot_type)
         keys, rows = np.empty(len(array), key_type), max(1, 2**16 // self.n)
         for i in range(0, len(array), rows):  # the _key of every row
-            keys[i : i + rows] = array[i : i + rows].astype(dot_type) @ powers
+            chunk = array[i : i + rows].astype(dot_type)
+            keys[i : i + rows] = _key(chunk.T, a) if wide else chunk @ powers
         mask = (1 << (8 * len(keys) - 1).bit_length()) - 1
         seen = bytearray(mask + 1)
         np.frombuffer(seen, np.uint8)[(keys & mask).astype(np.intp, copy=False)] = 1
@@ -203,7 +204,7 @@ class ExplicitCodebook(_Membership):
         return self.words[info_index]
 
     def decode_to_info(self, word) -> int:
-        word = _checked(word, self.n, self.alphabet_size)
+        word = _checked(word, self.alphabet_size, self.n)
         if word is None or (i := self._info_index(_key(word, self.alphabet_size))) is None:
             raise NotACodewordError("word is not in the codebook")
         return int(i)
@@ -281,12 +282,12 @@ class LinearCodebook(_Membership):
         return entry
 
     def encode(self, info_word) -> tuple[int, ...]:
-        if (u := _checked(info_word, self.k, 2)) is None:
+        if (u := _checked(info_word, 2, self.k)) is None:
             raise ValueError("info word must be binary")
         return _unpack(reduce(int.__xor__, compress(self._rows, u), 0), self.n)
 
     def decode_to_info(self, word) -> tuple[int, ...]:
-        word = _checked(word, self.n, 2)
+        word = _checked(word, 2, self.n)
         if word is None:
             raise NotACodewordError("word is not binary")
         if self._bind(word)(0) is None:
@@ -304,26 +305,6 @@ def _xor_columns(columns: list[int], z: int, s: int = 0) -> int:
         s ^= columns[low.bit_length() - 1]
         z ^= low
     return s
-
-
-def _checked(word, n: int, alphabet_size: int) -> bytes | tuple[int, ...] | None:
-    """``word`` as bytes or an int tuple, or None when a symbol lies outside the alphabet.
-    ``bytes()`` reads a tuple or list in one pass and raises on a symbol that is no int in
-    0..255; those words and other types go symbol by symbol, which accepts 1.0 as 1."""
-    if alphabet_size <= 256 and isinstance(word, (tuple, list)):
-        try:
-            word = bytes(word)
-        except (TypeError, ValueError):
-            pass
-    if not isinstance(word, (bytes, np.ndarray)):
-        word = tuple(word)
-    if len(word) != n:
-        raise ValueError("word length mismatch")
-    if isinstance(word, bytes):  # deleting the alphabet's symbols leaves the others
-        return None if word.translate(None, _BYTES[:alphabet_size]) else word
-    word = _symbols(word)
-    inside = word is not None and 0 <= min(word, default=0) <= max(word, default=0) < alphabet_size
-    return word if inside else None
 
 
 def _key(word, a: int):

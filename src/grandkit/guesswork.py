@@ -29,6 +29,7 @@ from math import comb
 from .noise_models import (
     IIDNoise,
     NoiseModel,
+    _checked,
     _number,
     _pack,
     _positive_int,
@@ -77,19 +78,15 @@ def _markov_path_count(start: int, trans) -> int:
     return comb(c00 + c10, c10) * ones
 
 
-def _class_key(model: NoiseModel, z: tuple[int, ...]):
-    """Probability class of the int tuple ``z``: its symbol counts for IID
-    noise, or (first symbol, (c00, c01, c10, c11) transition counts) for
-    Markov noise."""
-    if not z:
-        raise ValueError("empty sequence")
-    counts = tuple(map(z.count, range(model.alphabet_size)))
-    if sum(counts) != len(z):
-        raise ValueError("symbol outside alphabet")
+def _class_key(model: NoiseModel, z):
+    """Probability class of the word ``z``, bytes of the alphabet's symbols (an int tuple past
+    256 of them), read off it with C-level counts: its symbol counts for IID noise, or (first
+    symbol, (c00, c01, c10, c11) transition counts) for Markov noise."""
     if isinstance(model, IIDNoise):
-        return counts
-    steps = [2 * prev + cur for prev, cur in zip(z, z[1:])]
-    return z[0], tuple(map(steps.count, range(4)))
+        return tuple(map(z.count, range(model.alphabet_size)))
+    c01, c10 = z.count(b"\0\1"), z.count(b"\1\0")
+    c00 = z.count(0, 0, -1) - c01  # the zeros before the last symbol, less those followed by a 1
+    return z[0], (c00, c01, c10, len(z) - 1 - c00 - c01 - c10)
 
 
 def _class_log_prob(model: NoiseModel, key) -> float:
@@ -304,18 +301,26 @@ def _weight_less(z: int, w: int) -> int:
 def guess_rank(model: NoiseModel, z) -> int:
     """Position of ``z`` in the guessing order, in {1, ..., |A|^n}.
 
-    Finds z's tie group by its class key, counts the sequences of the groups ahead
-    of it, then ranks ``z`` numerically within its group, class by class; no
-    enumeration of predecessors takes place.
+    Reads z once, as bytes (an int tuple past 256 symbols), through ``_checked``, the
+    boundary check it shares with codebook membership. Finds z's tie group by its class key,
+    counts the sequences of the groups ahead of it, then ranks ``z`` numerically within its
+    group, class by class; no enumeration of predecessors takes place.
     """
-    if (z := _symbols(z)) is None:
-        raise ValueError("symbols must be integers")
-    cls = _class_key(model, z)
-    groups, _, group_of = _class_table(model, len(z))
+    if not hasattr(z, "__len__"):
+        z = tuple(z)  # an iterator, read into a word the error below can read again
+    if (word := _checked(z, a := model.alphabet_size)) is None:
+        ints = _symbols(z) is not None
+        raise ValueError("symbol outside alphabet" if ints else "symbols must be integers")
+    if not word:
+        raise ValueError("empty sequence")
+    packed = _pack(word) if a == 2 and isinstance(model, IIDNoise) else None
+    # a packed binary word's class is its weight
+    cls = _class_key(model, word) if packed is None else (len(word) - (w := packed.bit_count()), w)
+    groups, _, group_of = _class_table(model, len(word))
     _, members, rank = groups[group_of[cls]]
-    packed = _pack(z) if isinstance(model, IIDNoise) and model.alphabet_size == 2 else None
     for key, _ in members:
-        rank += _count_less(model, key, z) if packed is None else _weight_less(packed, key[1])
+        rank += (_count_less(model, key, tuple(word)) if packed is None
+                 else _weight_less(packed, key[1]))
     return rank + 1
 
 

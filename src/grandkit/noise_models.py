@@ -3,8 +3,9 @@
 Two models are supported: IID noise over a finite alphabet and a binary
 two-state Markov chain. All entropy rates are reported in logarithms of base
 equal to the alphabet size, so a maximally random source has rate 1. Natural
-logs never leave this module. It also holds the shared value checks, ``_symbols`` and
-binary pattern packing; the probability classes of sequences live in ``guesswork``.
+logs never leave this module. It also holds the shared value checks, the word check
+``_checked`` that rank and codebook membership share, and binary pattern packing; the
+probability classes of sequences live in ``guesswork``.
 """
 
 from __future__ import annotations
@@ -254,6 +255,34 @@ def _symbols(word) -> tuple[int, ...] | None:
     word = tuple(word)
     z = tuple(map(int, word))
     return z if z == word else None
+
+
+_BYTES = bytes(range(256))  # byte i is symbol i
+
+
+def _checked(word, alphabet_size: int, n: int | None = None) -> bytes | tuple[int, ...] | None:
+    """``word``, of length ``n`` if given, as bytes (an int tuple past 256 symbols), or None
+    when a symbol is no integer or lies outside the alphabet. A 1-D uint8 array gives its
+    bytes, and ``bytes()`` reads a tuple or list in one pass, raising on a symbol that is no
+    int in 0..255; other words go symbol by symbol (``_symbols``, which accepts 1.0 as 1)."""
+    small = alphabet_size <= 256
+    if small and isinstance(word, np.ndarray) and word.dtype == np.uint8 and word.ndim == 1:
+        word = word.tobytes()
+    elif small and isinstance(word, (tuple, list)):
+        try:
+            word = bytes(word)
+        except (TypeError, ValueError):
+            pass
+    if not isinstance(word, (bytes, np.ndarray)):
+        word = tuple(word)
+    if n is not None and len(word) != n:
+        raise ValueError("word length mismatch")
+    if small and isinstance(word, bytes):  # deleting the alphabet's symbols leaves the others
+        return None if word.translate(None, _BYTES[:alphabet_size]) else word
+    word = _symbols(word) if getattr(word, "ndim", 1) == 1 else None
+    if word is None or not 0 <= min(word, default=0) <= max(word, default=0) < alphabet_size:
+        return None
+    return bytes(word) if small else word
 
 
 # Binary patterns pack into ints, symbol i of n in bit n - 1 - i, so the ints

@@ -30,6 +30,7 @@ from grandkit.guesswork import (
 from grandkit.noise_models import (
     IIDNoise,
     NoiseModel,
+    _checked,
     _pack,
     _unpack,
     sample_noise_with,
@@ -484,8 +485,9 @@ def sequence_log_prob(model: NoiseModel, z) -> float:
     Computed canonically from the sequence's probability class, so sequences
     in the same class get bit-identical values.
     """
-    z = tuple(int(s) for s in z)
-    return _class_log_prob(model, _class_key(model, z))
+    if not (word := _checked(z, model.alphabet_size)):  # None, or an empty word
+        raise ValueError("need a non-empty word of the alphabet's symbols")
+    return _class_log_prob(model, _class_key(model, word))
 
 
 def _subtract(y, z, alphabet_size: int) -> tuple[int, ...]:

@@ -155,10 +155,11 @@ def test_build_draws_the_words_of_one_unchunked_draw(a, m, n):
 
 @pytest.mark.parametrize(
     # the benchmark's codebook; at n = 54 keys too wide to pack with an info index;
-    # small builds, where the 2^16-symbol buffers and object keys dominate
+    # small builds, where the 2^16-symbol buffers and object keys dominate; one word of
+    # 10 000 bits, whose key no table of n powers may go into
     "n, m, a",
     [pytest.param(24, 2**18, 2, id="24"), pytest.param(54, 2**18, 2, id="54"),
-     (80, 5000, 2), (3, 4000, 300)],
+     (80, 5000, 2), (3, 4000, 300), (10000, 1, 2)],
 )
 def test_build_peaks_within_the_guard_estimate(n, m, a):
     # the guard's estimate bounds what a build holds at its peak, so a build the

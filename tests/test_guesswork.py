@@ -203,6 +203,23 @@ def test_exact_ties_break_by_ascending_value(model, n):
         prev_p, prev_z = p, z
 
 
+def test_split_exact_ties_never_raise_the_probability():
+    # exactly equally likely classes whose factors differ can land in adjacent tie groups
+    # (_SPLIT_TIE at n = 4); the order still never raises the exact probability, there or
+    # under a fixed batch of pmfs built the same way, (x, 2x, x/2, 4x, rest)
+    xs = np.random.default_rng(30).uniform(0.001, 0.13, 40)
+    models = [_SPLIT_TIE, *(IIDNoise((x, 2 * x, x / 2, 4 * x, 1 - 7.5 * x)) for x in xs)]
+    splits = 0
+    for model in models:
+        prev_p, prev_lp = math.inf, None
+        for z, lp in iter_guesses(model, 4):
+            p = _exact_prob(model, z)
+            assert p <= prev_p
+            splits += p == prev_p and lp != prev_lp
+            prev_p, prev_lp = p, lp
+    assert splits  # the batch does split exact ties
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_iter_guesses_rejects_empty_length(model):
     with pytest.raises(ValueError):
@@ -224,6 +241,45 @@ def test_rank_rejects_non_integral_symbols():
     for z in ((0.7, 1, 0), [1.9, 0, 0], np.array([0.0, 0.5, 1.0])):
         with pytest.raises(ValueError, match="integers"):
             guess_rank(bsc(0.1), z)
+
+
+@pytest.mark.parametrize(
+    # what each kind of input gives under bsc(0.1) and Markov(0.05, 0.3), a rank or an error:
+    # 1-D uint8 arrays are read as bytes, tuples and lists through bytes(), the rest symbol
+    # by symbol, and no symbol wraps into the alphabet
+    "z, outcomes",
+    [
+        pytest.param(np.array([0, 2, 0], np.uint8), "symbol outside alphabet", id="uint8 2"),
+        pytest.param(np.array([0, 255, 0], np.uint8), "symbol outside alphabet", id="uint8 255"),
+        pytest.param(np.array([0, 256, 1], np.int64), "symbol outside alphabet", id="int64 256"),
+        pytest.param([0, 1, -1], "symbol outside alphabet", id="list -1"),
+        pytest.param(np.array([[0, 1], [1, 0]], np.uint8), "symbol outside alphabet", id="2-D"),
+        pytest.param((1.0, 0.0, 1.0), (6, 8), id="integral floats"),
+        pytest.param((True, False), (3, 4), id="bools"),
+        pytest.param(b"\0\1", (2, 3), id="bytes"),
+        pytest.param("0101", "integers", id="str"),
+        pytest.param((), "empty sequence", id="empty tuple"),
+        pytest.param(np.array([], np.uint8), "empty sequence", id="empty array"),
+        pytest.param(lambda: iter((0, 1, 1)), (5, 5), id="iterator"),
+        pytest.param(lambda: iter((0.5, 1)), "integers", id="iterator 0.5"),
+        pytest.param(lambda: iter((0, 5)), "symbol outside alphabet", id="iterator 5"),
+    ],
+)
+def test_rank_reads_each_input_kind(z, outcomes):
+    models = (bsc(0.1), BinaryMarkovNoise(0.05, 0.3))
+    for model, want in zip(models, outcomes if isinstance(outcomes, tuple) else (outcomes,) * 2):
+        word = z() if callable(z) else z  # an iterator is made afresh for each model
+        if isinstance(want, int):
+            assert guess_rank(model, word) == want
+        else:
+            with pytest.raises(ValueError, match=want):
+                guess_rank(model, word)
+
+
+def test_rank_reads_bytes_as_ints_past_256_symbols():
+    # symbol counts past 255 cannot be counted in bytes, so such words are int tuples
+    model = IIDNoise((0.5,) + (0.5 / 299,) * 299)
+    assert guess_rank(model, b"\7") == guess_rank(model, (7,)) == 8
 
 
 @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.6])
@@ -314,7 +370,7 @@ def test_decode_long_block_one_bit_error():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_markov_path_count_matches_brute_force(n):
     markov = BinaryMarkovNoise(0.1, 0.3)
-    found = Counter(_class_key(markov, z) for z in itertools.product((0, 1), repeat=n))
+    found = Counter(_class_key(markov, bytes(z)) for z in itertools.product((0, 1), repeat=n))
     for start in (0, 1):
         for trans in itertools.product(range(n), repeat=4):
             if sum(trans) == n - 1:
@@ -326,7 +382,7 @@ def test_markov_class_table_covers_every_string(n):
     markov = BinaryMarkovNoise(0.1, 0.3)
     groups, total, group_of = _class_table(markov, n)
     entries = [member for _, members, _ in groups for member in members]
-    found = Counter(_class_key(markov, z) for z in itertools.product((0, 1), repeat=n))
+    found = Counter(_class_key(markov, bytes(z)) for z in itertools.product((0, 1), repeat=n))
     assert dict(entries) == found
     assert group_of == {key: i for i, (_, members, _) in enumerate(groups) for key, _ in members}
     assert len(entries) == len(found)
