@@ -17,7 +17,7 @@ from .noise_models import (
     sample_noise_with,
     shannon_entropy_rate,
 )
-from .guesswork import guess_rank, rate_function_value
+from .guesswork import guess_rank
 from .codebook import (
     ExplicitCodebook,
     LinearCodebook,
@@ -27,14 +27,10 @@ from .codebook import (
     load_codebook,
     save_codebook,
 )
-from .decoder import (
-    DecodeResult,
-    DecodeStatus,
-    abandonment_threshold,
-    grand_decode,
-)
+from .decoder import DecodeResult, DecodeStatus, grand_decode
 from .analysis import (
     ExponentReport,
+    abandonment_threshold,
     bsc_success_prob_fine,
     capacity,
     complexity_exponents,
@@ -44,6 +40,7 @@ from .analysis import (
     exponent_report,
     grandab_error_exponent,
     max_achievable_rate,
+    rate_function_value,
     select_delta,
     success_exponent,
     supercritical_threshold_y_star,

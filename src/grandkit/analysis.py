@@ -1,9 +1,12 @@
 """Asymptotic and fine-grained performance analytics for guessing decoders.
 
 Everything here is derived from two rate functions: I_N, the large-deviation
-rate of the noise guesswork (see :mod:`.guesswork`), and I_U(x) = 1 - R - x,
-the rate of the first accidental codeword hit. Their interplay yields error
-and success exponents, complexity exponents, abandonment design rules, and --
+rate of the noise guesswork, and I_U(x) = 1 - R - x, the rate of the first
+accidental codeword hit. I_N is computed here on its Legendre curve
+(``rate_function_value``): the curve down to gamma, the linear segment
+H_min - x below it, and +inf past the support edge. Their interplay yields
+error and success exponents, complexity exponents, the abandonment margin
+delta and the GRANDAB query budget ceil(2^(n(H + delta))) it sets, and --
 for the binary symmetric channel -- a finite-blocklength approximation of the
 block error probability and the expected query count.
 """
@@ -17,7 +20,6 @@ from math import comb
 
 import mpmath
 
-from .guesswork import _brentq, _legendre_point, _rho_bracket, rate_function_value
 from .noise_models import (
     IIDNoise,
     NoiseModel,
@@ -33,6 +35,7 @@ from .noise_models import (
 
 __all__ = [
     "ExponentReport",
+    "rate_function_value",
     "capacity",
     "error_exponent",
     "error_exponent_pair",
@@ -42,11 +45,110 @@ __all__ = [
     "complexity_exponents",
     "supercritical_threshold_y_star",
     "select_delta",
+    "abandonment_threshold",
     "bsc_success_prob_fine",
     "expected_queries_fine",
     "bsc_guesswork_quantile",
     "max_achievable_rate",
 ]
+
+
+# ---------------------------------------------------------------------------
+# The guesswork rate function I_N, the Legendre transform of the SCGF
+# (1 + alpha) L(1/(1 + alpha)) of (1/n) log G (Christiansen and Duffy,
+# "Guesswork, large deviations, and Shannon entropy", IEEE Trans. IT 2013;
+# Arikan, "An inequality on guessing and its application to sequential
+# decoding", IEEE Trans. IT 1996), traced on the Renyi parameter rho.
+# ---------------------------------------------------------------------------
+
+
+def _legendre_point(model: NoiseModel, rho: float) -> tuple[float, float]:
+    """(x, I_N(x)) at ``rho`` >= 0 on the Legendre curve of L (the Renyi
+    log-sum): x = L - rho L' and I_N(x) = -L' - x. x falls from the support
+    edge L(0) at rho = 0 through H at rho = 1 towards gamma as rho grows."""
+    L, slope = _renyi_log_sum(model, rho)
+    x = L - rho * slope
+    return x, -slope - x
+
+
+def _rho_bracket(f) -> tuple[float, float]:
+    """(rho, f(rho)) for ``f`` decreasing in rho with f(0) > 0: rho doubles
+    from 1 until f(rho) <= 0, so [0, rho] brackets the root, or until f(rho)
+    stops moving while still positive: the root then lies past float reach,
+    on the limit rho -> inf."""
+    rho, last = 1.0, None
+    while (val := f(rho)) > 0.0 and val != last:
+        rho, last = 2.0 * rho, val
+    return rho, val
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100):
+    """A root of ``f`` on the sign-changing bracket [a, b] by Brent's method (Brent 1973):
+    an exact port of scipy's ``brentq.c`` (defaults rtol = 4 eps, maxiter = 100), the same
+    float operations in the same order, kept so that outputs stay byte-identical without
+    scipy. ValueError for a same-sign bracket or a NaN value, RuntimeError past maxiter."""
+
+    def call(x: float) -> float:
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # true on the first pass; fpre is never 0
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects below, unless a short step is tried
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero denominator gives inf or NaN in C, so bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+def rate_function_value(model: NoiseModel, x: float) -> float:
+    """I_N(x), the rate function of (1/n) log G(noise): one root x(rho) = x.
+
+    +inf outside [0, 1] and past the support edge L(0) = log_|A| #{p_i > 0};
+    on the linear segment below gamma, where x(rho) stops moving before it
+    reaches x, I_N = H_min - x. Float error below 0 near x = H reads 0. A NaN x raises.
+    """
+    if not 0.0 <= _number("x", x) <= 1.0:
+        return math.inf
+    edge, slope = model._edge
+    if x >= edge:
+        return max(0.0, -slope - edge) if x == edge else math.inf
+
+    def f(rho: float) -> float:
+        return _legendre_point(model, rho)[0] - x
+
+    hi, val = _rho_bracket(f)
+    if val > 0.0:
+        return min_entropy_rate(model) - x
+    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15))[1])
 
 
 def capacity(model: NoiseModel) -> float:
@@ -82,7 +184,7 @@ def critical_rate_x_star(model: NoiseModel) -> float | None:
     """The guesswork growth rate at which I_N has unit slope.
 
     By Legendre duality this is the SCGF slope at alpha = 1, the Legendre
-    point x(1/2) = L(1/2) - L'(1/2)/2 (see :mod:`.guesswork`). Absent for
+    point x(1/2) = L(1/2) - L'(1/2)/2 (see ``_legendre_point``). Absent for
     degenerate (uniform) noise, where the rate function never steepens.
     """
     x = _legendre_point(model, 0.5)[0]
@@ -194,6 +296,28 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
     if delta <= 0.0:
         raise ValueError("abandonment target gives a non-positive margin")
     return delta
+
+
+# Largest budget exponent abandonment_threshold accepts.
+_EXPONENT_CAP = 64.0
+
+
+def abandonment_threshold(n: int, H: float, delta: float) -> int:
+    """Query budget ceil(2^(n(H + delta))), clamped to 2^n.
+
+    For binary alphabets only, like :func:`select_delta`, which rejects
+    larger ones: ``H`` and ``delta`` are in bits. The exponent is capped at
+    64 so a typo cannot request astronomical budgets.
+    """
+    n, H, delta = _positive_int("n", n), _finite("H", H), _finite("delta", delta, positive=True)
+    exponent = n * min(H + delta, 1.0)
+    if exponent > _EXPONENT_CAP:
+        raise ValueError(
+            f"abandonment exponent {exponent:.1f} exceeds cap {_EXPONENT_CAP}"
+        )
+    with mpmath.workdps(40):
+        t = int(mpmath.ceil(mpmath.mpf(2) ** exponent))
+    return min(t, 2**n)
 
 
 @dataclass(frozen=True)

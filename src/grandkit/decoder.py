@@ -3,10 +3,11 @@
 ``grand_decode`` walks noise patterns in decreasing-likelihood order, as
 ``guesswork.guess_groups`` emits them, and asks the codebook, bound once to
 the received word y with ``cb.bind(y)``, whether y (-) z is a member; the
-first member is a maximum-likelihood decoding. With a query budget it
-abandons instead (GRANDAB). A binary pattern is a packed int, so no tuple is
-built per guess. A linear code answers the leading guesses with one lookup
-(``LinearCodebook._leaders``); the guess stream starts only past them.
+first member is a maximum-likelihood decoding. With a query budget, such as
+``analysis.abandonment_threshold`` sets, it abandons instead (GRANDAB). A
+binary pattern is a packed int, so no tuple is built per guess. A linear code
+answers the leading guesses with one lookup (``LinearCodebook._leaders``); the
+guess stream starts only past them.
 """
 
 from __future__ import annotations
@@ -15,21 +16,15 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
-
 from .codebook import Codebook, LinearCodebook
 from .guesswork import guess_groups
-from .noise_models import NoiseModel, _finite, _positive_int
+from .noise_models import NoiseModel, _positive_int
 
 __all__ = [
     "DecodeStatus",
     "DecodeResult",
     "grand_decode",
-    "abandonment_threshold",
 ]
-
-# Largest budget exponent abandonment_threshold accepts.
-_EXPONENT_CAP = 64.0
 
 
 class DecodeStatus(Enum):
@@ -78,21 +73,3 @@ def grand_decode(
             if queries == max_queries:
                 return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
     # unreached: the walk holds every z, -inf classes too, so it meets y (-) z for a codeword
-
-
-def abandonment_threshold(n: int, H: float, delta: float) -> int:
-    """Query budget ceil(2^(n(H + delta))), clamped to 2^n.
-
-    For binary alphabets only, like :func:`select_delta`, which rejects
-    larger ones: ``H`` and ``delta`` are in bits. The exponent is capped at
-    64 so a typo cannot request astronomical budgets.
-    """
-    n, H, delta = _positive_int("n", n), _finite("H", H), _finite("delta", delta, positive=True)
-    exponent = n * min(H + delta, 1.0)
-    if exponent > _EXPONENT_CAP:
-        raise ValueError(
-            f"abandonment exponent {exponent:.1f} exceeds cap {_EXPONENT_CAP}"
-        )
-    with mpmath.workdps(40):
-        t = int(mpmath.ceil(mpmath.mpf(2) ** exponent))
-    return min(t, 2**n)

@@ -1,4 +1,4 @@
-"""Noise-sequence enumeration in likelihood order and its large-deviation analytics.
+"""Noise-sequence enumeration in likelihood order, and the rank of a sequence in it.
 
 ``guess_groups`` emits every length-n sequence exactly once, from most likely
 to least likely, breaking probability ties by ascending numeric value of the
@@ -30,20 +30,16 @@ from .noise_models import (
     IIDNoise,
     NoiseModel,
     _checked,
-    _number,
     _pack,
     _positive_int,
-    _renyi_log_sum,
     _symbols,
     _unpack,
-    min_entropy_rate,
 )
 
 __all__ = [
     "guess_groups",
     "iter_guesses",
     "guess_rank",
-    "rate_function_value",
 ]
 
 
@@ -322,101 +318,3 @@ def guess_rank(model: NoiseModel, z) -> int:
         rank += (_count_less(model, key, tuple(word)) if packed is None
                  else _weight_less(packed, key[1]))
     return rank + 1
-
-
-# ---------------------------------------------------------------------------
-# The guesswork rate function I_N, the Legendre transform of the SCGF
-# (1 + alpha) L(1/(1 + alpha)) of (1/n) log G (Christiansen and Duffy,
-# "Guesswork, large deviations, and Shannon entropy", IEEE Trans. IT 2013;
-# Arikan, "An inequality on guessing and its application to sequential
-# decoding", IEEE Trans. IT 1996), traced on the Renyi parameter rho.
-# ---------------------------------------------------------------------------
-
-
-def _legendre_point(model: NoiseModel, rho: float) -> tuple[float, float]:
-    """(x, I_N(x)) at ``rho`` >= 0 on the Legendre curve of L (the Renyi
-    log-sum): x = L - rho L' and I_N(x) = -L' - x. x falls from the support
-    edge L(0) at rho = 0 through H at rho = 1 towards gamma as rho grows."""
-    L, slope = _renyi_log_sum(model, rho)
-    x = L - rho * slope
-    return x, -slope - x
-
-
-def _rho_bracket(f) -> tuple[float, float]:
-    """(rho, f(rho)) for ``f`` decreasing in rho with f(0) > 0: rho doubles
-    from 1 until f(rho) <= 0, so [0, rho] brackets the root, or until f(rho)
-    stops moving while still positive: the root then lies past float reach,
-    on the limit rho -> inf."""
-    rho, last = 1.0, None
-    while (val := f(rho)) > 0.0 and val != last:
-        rho, last = 2.0 * rho, val
-    return rho, val
-
-
-def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100):
-    """A root of ``f`` on the sign-changing bracket [a, b] by Brent's method (Brent 1973):
-    an exact port of scipy's ``brentq.c`` (defaults rtol = 4 eps, maxiter = 100), the same
-    float operations in the same order, kept so that outputs stay byte-identical without
-    scipy. ValueError for a same-sign bracket or a NaN value, RuntimeError past maxiter."""
-
-    def call(x: float) -> float:
-        if math.isnan(fx := f(x)):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):  # true on the first pass; fpre is never 0
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisects below, unless a short step is tried
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate; a zero denominator gives inf or NaN in C, so bisects
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # good short step
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
-
-
-def rate_function_value(model: NoiseModel, x: float) -> float:
-    """I_N(x), the rate function of (1/n) log G(noise): one root x(rho) = x.
-
-    +inf outside [0, 1] and past the support edge L(0) = log_|A| #{p_i > 0};
-    on the linear segment below gamma, where x(rho) stops moving before it
-    reaches x, I_N = H_min - x. Float error below 0 near x = H reads 0. A NaN x raises.
-    """
-    if not 0.0 <= _number("x", x) <= 1.0:
-        return math.inf
-    edge, slope = model._edge
-    if x >= edge:
-        return max(0.0, -slope - edge) if x == edge else math.inf
-
-    def f(rho: float) -> float:
-        return _legendre_point(model, rho)[0] - x
-
-    hi, val = _rho_bracket(f)
-    if val > 0.0:
-        return min_entropy_rate(model) - x
-    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15))[1])

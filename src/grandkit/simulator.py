@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import (
+    abandonment_threshold,
     capacity,
     complexity_exponents,
     error_exponent_pair,
@@ -41,7 +42,7 @@ from .codebook import (
     build_uniform_codebook,
     sample_u_exact,
 )
-from .decoder import DecodeStatus, abandonment_threshold, grand_decode
+from .decoder import DecodeStatus, grand_decode
 from .guesswork import guess_rank
 from .noise_models import (
     NoiseModel,
@@ -197,8 +198,8 @@ def _codebook_worker(args) -> _Tally:
     a, linear = model.alphabet_size, isinstance(cb, LinearCodebook)
     for _ in range(trials):
         info = rng.integers(0, 2, size=cb.k) if linear else int(rng.integers(0, cb.size))
-        z = sample_noise_with(model, cb.n, rng).tolist()
-        word = z if linear else tuple((ci + zi) % a for ci, zi in zip(cb.encode(info), z))
+        z = sample_noise_with(model, cb.n, rng)  # a uint8 array, which membership reads as bytes
+        word = z if linear else tuple((ci + zi) % a for ci, zi in zip(cb.encode(info), z.tolist()))
         res = grand_decode(cb, word, model, max_queries=threshold)
         abandoned = res.status is DecodeStatus.ABANDONED
         error = abandoned or (

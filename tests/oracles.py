@@ -6,6 +6,7 @@ package, because no library path uses them.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from grandkit import simulator
+from grandkit.analysis import rate_function_value
 from grandkit.codebook import ExplicitCodebook, NotACodewordError, UHitModel
 from grandkit.decoder import DecodeResult, DecodeStatus
 from grandkit.guesswork import (
@@ -25,7 +27,6 @@ from grandkit.guesswork import (
     _multinomial,
     guess_groups,
     guess_rank,
-    rate_function_value,
 )
 from grandkit.noise_models import (
     IIDNoise,
@@ -457,7 +458,7 @@ def rate_function_reference(model: NoiseModel, x: float, dps: int = 40) -> float
     """I_N(x) at ``dps`` digits on the Legendre curve x(rho) = L - rho L',
     I_N = -L' - x, with x(rho) = x solved by bisection in rho to half of
     ``dps`` digits (I_N moves by about L'' times the error in rho); reference
-    path for ``grandkit.guesswork.rate_function_value``, edges included.
+    path for ``grandkit.analysis.rate_function_value``, edges included.
 
     +inf outside [0, 1] and past the support edge L(0). Bisection runs on
     rho in [0, 2^12]; at or below x(2^12), the linear segment, it returns
@@ -665,3 +666,150 @@ def run_race_exact(cfg: simulator.SimConfig) -> simulator.SimReport:
         cfg,
     )
     return simulator._report(cfg, threshold, tally, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Exact GRAND / GRANDAB error and query count on a uniform random codebook:
+# the law race mode samples, G the noise's guesswork rank and U the first
+# accidental hit, the minimum of M = M_n uniforms on {1, ..., T = |A|^n}, so
+# P(U > j) = (1 - j/T)^M.
+# ---------------------------------------------------------------------------
+
+# Rank ranges of at most this many terms are summed term by term; longer ones take
+# Euler-Maclaurin.
+_DIRECT_MAX = 8
+
+# B_2k / (2k)! as (numerator, denominator), and 2k - 1, for k = 1, 2, 3: the
+# Euler-Maclaurin corrections kept.
+_EM_TERMS = ((1, 12, 1), (-1, 720, 3), (1, 30240, 5))
+
+
+def _sequence_prob_mp(model: NoiseModel, key) -> mpmath.mpf:
+    """The probability of each sequence of class ``key``, in mpmath from the model's
+    parameters; the stationary start law is (b, a) / (a + b) in mpmath too, so a
+    stationary class and its reversal get one value."""
+    if isinstance(model, IIDNoise):
+        return mpmath.fprod(mpmath.mpf(p) ** c for p, c in zip(model.pmf, key))
+    first, counts = key
+    a, b = mpmath.mpf(model.a), mpmath.mpf(model.b)
+    init = (b / (a + b), a / (a + b)) if model.initial is None else model.initial
+    trans = (1 - a, a, b, 1 - b)
+    return mpmath.mpf(init[first]) * mpmath.fprod(p**c for p, c in zip(trans, counts))
+
+
+def _hit_sums(T: int, M: int, a: int, b: int):
+    """(sum f(x), sum x f(x), f(a), f(b)) over the integers x in [a, b], where
+    f(x) = (1 - x/T)^M = P(U > x). Up to ``_DIRECT_MAX`` terms are summed as
+    they are; a longer range takes Euler-Maclaurin with three corrections,
+    whose remainder is at most 2 zeta(8) / (2 pi)^8 (about 8e-7) times the
+    integral of |h^(8)|: that is at most (M/T)^7 for h = f, and b (M/T)^7 +
+    8 (M/T)^6 for h = x f, so the range must have M/T <= 1/16.
+    The integrals are closed forms in u = 1 - x/T: T/(M+1) u^(M+1) for f, and
+    T^2 (u^(M+1)/(M+1) - u^(M+2)/(M+2)) for x f, each up to sign."""
+    Tm = mpmath.mpf(T)
+    if b - a < _DIRECT_MAX:
+        fs = [(1 - x / Tm) ** M for x in range(a, b + 1)]
+        sum_xf = mpmath.fsum(x * f for x, f in zip(range(a, b + 1), fs))
+        return mpmath.fsum(fs), sum_xf, fs[0], fs[-1]
+    if 16 * M > T:
+        raise ValueError("Euler-Maclaurin needs M/T <= 1/16")
+    ends = []
+    for x in (a, b):
+        u = 1 - x / Tm
+        powers = [u ** (M - 5)]  # u^(M-5), ..., u^(M+2), multiplied up so u = 0 needs no care
+        for _ in range(7):
+            powers.append(powers[-1] * u)
+        # f^(m)(x) = (-1/T)^m M (M - 1) ... (M - m + 1) u^(M - m), m = 0..5
+        derivs, fall = [], mpmath.mpf(1)
+        for m in range(6):
+            derivs.append((-1 / Tm) ** m * fall * powers[5 - m])
+            fall *= M - m
+        ends.append((x, powers[6], powers[7], derivs))
+    (xa, ua1, ua2, da), (xb, ub1, ub2, db) = ends
+    sum_f = Tm / (M + 1) * (ua1 - ub1) + (da[0] + db[0]) / 2
+    sum_xf = Tm**2 * ((ua1 - ub1) / (M + 1) - (ua2 - ub2) / (M + 2)) + (xa * da[0] + xb * db[0]) / 2
+    for num, den, m in _EM_TERMS:
+        coef = mpmath.mpf(num) / den
+        sum_f += coef * (db[m] - da[m])
+        # (x f)^(m) = x f^(m) + m f^(m-1)
+        sum_xf += coef * ((xb * db[m] + m * db[m - 1]) - (xa * da[m] + m * da[m - 1]))
+    return sum_f, sum_xf, da[0], db[0]
+
+
+def random_codebook_exact(model: NoiseModel, n: int, R: float, budget: int | None = None):
+    """(P(error), E[queries]) of GRAND, or of GRANDAB with ``budget`` B, on a uniform
+    random codebook, exactly: the law race mode samples, summed over the class table's
+    tie groups, in each of which every rank g has one probability q. With
+    f(j) = P(U > j) = (1 - j/T)^M,
+
+        P(error)   = sum over g <= B of P(G = g) (1 - f(g)) + P(G > B),
+        E[queries] = sum over j < B of P(G > j) f(j).
+
+    Inside a group P(G > j) falls by q per rank, so its part of E[queries] needs
+    sum f(j) and sum j f(j) over the group's ranks (``_hit_sums``). The sum stops
+    once f is below 1e-40 of the mass left: every later rank is an error, and adds
+    no query past that bound. Works at log10 T + 40 digits: at n = 200, 50 digits
+    gave 2.8795e-1 where the true error is 2.7829e-1.
+    """
+    groups, T, _ = _class_table(model, n)
+    M = UHitModel(n=n, rate=R, alphabet_size=model.alphabet_size).M_n
+    B = T if budget is None else min(budget, T)
+    with mpmath.workdps(math.ceil(n * math.log10(model.alphabet_size)) + 40):
+        reach = 1 + mpmath.mpf(T) / (M + 1)  # sum of f(j) over j >= e, over f(e), at most
+        error = queries = within = mpmath.mpf(0)  # within: P(G <= B) over the groups summed
+        beyond = mpmath.mpf(1)  # P(G > s), s the ranks before the group
+        for _, members, s in groups:
+            if s >= B:
+                break
+            q = _sequence_prob_mp(model, members[0][0])
+            for key, _ in members[1:]:
+                if abs(_sequence_prob_mp(model, key) / q - 1) > 1e-12:
+                    raise ValueError("a tie group holds classes of unequal probability")
+            e = min(s + sum(size for _, size in members), B)  # ranks s + 1 .. e
+            sum_f, sum_xf, f_s, f_e = _hit_sums(T, M, s, e)
+            # ranks g in (s, e]: error with P(U <= g) = 1 - f(g)
+            error += q * ((e - s) - (sum_f - f_s))
+            # j in [s, e): P(G > j) = beyond - q (j - s)
+            queries += (beyond + q * s) * (sum_f - f_e) - q * (sum_xf - e * f_e)
+            within += q * (e - s)
+            beyond -= q * (e - s)
+            if f_e * reach < 1e-40:  # the ranks left add under 1e-40 to either sum
+                break
+        return float(error + 1 - within), float(queries)
+
+
+def random_codebook_brute(model: NoiseModel, n: int, R: float, budget: int | None = None):
+    """``random_codebook_exact`` by a direct sum over every sequence and every rank: each
+    sequence's probability is the product of its symbol or transition probabilities, and
+    the ranks come from sorting them, ties by ascending value. Only for small |A|^n."""
+    a = model.alphabet_size
+    M = UHitModel(n=n, rate=R, alphabet_size=a).M_n
+    T = a**n
+    B = T if budget is None else min(budget, T)
+    with mpmath.workdps(math.ceil(n * math.log10(a)) + 40):
+        if isinstance(model, IIDNoise):
+            pmf = [mpmath.mpf(p) for p in model.pmf]
+
+            def prob(z):
+                return mpmath.fprod(pmf[s] for s in z)
+        else:
+            x, y = mpmath.mpf(model.a), mpmath.mpf(model.b)
+            init = (y / (x + y), x / (x + y)) if model.initial is None else model.initial
+            step = ((1 - x, x), (y, 1 - y))
+
+            def prob(z):
+                return mpmath.mpf(init[z[0]]) * mpmath.fprod(step[s][t] for s, t in zip(z, z[1:]))
+
+        ranked = sorted((-prob(z), z) for z in itertools.product(range(a), repeat=n))
+        probs = [-p for p, _ in ranked]
+        Tm = mpmath.mpf(T)
+        error = queries = mpmath.mpf(0)
+        beyond = mpmath.mpf(1)  # P(G > j)
+        for j, p in enumerate(probs):  # p = P(G = j + 1)
+            if j < B:
+                queries += beyond * (1 - j / Tm) ** M
+                error += p * (1 - (1 - (j + 1) / Tm) ** M)
+            else:
+                error += p
+            beyond -= p
+        return float(error), float(queries)

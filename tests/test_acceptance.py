@@ -19,9 +19,10 @@ import pytest
 
 import grandkit
 from grandkit import analysis as an
+from grandkit.analysis import rate_function_value
 from grandkit.codebook import UHitModel, build_uniform_codebook
 from grandkit.decoder import grand_decode
-from grandkit.guesswork import guess_rank, iter_guesses, rate_function_value
+from grandkit.guesswork import guess_rank, iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     bsc,

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grandkit import analysis as an
-from grandkit.guesswork import _rho_bracket, iter_guesses, rate_function_value
+from grandkit.analysis import _rho_bracket, rate_function_value
+from grandkit.guesswork import iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,

@@ -17,6 +17,7 @@ from grandkit.analysis import (
     bsc_guesswork_quantile,
     expected_queries_fine,
     max_achievable_rate,
+    rate_function_value,
     select_delta,
 )
 from grandkit.codebook import (
@@ -28,7 +29,6 @@ from grandkit.codebook import (
     sample_u_exact,
 )
 from grandkit.decoder import grand_decode
-from grandkit.guesswork import rate_function_value
 from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc, renyi_entropy_rate
 from grandkit.simulator import SimConfig, figure_sweep, run_simulation
 

@@ -1,14 +1,17 @@
 import csv
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from grandkit import analysis, cli, guesswork
+import grandkit
+from grandkit import analysis, cli
 from grandkit.codebook import build_uniform_codebook, save_codebook
 from grandkit.noise_models import BinaryMarkovNoise, bsc, shannon_entropy_rate
 
@@ -188,14 +191,15 @@ def test_exponents_computes_rate_independent_terms_once(tmp_path, monkeypatch, m
     Legendre point at rho = 1/2) is computed once."""
     _clear_analytics_caches()
     xs, rhos = [], []
+    orig_rate, orig_point = analysis.rate_function_value, analysis._legendre_point
 
     def rate_function_value(m, x):
         xs.append(x)
-        return guesswork.rate_function_value(m, x)
+        return orig_rate(m, x)
 
     def legendre_point(m, rho):
         rhos.append(rho)
-        return guesswork._legendre_point(m, rho)
+        return orig_point(m, rho)
 
     monkeypatch.setattr(analysis, "rate_function_value", rate_function_value)
     monkeypatch.setattr(analysis, "_legendre_point", legendre_point)
@@ -334,6 +338,44 @@ def test_package_and_cli_import_no_test_dependencies():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+
+
+# Every name ``grandkit`` exports, by the module that defines it.
+PUBLIC_NAMES = {
+    "noise_models": (
+        "BinaryMarkovNoise", "IIDNoise", "NoiseModel", "bsc", "min_entropy_rate",
+        "renyi_entropy_rate", "sample_noise_with", "shannon_entropy_rate",
+    ),
+    "guesswork": ("guess_rank",),
+    "codebook": (
+        "ExplicitCodebook", "LinearCodebook", "UHitModel", "build_linear_codebook",
+        "build_uniform_codebook", "load_codebook", "save_codebook",
+    ),
+    "decoder": ("DecodeResult", "DecodeStatus", "grand_decode"),
+    "analysis": (
+        "ExponentReport", "abandonment_threshold", "bsc_success_prob_fine", "capacity",
+        "complexity_exponents", "critical_rate_x_star", "error_exponent",
+        "expected_queries_fine", "exponent_report", "grandab_error_exponent",
+        "max_achievable_rate", "rate_function_value", "select_delta", "success_exponent",
+        "supercritical_threshold_y_star",
+    ),
+    "simulator": ("SimConfig", "SimReport", "figure_sweep", "run_simulation"),
+}
+
+
+def test_package_exports_each_public_name_from_its_module():
+    """The package's 38 names and ``__version__``, no more and no fewer, and each
+    is the object its defining module holds."""
+    pinned = {name for names in PUBLIC_NAMES.values() for name in names}
+    assert len(pinned) == 38
+    for module, names in PUBLIC_NAMES.items():
+        owner = importlib.import_module(f"grandkit.{module}")
+        for name in names:
+            assert getattr(grandkit, name) is getattr(owner, name), name
+    assert grandkit.__version__ == "0.1.0"
+    exported = {name for name in dir(grandkit) if not name.startswith("_")
+                and not isinstance(getattr(grandkit, name), types.ModuleType)}
+    assert exported == pinned
 
 
 def test_model_flag_validation():

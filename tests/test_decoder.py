@@ -15,11 +15,8 @@ from grandkit.codebook import (
     build_uniform_codebook,
     sample_u_exact,
 )
-from grandkit.decoder import (
-    DecodeStatus,
-    abandonment_threshold,
-    grand_decode,
-)
+from grandkit.analysis import abandonment_threshold
+from grandkit.decoder import DecodeStatus, grand_decode
 from grandkit.guesswork import _guess_prefix, guess_rank, iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from grandkit import analysis, guesswork
-from grandkit.analysis import _weight_layers
+from grandkit import analysis
+from grandkit.analysis import _brentq, _weight_layers, rate_function_value
 from grandkit.codebook import build_linear_codebook
 from grandkit.decoder import grand_decode
 from grandkit.guesswork import (
     _PREFIX_CAP,
-    _brentq,
     _class_key,
     _class_table,
     _guess_prefix,
@@ -24,7 +23,6 @@ from grandkit.guesswork import (
     guess_groups,
     guess_rank,
     iter_guesses,
-    rate_function_value,
 )
 from grandkit.noise_models import (
     BinaryMarkovNoise,
@@ -624,10 +622,9 @@ def test_brentq_port_matches_scipy_at_every_call_site(monkeypatch, model):
         roots.append(ours)
         return ours
 
-    monkeypatch.setattr(guesswork, "_brentq", both)
     monkeypatch.setattr(analysis, "_brentq", both)
     for x in np.linspace(0.0, 1.0, 41):
-        guesswork.rate_function_value(model, float(x))
+        analysis.rate_function_value(model, float(x))
     for R in np.linspace(0.01, 0.99, 25):
         analysis.supercritical_threshold_y_star(model, float(R))
     if model.alphabet_size == 2:

@@ -20,13 +20,13 @@ from grandkit.noise_models import (
 )
 
 from grandkit import analysis
+from grandkit.analysis import abandonment_threshold
 from grandkit.codebook import (
     ExplicitCodebook,
     UHitModel,
     build_linear_codebook,
     build_uniform_codebook,
 )
-from grandkit.decoder import abandonment_threshold
 from grandkit.guesswork import guess_groups, guess_rank
 from grandkit.simulator import figure_sweep
 
