@@ -675,10 +675,6 @@ def run_race_exact(cfg: simulator.SimConfig) -> simulator.SimReport:
 # P(U > j) = (1 - j/T)^M.
 # ---------------------------------------------------------------------------
 
-# Rank ranges of at most this many terms are summed term by term; longer ones take
-# Euler-Maclaurin.
-_DIRECT_MAX = 8
-
 # B_2k / (2k)! as (numerator, denominator), and 2k - 1, for k = 1, 2, 3: the
 # Euler-Maclaurin corrections kept.
 _EM_TERMS = ((1, 12, 1), (-1, 720, 3), (1, 30240, 5))
@@ -699,18 +695,14 @@ def _sequence_prob_mp(model: NoiseModel, key) -> mpmath.mpf:
 
 def _hit_sums(T: int, M: int, a: int, b: int):
     """(sum f(x), sum x f(x), f(a), f(b)) over the integers x in [a, b], where
-    f(x) = (1 - x/T)^M = P(U > x). Up to ``_DIRECT_MAX`` terms are summed as
-    they are; a longer range takes Euler-Maclaurin with three corrections,
-    whose remainder is at most 2 zeta(8) / (2 pi)^8 (about 8e-7) times the
-    integral of |h^(8)|: that is at most (M/T)^7 for h = f, and b (M/T)^7 +
-    8 (M/T)^6 for h = x f, so the range must have M/T <= 1/16.
+    f(x) = (1 - x/T)^M = P(U > x), by Euler-Maclaurin with three corrections,
+    exact on a one-point range. The remainder is at most 2 zeta(8) / (2 pi)^8
+    (about 8e-7) times the integral of |h^(8)|: that is at most (M/T)^7 for
+    h = f, and b (M/T)^7 + 8 (M/T)^6 for h = x f, so the range must have
+    M/T <= 1/16.
     The integrals are closed forms in u = 1 - x/T: T/(M+1) u^(M+1) for f, and
     T^2 (u^(M+1)/(M+1) - u^(M+2)/(M+2)) for x f, each up to sign."""
     Tm = mpmath.mpf(T)
-    if b - a < _DIRECT_MAX:
-        fs = [(1 - x / Tm) ** M for x in range(a, b + 1)]
-        sum_xf = mpmath.fsum(x * f for x, f in zip(range(a, b + 1), fs))
-        return mpmath.fsum(fs), sum_xf, fs[0], fs[-1]
     if 16 * M > T:
         raise ValueError("Euler-Maclaurin needs M/T <= 1/16")
     ends = []

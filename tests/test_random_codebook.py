@@ -13,15 +13,11 @@ from grandkit.guesswork import _class_table
 from grandkit.noise_models import BinaryMarkovNoise, IIDNoise, bsc
 from grandkit.simulator import SimConfig, run_simulation
 
-from . import oracles
 from .oracles import bsc_success_prob_fine_exact, random_codebook_brute, random_codebook_exact
 
 EPS = sys.float_info.epsilon
 
 
-@pytest.mark.parametrize(
-    "direct_max", [oracles._DIRECT_MAX, 0], ids=["mixed", "all-euler-maclaurin"]
-)
 @pytest.mark.parametrize(
     "model, n, budget",
     [
@@ -32,13 +28,11 @@ EPS = sys.float_info.epsilon
     ],
     ids=repr,
 )
-def test_exact_reference_equals_the_brute_force_sum(monkeypatch, direct_max, model, n, budget):
-    """Every sequence and every rank summed directly: the two agree to 1e-12, with
-    groups summed term by term and by Euler-Maclaurin, and with every group by
-    Euler-Maclaurin. A budget splits a tie group, so part of it is summed."""
+def test_exact_reference_equals_the_brute_force_sum(model, n, budget):
+    """Every sequence and every rank summed directly: the two agree to 1e-12. A
+    budget splits a tie group, so part of it is summed."""
     if budget is not None:
         assert budget not in {s for _, _, s in _class_table(model, n)[0]}
-    monkeypatch.setattr(oracles, "_DIRECT_MAX", direct_max)
     exact = random_codebook_exact(model, n, 0.5, budget)
     brute = random_codebook_brute(model, n, 0.5, budget)
     assert exact[0] == pytest.approx(brute[0], rel=0, abs=1e-12)
