@@ -14,6 +14,7 @@ block error probability and the expected query count.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -371,8 +372,10 @@ def exponent_report(
 # Guesses against Bernoulli(p) noise, p <= 1/2, proceed through Hamming-weight
 # layers: ranks (l_{k-1}, l_k] all have probability q_k = p^k (1-p)^(n-k), where
 # l_k counts strings of weight <= k. The accidental-hit time is approximately
-# exponential with rate c = 2^(-n(1-R)). Every sum below exploits this layer
-# structure so no loop ever touches individual ranks.
+# exponential, P(U > j) = r^j with r = e^(-c) and c = 2^(-n(1-R)). The success
+# probability and the expected query count read one layer sum, ``_layer_sums``:
+# closed forms per layer, so no loop touches individual ranks. It is exact for
+# that law at every rate and block length, at a precision set by n(1-R).
 # ---------------------------------------------------------------------------
 
 
@@ -402,26 +405,37 @@ def _check_bsc(n: int, p: float, R: float | None = None) -> int:
     return n
 
 
-def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
-    """P(correct decoding) for a BSC with a uniform random codebook.
+@contextmanager
+def _hit_law(n: int, R: float):
+    """c = 2^(-n(1-R)), at 2 n(1-R) log10(2) + 60 digits set for the block: ``_layer_sums``
+    loses up to log10(1/c) digits in differences of e^(-cj), and s1 to terms of order 1/c^2."""
+    with mpmath.workdps(math.ceil(2 * n * (1 - R) * math.log10(2)) + 60):
+        yield mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
 
-    Layer-by-layer geometric sums of P(G = m) e^(-m c); the block error
-    probability is one minus this value. Sub-second even at n in the
-    hundreds because the weight loop terminates once survival underflows.
-    """
+
+def _layer_sums(n: int, p: float, c, T: int):
+    """Per weight layer below the budget T: (size, l_k, q_k, s0, s1), where
+    s0 = sum r^j = (r^a - r^b) / (1 - r) and s1 = sum j r^j over the ranks
+    j in [a, b) = [l_prev, min(l_k, T)), with r^a = e^(-ca). Stops where
+    r^a < e^-5000: every later sum is below e^-5000 / c."""
+    r, w, ra = mpmath.exp(-c), -mpmath.expm1(-c), mpmath.mpf(1)
+    for size, a, l_k, q_k in _weight_layers(n, mpmath.mpf(p)):
+        if a >= T or a * c > 5000:
+            return
+        b = min(l_k, T)
+        rb = mpmath.exp(-c * b)
+        s0 = (ra - rb) / w
+        yield size, l_k, q_k, s0, a * s0 + (r * s0 - (b - a) * rb) / w
+        ra = rb
+
+
+def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
+    """P(correct decoding) = P(U > G) = sum_k q_k r s0_k for a BSC with a
+    uniform random codebook; the block error probability is one minus this."""
     n = _check_bsc(n, p, R)
-    log2_c = -n * (1.0 - R)
-    c = 2.0**log2_c
-    denom = -math.expm1(-c)
-    total = 0.0
-    for _, l_prev, l_k, q_k in _weight_layers(n, p):
-        log2_lo = math.log2(l_prev + 1) + log2_c
-        if log2_lo > 11.0:
-            break
-        e_lo = math.exp(-(2.0**log2_lo))
-        e_hi = math.exp(-(2.0 ** (math.log2(l_k + 1) + log2_c)))
-        total += q_k * (e_lo - e_hi) / denom
-    return total
+    with _hit_law(n, R) as c:
+        layers = _layer_sums(n, p, c, 2**n)
+        return float(mpmath.exp(-c) * sum(q_k * s0 for _, _, q_k, s0, _ in layers))
 
 
 def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:
@@ -450,8 +464,8 @@ def expected_queries_fine(
 
     ``max_queries`` truncates at the abandonment budget T; ``conditional``
     additionally conditions on the decoder not abandoning (the mean query
-    count of blocks that produce a decoding). Uses the exponential
-    accidental-hit law and closed-form geometric sums per weight layer.
+    count of blocks that produce a decoding). E sums P(G > j) r^j over j < T,
+    and P(G > j) falls linearly through each layer: tail_k + q_k (l_k - j).
     """
     n = _check_bsc(n, p, R)
     if max_queries is not None:
@@ -459,36 +473,20 @@ def expected_queries_fine(
     if conditional and max_queries is None:
         raise ValueError("conditional mean requires a query budget")
     T = 2**n if max_queries is None else min(max_queries, 2**n)
-    with mpmath.workdps(60):
-        c = mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
-        r = mpmath.e**-c
-        one_minus_r = -mpmath.expm1(-c)
+    with _hit_law(n, R) as c:
         expectation = mpmath.mpf(0)
-        tail = mpmath.mpf(1)  # P(W > k-1) entering layer k
-        survival = mpmath.mpf(0)  # P(G > T); 0 if the walk stops at r^a < e^-5000
-        for size, a, l_k, q_k in _weight_layers(n, mpmath.mpf(p)):
-            tail_k = tail - size * q_k  # P(W > k)
-            b = min(l_k, T) - 1
-            if a * c > mpmath.mpf(5000):
-                break
-            if b >= a:
-                ra = r**a
-                rb1 = r ** (b + 1)
-                s0 = (ra - rb1) / one_minus_r
-                s1 = (a * ra - (b + 1) * rb1) / one_minus_r + (ra * r - rb1 * r) / one_minus_r**2
-                expectation += tail_k * s0 + q_k * (l_k * s0 - s1)
-            tail = tail_k
-            if l_k >= T:
-                # T lies in layer k: survival interpolates linearly in the rank
-                survival = tail_k + (l_k - T) * q_k
-                break
+        tail = mpmath.mpf(1)  # P(W > k), W the noise weight
+        survival = mpmath.mpf(0)  # P(G > T); 0 if the sums stop at r^a < e^-5000
+        for size, l_k, q_k, s0, s1 in _layer_sums(n, p, c, T):
+            tail -= size * q_k
+            expectation += tail * s0 + q_k * (l_k * s0 - s1)
+            if l_k >= T:  # T lies in layer k: survival falls linearly in the rank
+                survival = tail + (l_k - T) * q_k
         if not conditional:
             return float(expectation / n)
-        p_ab = survival * r**T
-        if p_ab >= 1:
-            raise ValueError("abandonment is certain; conditional mean undefined")
-        cond = (expectation - T * p_ab) / (1 - p_ab)
-        return float(cond / n)
+        # no raise: 1 - p_ab >= 1 - r >= c/2, far above this precision's epsilon
+        p_ab = survival * mpmath.exp(-c * T)
+        return float((expectation - T * p_ab) / (1 - p_ab) / n)
 
 
 def max_achievable_rate(

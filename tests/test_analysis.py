@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from grandkit import analysis as an
 from grandkit.analysis import _rho_bracket, rate_function_value
@@ -23,6 +24,7 @@ from grandkit.noise_models import (
 from .oracles import (
     bsc_success_prob_fine_exact,
     error_exponent_infimum,
+    expected_queries_fine_exact,
     grand_rate_function,
     rate_function_I_U,
     supercritical_threshold_crossing,
@@ -388,11 +390,71 @@ def test_block_error_fine_headline_values():
     )
 
 
-def test_block_error_float_path_matches_extended_precision():
-    for n, R, p in [(20, 0.5, 0.1), (30, 0.7, 0.05), (25, 0.3, 0.2)]:
-        fast = an.bsc_success_prob_fine(n, R, p)
-        slow = bsc_success_prob_fine_exact(n, R, p)
-        assert fast == pytest.approx(slow, rel=1e-12)
+@pytest.mark.parametrize(
+    "n, R, p",
+    [(20, 0.5, 0.1), (30, 0.7, 0.05), (25, 0.3, 0.2), (75, 0.72, 0.01), (700, 0.965, 1e-4),
+     (100, 0.3, 0.1), (200, 0.3, 0.1), (400, 0.3, 0.1)],
+)
+def test_block_error_matches_the_scaled_precision_oracle(n, R, p):
+    """The oracle takes differences of e^(-cl) at log10(1/c) + 80 digits, the
+    library sums closed forms at 2 log10(1/c) + 60; each returns the nearest
+    float to a value within 1e-50 of the other's. So the two floats are equal
+    unless that value lies within 1e-50 of a rounding boundary, and 1 - P
+    agrees to 1e-12 relative even at n = 400, where 1 - P = 1.2e-8 and one
+    float step would move it by 1e-8. A float sum of the same layers read 0.38
+    at n = 200, where 1 - P = 2.5e-5."""
+    fine = 1.0 - an.bsc_success_prob_fine(n, R, p)
+    assert fine == pytest.approx(1.0 - bsc_success_prob_fine_exact(n, R, p), rel=1e-12, abs=0)
+
+
+def test_expected_queries_holds_at_three_times_its_digits():
+    """BSC(0.1), n = 400, R = 0.3, where the closed form of each layer's
+    sum j r^j subtracts terms of order 1/c^2 = 2^560. The same sum at three
+    times the library's digits rounds to a float within 1e-12 relative of the
+    library's, for the reason given above; at 60 digits it read 3.8e74
+    queries per bit, against 5.7e73."""
+    n, R, p = 400, 0.3, 0.1
+    dps = 3 * (math.ceil(2 * n * (1 - R) * math.log10(2)) + 60)
+    assert an.expected_queries_fine(n, R, p) == pytest.approx(
+        expected_queries_fine_exact(n, R, p, dps), rel=1e-12, abs=0)
+
+
+def test_block_error_slopes_approach_the_error_exponent():
+    """BSC(0.1), R = 0.3: the slopes (log2 P(n) - log2 P(2n)) / n of the block
+    error P(n) = 1 - ``bsc_success_prob_fine`` over n = 50, 100, 200 lie above
+    eps(R) by (beta +- L) / n, so the gap shrinks like 1/n. The bound, from
+    the polynomial prefactor and not from observed slopes:
+    - R lies above the critical rate, so eps(R) = D(kappa || p) with
+      H(kappa) = 1 - R, and the error is the noise weight's tail past the
+      layer where c l_k reaches 1.
+    - That layer's mass has prefactor n^(-1/2), and c l_k carries one more
+      n^(-1/2), which moves the crossing weight by log2(n) / (2 n H') and
+      multiplies P by n^(-D'/(2H')), with D' and H' the slopes of D and H at
+      kappa. So P(n) = Theta(n^(-beta) 2^(-n eps)) with beta = (1 + D'/H')/2,
+      and D'/H' = |eps'(R)|.
+    - The Theta factor is periodic in where the crossing falls between two
+      layers. Moving it by t layers scales the terms past it by 2^(-D' t) and
+      those before it by 2^((H' - D') t), so the log2 of that factor has slope
+      within [-D', H' - D'] and spans at most L = max(D', H' - D') / 2.
+    Slopes: n (s_n - eps) = beta + log2(F_n / F_2n) + o(1), within beta +- L
+    as n grows; the o(1) term is not bounded here and must fit that slack.
+    """
+    p, R = 0.1, 0.3
+    eps = an.error_exponent(bsc(p), R)
+
+    def h2(k):
+        return -k * math.log2(k) - (1 - k) * math.log2(1 - k)
+
+    kappa = brentq(lambda k: h2(k) - (1 - R), p, 0.5, xtol=1e-15)
+    d_slope = math.log2(kappa * (1 - p) / ((1 - kappa) * p))
+    h_slope = math.log2((1 - kappa) / kappa)
+    assert eps == pytest.approx(
+        kappa * math.log2(kappa / p) + (1 - kappa) * math.log2((1 - kappa) / (1 - p)), rel=1e-9)
+    beta, L = (1 + d_slope / h_slope) / 2, max(d_slope, h_slope - d_slope) / 2
+    block_error = {n: 1.0 - an.bsc_success_prob_fine(n, R, p) for n in (50, 100, 200, 400)}
+    for n in (50, 100, 200):
+        gap = (math.log2(block_error[n]) - math.log2(block_error[2 * n])) / n - eps
+        assert beta - L <= n * gap <= beta + L
 
 
 def test_block_error_single_codeword_regime():

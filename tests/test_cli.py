@@ -69,6 +69,13 @@ def test_blerr_headline(capsys):
     assert data["queries_per_bit"] > 0
 
 
+def test_blerr_past_float_reach_of_the_hit_rate(capsys):
+    """n (1 - R) = 1080 > 1074: c = 2^(-1080) underflows a float, and a block
+    error in [0, 1] still comes out."""
+    out = json.loads(run_cli(capsys, "blerr", "--p", "0.1", "--n", "1200", "--rate", "0.1"))
+    assert 0.0 <= out["block_error"] <= 1.0
+
+
 def test_blerr_with_budget_reports_conditional_queries(capsys):
     plain = json.loads(
         run_cli(capsys, "blerr", "--p", "0.01", "--n", "75", "--rate", "0.72")

@@ -43,9 +43,10 @@ def test_exact_reference_equals_the_brute_force_sum(model, n, budget):
 
 
 def test_exact_reference_matches_the_bsc_fine_formulas():
-    """BSC(0.01), n = 75, R = 0.72, criterion 1's point. The fine formulas take
-    P(U > j) = exp(-c j) with c = 2^(-n(1 - R)), for the exact (1 - j/T)^M, so
-    the tolerances are that law's error bounds, not the agreement seen:
+    """BSC(0.01), n = 75, R = 0.72, criterion 1's point, and BSC(0.1), R = 0.3,
+    n = 100 and 200. The fine formulas take P(U > j) = exp(-c j) with
+    c = 2^(-n(1 - R)), for the exact (1 - j/T)^M, so the tolerances are that
+    law's error bounds, not the agreement seen:
     - exp(-Mx) - (1 - x)^M lies in [0, exp(-Mx) M x^2 / (1 - x)] at x = j/T.
       Weighted by P(G = j) it is at most max (cj)^2 exp(-cj) 2/M = 1.1/M over
       j <= T/2, and exp(-M/2) past it; weighted by P(G > j) <= 1 and summed, it
@@ -55,33 +56,27 @@ def test_exact_reference_matches_the_bsc_fine_formulas():
     - The formulas take 1 - p in extended precision, the model the float 1 - p:
       a relative gap r moves each P(G = j) by at most n r relatively, so P by at
       most n r and the mean by at most n r sum f(j) <= n r (1 + T/(M + 1)).
-    - ``bsc_success_prob_fine`` adds float error. Each layer's exp(-2^y), with
-      y = log2(l + 1) + log2 c, is within 2(n + 2) eps; two of them over
-      1 - exp(-c), weighted by q_k, add 2 (2(n + 2) eps) / (1 - exp(-c)) sum q_k,
-      and the products and the sum a further 100 eps.
+    - Both formulas sum at 60 digits or more and round once to a float.
     """
-    n, R, p = 75, 0.72, 0.01
-    model = bsc(p)
-    M = UHitModel(n=n, rate=R).M_n
-    T = 2**n
-    with mpmath.workdps(60):
-        c_fine = mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
-        c = mpmath.mpf(M) / T
-        gap, c_min = float(abs(c_fine - c)), float(min(c_fine, c))
-        r = float(abs(mpmath.mpf(model.pmf[0]) / (1 - mpmath.mpf(p)) - 1))
-    tail = T * math.exp(-M / 2)
-    p_law = 1.1 / M + math.exp(-M / 2) + gap / (math.e * c_min) + n * r
-    mean_law = 4.1 / (c_min * M) + tail + gap / c_min**2 + n * r * (1 + T / (M + 1))
+    for n, R, p in [(75, 0.72, 0.01), (100, 0.3, 0.1), (200, 0.3, 0.1)]:
+        model = bsc(p)
+        M = UHitModel(n=n, rate=R).M_n
+        T = 2**n
+        with mpmath.workdps(60):
+            c_fine = mpmath.mpf(2) ** (-mpmath.mpf(n) * (1 - mpmath.mpf(R)))
+            c = mpmath.mpf(M) / T
+            gap, c_min = float(abs(c_fine - c)), float(min(c_fine, c))
+            r = float(abs(mpmath.mpf(model.pmf[0]) / (1 - mpmath.mpf(p)) - 1))
+        tail = T * math.exp(-M / 2)
+        p_law = 1.1 / M + math.exp(-M / 2) + gap / (math.e * c_min) + n * r
+        mean_law = 4.1 / (c_min * M) + tail + gap / c_min**2 + n * r * (1 + T / (M + 1))
 
-    error, queries = random_codebook_exact(model, n, R)
-    # the formula in extended precision: the law's error and two float roundings
-    assert abs((1 - error) - bsc_success_prob_fine_exact(n, R, p)) <= p_law + 2 * EPS
-    sum_q = sum(p**k * (1 - p) ** (n - k) for k in range(n + 1))
-    float_err = 4 * (n + 2) * EPS / -math.expm1(-c_min) * sum_q + 100 * EPS
-    assert abs((1 - error) - bsc_success_prob_fine(n, R, p)) <= p_law + float_err
-    # expected_queries_fine sums at 60 digits and returns a float, per bit
-    fine = expected_queries_fine(n, R, p) * n
-    assert abs(queries - fine) <= mean_law + 4 * EPS * fine
+        error, queries = random_codebook_exact(model, n, R)
+        # the law's error, and a float rounding of each side and of 1 - error
+        assert abs((1 - error) - bsc_success_prob_fine_exact(n, R, p)) <= p_law + 2 * EPS
+        assert abs((1 - error) - bsc_success_prob_fine(n, R, p)) <= p_law + 2 * EPS
+        fine = expected_queries_fine(n, R, p) * n
+        assert abs(queries - fine) <= mean_law + 4 * EPS * fine
 
 
 def test_race_mode_lands_within_a_binomial_bound_of_the_exact_error():
