@@ -429,13 +429,19 @@ def _layer_sums(n: int, p: float, c, T: int):
         ra = rb
 
 
-def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
-    """P(correct decoding) = P(U > G) = sum_k q_k r s0_k for a BSC with a
-    uniform random codebook; the block error probability is one minus this."""
+def _bsc_success(n: int, R: float, p: float) -> tuple[float, float]:
+    """(P, 1 - P) for P = P(correct decoding) = P(U > G) = sum_k q_k r s0_k, each rounded
+    once from the sum's working precision, where a float 1 - P cancels below 1e-16."""
     n = _check_bsc(n, p, R)
     with _hit_law(n, R) as c:
         layers = _layer_sums(n, p, c, 2**n)
-        return float(mpmath.exp(-c) * sum(q_k * s0 for _, _, q_k, s0, _ in layers))
+        success = mpmath.exp(-c) * sum(q_k * s0 for _, _, q_k, s0, _ in layers)
+        return float(success), float(1 - success)
+
+
+def bsc_success_prob_fine(n: int, R: float, p: float) -> float:
+    """P(correct decoding) for a BSC with a uniform random codebook; 1 - P is ``_bsc_success``'s."""
+    return _bsc_success(n, R, p)[0]
 
 
 def bsc_guesswork_quantile(n: int, p: float, prob: float) -> int:

@@ -31,7 +31,9 @@ from .codebook import (
 )
 from .decoder import grand_decode
 from .guesswork import iter_guesses
-from .noise_models import BinaryMarkovNoise, IIDNoise, _unpack, bsc, model_error_probability
+from .noise_models import (
+    BinaryMarkovNoise, IIDNoise, _positive_int, _unpack, bsc, model_error_probability,
+)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -91,23 +93,17 @@ def _parse_word(text: str, n: int) -> tuple[int, ...]:
     return _unpack(value, n)
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _output(path):
     """The data sink of ``--out``: the file at ``path``, or stdout when None."""
     return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_guess_order(args) -> None:
+    limit = _positive_int("--limit", args.limit, least=0)
     guesses = iter_guesses(_build_model(args), args.n)
     writer = csv.writer(sys.stdout)
     writer.writerow(["rank", "sequence", "log_prob"])
-    for rank, (z, lp) in enumerate(itertools.islice(guesses, args.limit), 1):
+    for rank, (z, lp) in enumerate(itertools.islice(guesses, limit), 1):
         writer.writerow([rank, "".join(str(s) for s in z), repr(lp)])
 
 
@@ -154,27 +150,25 @@ def _cmd_exponents(args) -> None:
         for R in _parse_rate_grid(args.rate_grid)
     ]
     # each column is the ExponentReport field of the same name
-    columns = (
-        "R", "epsilon", "s", "epsilon_AB", "grand_complexity_exp",
-        "grandab_complexity_exp", "x_star", "y_star", "capacity",
-    )
+    columns = ("R", "epsilon", "s", "epsilon_AB", "grand_complexity_exp",
+               "grandab_complexity_exp", "x_star", "y_star", "capacity")
     with _output(args.out) as target:
         writer = csv.writer(target)
         writer.writerow(columns)
-        for rep in reports:
-            row = [repr(getattr(rep, col)) for col in columns]
-            if rep.epsilon_AB is None:
-                row[3] = ""
-            writer.writerow(row)
+        for rep in reports:  # an absent value is an empty cell
+            values = (getattr(rep, col) for col in columns)
+            writer.writerow(["" if v is None else repr(v) for v in values])
 
 
 def _cmd_blerr(args) -> dict:
-    success = analysis.bsc_success_prob_fine(args.n, args.rate, args.p)
+    success, block_error = analysis._bsc_success(args.n, args.rate, args.p)
     queries = analysis.expected_queries_fine(
         args.n, args.rate, args.p, max_queries=args.abandon_after,
         conditional=args.abandon_after is not None,
     )
-    return {"block_error": 1.0 - success, "success_prob": success, "queries_per_bit": queries}
+    if queries == math.inf:  # JSON has no Infinity
+        raise ValueError("queries_per_bit is past the float range")
+    return {"block_error": block_error, "success_prob": success, "queries_per_bit": queries}
 
 
 def _cmd_simulate(args) -> None:
@@ -230,7 +224,7 @@ def main(argv=None) -> int:
 
     p = command("guess-order", _cmd_guess_order, "print the guess order as CSV")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=_non_negative_int, required=True)
+    p.add_argument("--limit", type=int, required=True)
 
     p = command("decode", _cmd_decode, "decode one received word")
     p.add_argument("--codebook", required=True)
@@ -263,7 +257,7 @@ def main(argv=None) -> int:
     p = command("figure-sweep", _cmd_figure_sweep, "per-rate CSV of predictions")
     p.add_argument("--n", type=int, required=True)
     _add_delta_args(p)
-    p.add_argument("--trials", type=_non_negative_int, default=0)
+    p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["explicit", "linear", "race"], default="race")
     p.add_argument("--workers", type=int, default=1)

@@ -25,7 +25,9 @@ import mpmath
 import numpy as np
 
 from .guesswork import _guess_prefix
-from .noise_models import _checked, _finite, _pack, _positive_int, _seed, _unit, _unpack
+from .noise_models import (
+    _alphabet_size, _checked, _finite, _pack, _positive_int, _seed, _unit, _unpack,
+)
 
 __all__ = [
     "ExplicitCodebook",
@@ -65,13 +67,6 @@ class ExplicitModeTooLargeError(RuntimeError):
 
 class NotACodewordError(ValueError):
     """Word presented for information decoding is not in the codebook."""
-
-
-def _alphabet_size(value) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= 2 (numpy's ints, bools not)."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 2:  # int's protocol
-        raise ValueError(f"need an int alphabet_size >= 2, got {value!r}")
-    return int(value)
 
 
 def codebook_size(alphabet_size: int, n: int, rate: float) -> int:

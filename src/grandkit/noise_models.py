@@ -63,8 +63,7 @@ class IIDNoise(_RenyiCurve):
     def __post_init__(self):
         # a tuple, so the model hashes for the caches keyed on it
         object.__setattr__(self, "pmf", tuple(self.pmf))
-        if len(self.pmf) < 2:
-            raise ValueError("alphabet must have at least 2 symbols")
+        _alphabet_size(len(self.pmf))
         # written so that NaN fails them
         if not all(p >= 0.0 for p in self.pmf):
             raise ValueError("pmf entries must be non-negative numbers")
@@ -207,20 +206,24 @@ def model_error_probability(model: NoiseModel) -> float:
 
 
 def _positive_int(name: str, value, least: int = 1) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= ``least``, by default 1
-    (numpy's count, bools not)."""
+    """``value`` as an int; ValueError, naming ``name``, ``least`` and ``value``, unless it
+    is an integer >= ``least``, by default 1 (numpy's count, bools not). The one integer check."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):  # int's protocol
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _alphabet_size(value) -> int:
+    return _positive_int("alphabet_size", value, least=2)
 
 
 def _seed(value) -> int:
     """``value`` as an int; ValueError unless it is an integer in [0, 2^64), as files store."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or not 0 <= value < 2**64:
-        raise ValueError(f"seed must be an int in [0, 2**64), got {value!r}")
-    return int(value)
+    if (value := _positive_int("seed", value, least=0)) >= 2**64:
+        raise ValueError(f"seed must be < 2**64, got {value}")
+    return value
 
 
 # The rules for real parameters; each returns ``value`` and is written so that NaN fails it.

@@ -87,6 +87,8 @@ class SimConfig:
         _unit("rate", self.rate)
         if self.mode not in ("explicit", "linear", "race"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "linear" and self.model.alphabet_size != 2:
+            raise ValueError("linear mode is binary-only")
         if self.abandon_after is not None and self.p_abandon is not None:
             raise ValueError("give either a fixed budget or p_abandon, not both")
         if self.p_abandon is not None:
@@ -253,8 +255,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     """Run the config's trials in its mode: the race, or end-to-end decoding
     over a materialized uniform random codebook (explicit) or a random
     systematic linear code (linear)."""
-    if cfg.mode == "linear" and cfg.model.alphabet_size != 2:
-        raise ValueError("linear mode is binary-only")
     start = time.perf_counter()
     threshold = resolve_abandonment(cfg)
     if cfg.mode == "race":

@@ -261,9 +261,11 @@ class GuessEnumerator:
             return None
 
 
-def bsc_success_prob_fine_exact(n: int, R: float, p: float) -> float:
-    """P(correct decoding) of ``grandkit.analysis.bsc_success_prob_fine``,
-    summed over every weight layer with exact layer integers, as differences
+def bsc_success_prob_fine_exact(n: int, R: float, p: float) -> tuple[float, float]:
+    """(P, 1 - P) for P = P(correct decoding) of
+    ``grandkit.analysis.bsc_success_prob_fine``, each rounded once from the
+    sum, where a float 1 - P cancels to 0 once P rounds to 1. P is summed over
+    every weight layer with exact layer integers, as differences
     e^(-(l_prev + 1) c) - e^(-(l_k + 1) c) over 1 - e^(-c). Each difference is
     at least about c, so it loses up to log10(1/c) digits: the sum works at
     that many plus 80. At a fixed 80 digits, n = 800 and R = 0.3 gave
@@ -286,7 +288,7 @@ def bsc_success_prob_fine_exact(n: int, R: float, p: float) -> float:
             e_hi = mpmath.e ** (-(l_k + 1) * c)
             total += q_k * (e_lo - e_hi) / denom
             prev_l = l_k
-        return float(total)
+        return float(total), float(1 - total)
 
 
 def expected_queries_fine_exact(n: int, R: float, p: float, dps: int) -> float:

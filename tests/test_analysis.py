@@ -26,6 +26,7 @@ from .oracles import (
     error_exponent_infimum,
     expected_queries_fine_exact,
     grand_rate_function,
+    random_codebook_exact,
     rate_function_I_U,
     supercritical_threshold_crossing,
 )
@@ -393,18 +394,21 @@ def test_block_error_fine_headline_values():
 @pytest.mark.parametrize(
     "n, R, p",
     [(20, 0.5, 0.1), (30, 0.7, 0.05), (25, 0.3, 0.2), (75, 0.72, 0.01), (700, 0.965, 1e-4),
-     (100, 0.3, 0.1), (200, 0.3, 0.1), (400, 0.3, 0.1)],
+     (100, 0.3, 0.1), (200, 0.3, 0.1), (400, 0.3, 0.1), (800, 0.3, 0.1), (1200, 0.1, 0.1)],
 )
 def test_block_error_matches_the_scaled_precision_oracle(n, R, p):
     """The oracle takes differences of e^(-cl) at log10(1/c) + 80 digits, the
-    library sums closed forms at 2 log10(1/c) + 60; each returns the nearest
-    float to a value within 1e-50 of the other's. So the two floats are equal
-    unless that value lies within 1e-50 of a rounding boundary, and 1 - P
-    agrees to 1e-12 relative even at n = 400, where 1 - P = 1.2e-8 and one
-    float step would move it by 1e-8. A float sum of the same layers read 0.38
-    at n = 200, where 1 - P = 2.5e-5."""
-    fine = 1.0 - an.bsc_success_prob_fine(n, R, p)
-    assert fine == pytest.approx(1.0 - bsc_success_prob_fine_exact(n, R, p), rel=1e-12, abs=0)
+    library sums closed forms at 2 log10(1/c) + 60; each rounds P and 1 - P
+    once from its sum, to the nearest float to a value within 1e-50 of the
+    other's. So P and 1 - P each agree to 1e-12 relative. A float 1 - P, as
+    ``blerr`` printed it, cancels instead: 1.1714024750e-8 at n = 400, where
+    1 - P = 1.1714024785e-8; 3.8857805862e-15 at n = 800, where it is
+    3.8845653802e-15; and 0.0 at n = 1200, R = 0.1, where it is 1.27e-82.
+    A float sum of the same layers read 0.38 at n = 200, where 1 - P = 2.5e-5."""
+    success, block_error = an._bsc_success(n, R, p)
+    assert success == an.bsc_success_prob_fine(n, R, p)
+    assert (success, block_error) == pytest.approx(
+        bsc_success_prob_fine_exact(n, R, p), rel=1e-12, abs=0)
 
 
 def test_expected_queries_holds_at_three_times_its_digits():
@@ -417,6 +421,20 @@ def test_expected_queries_holds_at_three_times_its_digits():
     dps = 3 * (math.ceil(2 * n * (1 - R) * math.log10(2)) + 60)
     assert an.expected_queries_fine(n, R, p) == pytest.approx(
         expected_queries_fine_exact(n, R, p, dps), rel=1e-12, abs=0)
+
+
+def _bsc_layer_slopes(p: float, x: float) -> tuple[float, float, float]:
+    """(D(kappa || p), D', H') at the noise weight fraction kappa with h(kappa) = x,
+    on the side of p that x lies: D' and H' are the slopes in kappa of D(kappa || p)
+    and of h(kappa), in bits."""
+
+    def h2(k):
+        return -k * math.log2(k) - (1 - k) * math.log2(1 - k)
+
+    kappa = brentq(lambda k: h2(k) - x, *((p, 0.5) if x > h2(p) else (1e-12, p)), xtol=1e-15)
+    divergence = kappa * math.log2(kappa / p) + (1 - kappa) * math.log2((1 - kappa) / (1 - p))
+    return (divergence, math.log2(kappa * (1 - p) / ((1 - kappa) * p)),
+            math.log2((1 - kappa) / kappa))
 
 
 def test_block_error_slopes_approach_the_error_exponent():
@@ -441,19 +459,74 @@ def test_block_error_slopes_approach_the_error_exponent():
     """
     p, R = 0.1, 0.3
     eps = an.error_exponent(bsc(p), R)
-
-    def h2(k):
-        return -k * math.log2(k) - (1 - k) * math.log2(1 - k)
-
-    kappa = brentq(lambda k: h2(k) - (1 - R), p, 0.5, xtol=1e-15)
-    d_slope = math.log2(kappa * (1 - p) / ((1 - kappa) * p))
-    h_slope = math.log2((1 - kappa) / kappa)
-    assert eps == pytest.approx(
-        kappa * math.log2(kappa / p) + (1 - kappa) * math.log2((1 - kappa) / (1 - p)), rel=1e-9)
+    divergence, d_slope, h_slope = _bsc_layer_slopes(p, 1 - R)
+    assert eps == pytest.approx(divergence, rel=1e-9)
     beta, L = (1 + d_slope / h_slope) / 2, max(d_slope, h_slope - d_slope) / 2
-    block_error = {n: 1.0 - an.bsc_success_prob_fine(n, R, p) for n in (50, 100, 200, 400)}
+    block_error = {n: an._bsc_success(n, R, p)[1] for n in (50, 100, 200, 400)}
     for n in (50, 100, 200):
         gap = (math.log2(block_error[n]) - math.log2(block_error[2 * n])) / n - eps
+        assert beta - L <= n * gap <= beta + L
+
+
+def test_grandab_error_slopes_approach_the_grandab_exponent():
+    """BSC(0.1), R = 0.3, delta = 0.2, where eps_AB = I_N(H + delta) = 0.0377
+    lies below eps(R) = 0.0521, so abandonment sets the rate. P(n) is GRANDAB's
+    exact error on a uniform random codebook with the budget
+    B = ceil(2^(n (H + delta))), whose 64-bit cap needs n <= 95: the slopes run
+    over n = 12 ... 47. The band on n (slope - eps_AB) follows the error
+    exponent's above:
+    - Abandonment, P(G > B), is the noise weight's tail past the layer where
+      l_k reaches B, at h(kappa) = H + delta, so P(n) = Theta(n^(-beta)
+      2^(-n eps_AB)) with beta = (1 + D'/H')/2 as there.
+    - Inside that layer P(G > B) falls linearly in B. Against B's position in
+      layers, its log2 has slope within [-S, 0], S = H' (2^D' - 1) / (1 - 2^-H')
+      where the layer ends (layer counts and tail masses taken geometric), so
+      the Theta factor's log2 has slope within [D' - S, D']. A periodic function
+      with slope in [a, b] spans at most -a b / (b - a): L = D' (S - D') / S.
+    - An error before abandonment needs a hit among the first B guesses as
+      well. Its share of P(n) falls like 2^(-n (1 - R - H - delta)) and joins
+      the o(1) term.
+    """
+    p, R, delta = 0.1, 0.3, 0.2
+    model = bsc(p)
+    H = shannon_entropy_rate(model)
+    eps_ab = an.grandab_error_exponent(model, R, delta)
+    divergence, d_slope, h_slope = _bsc_layer_slopes(p, H + delta)
+    assert eps_ab == pytest.approx(divergence, rel=1e-9)
+    assert eps_ab < an.error_exponent(model, R)
+    S = h_slope * (2**d_slope - 1) / (1 - 2**-h_slope)
+    beta, L = (1 + d_slope / h_slope) / 2, d_slope * (S - d_slope) / S
+    error = {n: random_codebook_exact(model, n, R, an.abandonment_threshold(n, H, delta))[0]
+             for n in range(12, 95)}
+    for n in range(12, 48):
+        gap = (math.log2(error[n]) - math.log2(error[2 * n])) / n - eps_ab
+        assert beta - L <= n * gap <= beta + L
+
+
+def test_success_slopes_approach_the_success_exponent():
+    """BSC(0.1), R = 0.7, above capacity: the success probability P(n) =
+    ``bsc_success_prob_fine`` itself, not 1 - an error that would cancel, over
+    n = 50, 100, 200, decays at the success exponent I_N(1 - R) = 0.0208. The
+    band on n (slope - eps_s), by the error exponent's argument above:
+    - A success needs the noise below the layer where c l_k reaches 1, at
+      h(kappa) = 1 - R, now with kappa < p and D' < 0. So P(n) =
+      Theta(n^(-beta) 2^(-n eps_s)) with beta = (1 + D'/H')/2: c l_k's
+      n^(-1/2) moves the crossing towards p, which raises P.
+    - As c falls through one layer, log2 P rises at H' times the mean of c G
+      under the weights P(G = j) e^(-c j). P(G = j) falls in j, so that mean is
+      at most the one under e^(-c j) alone, c / (1 - e^(-c)), about 1: the slope
+      lies within [0, H']. The Theta factor's log2 then has slope within
+      [D', H' + D'], and spans at most L = -D' (H' + D') / H'.
+    """
+    p, R = 0.1, 0.7
+    eps_s = an.success_exponent(bsc(p), R)
+    divergence, d_slope, h_slope = _bsc_layer_slopes(p, 1 - R)
+    assert eps_s == pytest.approx(divergence, rel=1e-9)
+    assert d_slope < 0
+    beta, L = (1 + d_slope / h_slope) / 2, -d_slope * (h_slope + d_slope) / h_slope
+    success = {n: an.bsc_success_prob_fine(n, R, p) for n in (50, 100, 200, 400)}
+    for n in (50, 100, 200):
+        gap = (math.log2(success[n]) - math.log2(success[2 * n])) / n - eps_s
         assert beta - L <= n * gap <= beta + L
 
 

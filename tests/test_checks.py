@@ -64,7 +64,7 @@ CHECKS = [
     pytest.param(lambda: sample_u_exact(UHitModel(n=8, rate=0.5), 1.0),
                  ValueError("v must lie in (0, 1)"), id="sample-u-v=1"),
     pytest.param(lambda: IIDNoise((1.0,)),
-                 ValueError("alphabet must have at least 2 symbols"), id="iid-one-symbol"),
+                 ValueError("alphabet_size must be >= 2, got 1"), id="iid-one-symbol"),
     pytest.param(lambda: BinaryMarkovNoise(0.1, 0.2, (0.3, 0.3)),
                  ValueError("initial distribution must sum to 1"), id="markov-initial-sum"),
     pytest.param(lambda: renyi_entropy_rate(bsc(0.1), 0.0),
@@ -76,6 +76,8 @@ CHECKS = [
     pytest.param(lambda: run_simulation(SimConfig(TERNARY, n=8, rate=0.5, trials=1,
                                                   mode="linear")),
                  ValueError("linear mode is binary-only"), id="simulate-linear-ternary"),
+    pytest.param(lambda: SimConfig(TERNARY, n=8, rate=0.5, trials=1, mode="linear"),
+                 ValueError("linear mode is binary-only"), id="simconfig-linear-ternary"),
     pytest.param(lambda: _sweep(5000)[1], {"inf"}, id="sweep-per-bit-overflow"),
     # entry points that once let a bad number through
     pytest.param(lambda: renyi_entropy_rate(bsc(0.1), math.nan),

@@ -15,7 +15,7 @@ from grandkit import analysis, cli
 from grandkit.codebook import build_uniform_codebook, save_codebook
 from grandkit.noise_models import BinaryMarkovNoise, bsc, shannon_entropy_rate
 
-from .oracles import supercritical_threshold_crossing
+from .oracles import bsc_success_prob_fine_exact, supercritical_threshold_crossing
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +74,26 @@ def test_blerr_past_float_reach_of_the_hit_rate(capsys):
     error in [0, 1] still comes out."""
     out = json.loads(run_cli(capsys, "blerr", "--p", "0.1", "--n", "1200", "--rate", "0.1"))
     assert 0.0 <= out["block_error"] <= 1.0
+
+
+@pytest.mark.parametrize("n, rate", [(400, 0.3), (800, 0.3), (1200, 0.1)])
+def test_blerr_block_error_is_rounded_from_the_sums_precision(capsys, n, rate):
+    """BSC(0.1): the block error is 1 - P rounded once from the layer sum, not a
+    float 1 - P, which read 1.1714024750e-8, 3.8857805862e-15 and 0.0 here."""
+    out = json.loads(run_cli(capsys, "blerr", "--p", "0.1", "--n", str(n), "--rate", str(rate)))
+    block_error = bsc_success_prob_fine_exact(n, rate, 0.1)[1]
+    assert out["block_error"] == pytest.approx(block_error, rel=1e-12, abs=0)
+
+
+def test_blerr_rejects_a_query_count_past_the_float_range(capsys):
+    """BSC(0.1), n = 2000, R = 0.3: the expected query count overflows a float,
+    which JSON cannot hold, so nothing is printed and the exit is an error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["blerr", "--p", "0.1", "--n", "2000", "--rate", "0.3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "queries_per_bit" in captured.err
+    assert captured.out == ""
 
 
 def test_blerr_with_budget_reports_conditional_queries(capsys):
@@ -170,14 +190,29 @@ def test_exponents_only_y_star_differs_from_crossing_oracle(tmp_path, monkeypatc
 
     got, want = rows(new), rows(ref)
     assert len(got) == len(want) == 99
-    assert sum(r["y_star"] != "None" for r in want) >= 30
+    assert sum(r["y_star"] != "" for r in want) >= 30
     for g, w in zip(got, want):
         y, y_ref = g.pop("y_star"), w.pop("y_star")
         assert g == w
-        if y_ref == "None":
-            assert y == "None"
+        if y_ref == "":
+            assert y == ""
         else:
             assert abs(float(y) - float(y_ref)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [(("--model", "iid", "--pmf", "0.5,0.5", "--rate-grid", "0.5:0.1:0.6"),
+      ("epsilon_AB", "x_star", "y_star")),
+     (("--model", "bsc", "--p", "0.01", "--rate-grid", "0.99:0.01:0.99"),
+      ("epsilon_AB", "y_star"))],
+)
+def test_exponents_writes_an_absent_value_as_an_empty_cell(capsys, args, absent):
+    rows = list(csv.DictReader(io.StringIO(run_cli(capsys, "exponents", *args))))
+    assert rows
+    for row in rows:
+        assert all((row[col] == "") == (col in absent) for col in row)
+        assert all(isinstance(float(v), float) for col, v in row.items() if col not in absent)
 
 
 def _clear_analytics_caches():
@@ -448,7 +483,7 @@ BSC = ("--model", "bsc", "--p", "0.01")
         (("blerr", "--p", "0.01", "--n", "0", "--rate", "0.5"), "n must be >= 1"),
         (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0.1:0.2:0.9",
           "--trials", "-5", "--out", "unused.csv"),
-         "argument --trials: must be >= 0, got -5"),
+         "trials must be >= 0, got -5"),
         (("exponents", *BSC, "--rate-grid=-0.2:0.1:0.1"), "points must lie in (0, 1)"),
         (("exponents", *BSC, "--rate-grid", "0.9:0.1:1.3"), "points must lie in (0, 1)"),
         (("figure-sweep", *BSC, "--n", "20", "--rate-grid", "0:0.1:0.5",

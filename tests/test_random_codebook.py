@@ -73,7 +73,7 @@ def test_exact_reference_matches_the_bsc_fine_formulas():
 
         error, queries = random_codebook_exact(model, n, R)
         # the law's error, and a float rounding of each side and of 1 - error
-        assert abs((1 - error) - bsc_success_prob_fine_exact(n, R, p)) <= p_law + 2 * EPS
+        assert abs((1 - error) - bsc_success_prob_fine_exact(n, R, p)[0]) <= p_law + 2 * EPS
         assert abs((1 - error) - bsc_success_prob_fine(n, R, p)) <= p_law + 2 * EPS
         fine = expected_queries_fine(n, R, p) * n
         assert abs(queries - fine) <= mean_law + 4 * EPS * fine
