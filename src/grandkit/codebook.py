@@ -6,9 +6,10 @@ membership, and ``UHitModel`` — the law of the number of guesses until the
 first non-transmitted codeword is encountered, which for a uniformly drawn
 codebook is the minimum of M_n independent uniforms on {1, ..., |A|^n}.
 
-Membership is one method, ``bind(y)``: a test of noise patterns z (packed
-ints when binary) against the received word y, giving the codeword y (-) z or
-None. ``contains`` and ``decode_to_info`` look the word up as y with z = 0.
+Membership is one method, ``bind(y)``: a test of noise patterns z (packed ints when
+binary) against the received word y, giving the codeword y (-) z or None. ``contains``
+and ``decode_to_info`` look the word up as y with z = 0. A linear code also gives H z
+(``_syndrome``) for the decoder's syndrome table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import ClassVar
 import mpmath
 import numpy as np
 
-from .guesswork import _guess_prefix
 from .noise_models import (
     _alphabet_size, _checked, _finite, _pack, _positive_int, _seed, _unit, _unpack,
 )
@@ -211,8 +211,8 @@ class LinearCodebook(_Membership):
 
     The code is kept as G's rows, packed as ints in ``_pack``'s order: ``encode`` XORs
     them, and H's columns, int bitmasks, are their parity bits beside the identity. A byte
-    table per 8 columns gives H y for membership's syndrome check, and the info word of a
-    codeword is its first ``k`` bits.
+    table per 8 columns gives H y for membership's syndrome check, ``_syndrome`` gives H z
+    for the decoder's syndrome table, and the info word of a codeword is its first ``k`` bits.
     """
 
     generator: tuple[tuple[int, ...], ...]
@@ -238,7 +238,7 @@ class LinearCodebook(_Membership):
         for b, column in enumerate(columns):
             tables[b // 8] += [s ^ column for s in tables[b // 8]]
         state = dict(n=n, k=k, seed=_seed(self.seed), _rows=rows, _columns=columns, _tables=tables,
-                     _leader_tables={})  # _leader_tables: model -> _leaders(model)
+                     _leader_tables={})  # _leader_tables: model -> the decoder's syndrome table
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -250,6 +250,10 @@ class LinearCodebook(_Membership):
     def size(self) -> int:
         return 2**self.k
 
+    def _syndrome(self, z: int) -> int:
+        """H z for the packed pattern ``z``, H's columns at its set bits XORed."""
+        return _xor_columns(self._columns, z)
+
     def _bind(self, y):
         """``bind`` for the checked ``y``, carrying s = H y, read from the byte tables, as
         ``syndrome``: y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
@@ -259,22 +263,6 @@ class LinearCodebook(_Membership):
         hit = lambda z: None if _xor_columns(columns, z, s_y) else _unpack(y_packed ^ z, n)
         hit.syndrome = s_y
         return hit
-
-    def _leaders(self, model):
-        """The decoder's answer to the leading guesses: {syndrome: index of the first
-        pattern with it} over guesswork's cached guess-order prefix (a truncated
-        coset-leader table), then ``_guess_prefix(model, n)``'s patterns, log-probabilities
-        and group count. At BSC(0.01), n = 75 its 2851 patterns have 2845 syndromes under
-        ``build_linear_codebook(75, 54, 1)``. Built at the first call per model and kept on
-        the code, so it dies with it."""
-        entry = self._leader_tables.get(model)
-        if entry is None:
-            prefix = _guess_prefix(model, self.n)
-            leaders = {}
-            for i, z in enumerate(prefix[0]):
-                leaders.setdefault(_xor_columns(self._columns, z), i)
-            entry = self._leader_tables[model] = (leaders, *prefix)
-        return entry
 
     def encode(self, info_word) -> tuple[int, ...]:
         if (u := _checked(info_word, 2, self.k)) is None:

@@ -11,17 +11,15 @@ walk one class description, ``_class_walk``; binary IID noise has closed forms.
 
 This module says what a class is (``_class_key``), how likely (``_class_log_prob``: equal
 factors are summed as one term, and a stationary chain's class is read through its reversal,
-so classes tied that way share one float), which tie group holds it (``_class_table``, where
-``guess_rank`` looks z's class key up), and how its members are listed and ranked. Classes
-whose distinct factors multiply to one real value may still land in adjacent groups; both
-enumeration and rank read the table's groups, so they still agree there.
+so classes tied that way share one float), which tie group holds it (``_class_table``, its
+one cache, where ``guess_rank`` looks z's class key up), and how its members are listed and
+ranked. Classes whose distinct factors multiply to one real value may still land in adjacent
+groups; both enumeration and rank read the table's groups, so they still agree there.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-import itertools
 import math
 from functools import lru_cache
 from math import comb
@@ -114,8 +112,8 @@ def _class_log_prob(model: NoiseModel, key) -> float:
 def _class_table(model: NoiseModel, n: int):
     """The tie groups of length-n sequences, most likely first, |A|^n, and each class
     key's group position: per group of equally likely classes, (log_prob, [(class_key,
-    size), ...], the number of sequences before it). Enumeration, rank and the cached
-    prefix read these groups; only this build calls ``_class_log_prob``.
+    size), ...], the number of sequences before it). Enumeration, rank and the decoder's
+    syndrome table read these groups; only this build calls ``_class_log_prob``.
     """
     table = {}  # log_prob -> its tie group's [(class_key, size), ...]
     if isinstance(model, IIDNoise):
@@ -247,26 +245,6 @@ def guess_groups(model: NoiseModel, n: int):
     binary_iid = isinstance(model, IIDNoise) and model.alphabet_size == 2
     members = _weight_patterns if binary_iid else lambda key: _class_members(model, key)
     return ((lp, heapq.merge(*(members(key) for key, _ in group))) for lp, group, _ in groups)
-
-
-# Most patterns _guess_prefix keeps; at BSC(0.01), n = 75 it holds weights 0-2
-# (2851 patterns), where weight 3 would bring it to 70 376.
-_PREFIX_CAP = 2**12
-
-
-@lru_cache(maxsize=64)
-def _guess_prefix(model: NoiseModel, n: int):
-    """The leading whole tie groups of ``guess_groups(model, n)`` that fit in
-    ``_PREFIX_CAP`` patterns, counted off the class table before any is drawn: the
-    patterns in guess order, each one's group log-probability, and the number of groups."""
-    groups, total, _ = _class_table(model, n)
-    # the groups that start within the cap, less the one that crosses it, if any
-    count = bisect.bisect_right(groups, _PREFIX_CAP, key=lambda g: g[2]) - (total > _PREFIX_CAP)
-    patterns, log_probs = [], []
-    for lp, zs in itertools.islice(guess_groups(model, n), count):
-        patterns += zs
-        log_probs += [lp] * (len(patterns) - len(log_probs))
-    return tuple(patterns), tuple(log_probs), count
 
 
 def iter_guesses(model: NoiseModel, n: int):

@@ -837,3 +837,142 @@ def random_codebook_brute(model: NoiseModel, n: int, R: float, budget: int | Non
                 error += p
             beyond -= p
         return float(error), float(queries)
+
+
+@dataclass(frozen=True)
+class LinearCodeExact:
+    """Exact GRAND (or GRANDAB) statistics of one binary linear code under one noise law:
+    the probabilities of a correct decode and of abandonment, the expected query count,
+    and ``first``, {syndrome: (q(s), packed pattern, probability)} for each syndrome met
+    within the walk, q(s) counting the patterns before its first one."""
+
+    correct: float
+    abandon: float
+    queries: float
+    first: dict
+
+
+def _weight_layer(n: int, w: int):
+    """The bit sets of weight ``w`` below bit n, as ascending tuples, in ascending order of
+    the packed words they make: by their highest bit first (colex order)."""
+    if w == 0:
+        yield ()
+        return
+    for top in range(w - 1, n):
+        for rest in _weight_layer(top, w - 1):
+            yield rest + (top,)
+
+
+def _guess_walk(model: NoiseModel, n: int):
+    """(packed pattern, probability) in guess order, by the oracle's own walk: the weight
+    layers in ascending packed order for a BSC with p < 1/2, else ``GuessEnumerator``."""
+    if isinstance(model, IIDNoise):
+        p = model.pmf[1]
+        if not (model.alphabet_size == 2 and p < 0.5):
+            raise ValueError("the weight-layer walk needs a BSC with p < 1/2")
+        for w in range(n + 1):
+            prob = p**w * (1 - p) ** (n - w)
+            for bits in _weight_layer(n, w):
+                yield sum(1 << b for b in bits), prob
+        return
+    init, a, b = model.initial_dist, model.a, model.b
+    step = ((1 - a, a), (b, 1 - b))
+    for z, _ in GuessEnumerator(model, n):
+        yield _pack(z), init[z[0]] * math.prod(step[s][t] for s, t in zip(z, z[1:]))
+
+
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform of a vector of length 2^r."""
+    h = 1
+    while h < v.size:
+        v = v.reshape(-1, 2, h)
+        v = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+        h *= 2
+    return v.reshape(-1)
+
+
+def _syndrome_law(model: NoiseModel, columns: list[int], r: int) -> np.ndarray:
+    """P(H z = s) for every s, where ``columns[b]`` is H's column at bit b of the packed z.
+
+    For a BSC, E[(-1)^<u, Hz>] = (1 - 2p)^(the columns h with <u, h> odd), and that count is
+    read off the transform of the columns' histogram; one inverse transform gives the law.
+    For Markov noise, a forward pass over (state, syndrome), symbol by symbol."""
+    size = 2**r
+    if isinstance(model, IIDNoise):
+        counts = np.bincount(columns, minlength=size).astype(float)
+        odd = (len(columns) - _walsh_hadamard(counts)) / 2
+        return _walsh_hadamard((1 - 2 * model.pmf[1]) ** odd) / size
+    a, b, n = model.a, model.b, len(columns)
+    index = np.arange(size)
+    zero, one = np.zeros(size), np.zeros(size)
+    zero[0], one[columns[n - 1]] = model.initial_dist
+    for bit in range(n - 2, -1, -1):  # symbol n - 1 - bit
+        zero, one = zero * (1 - a) + one * b, (zero * a + one * (1 - b))[index ^ columns[bit]]
+    return zero + one
+
+
+def linear_code_exact(cb, model: NoiseModel, budget: int | None = None) -> LinearCodeExact:
+    """GRAND's exact error, abandonment and queries on the binary linear code ``cb``.
+
+    GRAND decodes the noise z correctly exactly when z is the first pattern in guess order
+    with syndrome H z, and it comes within the budget B. So the walk keeps each syndrome's
+    first index q(s) over the first B patterns, or until all 2^(n - k) syndromes are met.
+    Then P(correct) sums the first patterns' probabilities, P(abandon) is the mass of the
+    syndromes not met, and E[queries] = sum_s P(s) min(q(s) + 1, B), B infinite with no
+    budget. H = [P^T | I] comes from G = [I | P] alone, a syndrome read as an int with its
+    first parity symbol most significant. Keeps n - k <= 21."""
+    g = np.asarray(cb.generator, dtype=np.int64)
+    k, n = g.shape
+    r = n - k
+    if r > 21:
+        raise ValueError("the syndrome law needs n - k <= 21")
+    # columns[b]: H's column at symbol n - 1 - b, an info symbol's parity bits or a unit
+    columns = [1 << b if b < r else _pack(g[n - 1 - b, k:].tolist()) for b in range(n)]
+    first, limit = {}, math.inf if budget is None else budget
+    for q, (z, prob) in enumerate(_guess_walk(model, n)):
+        if q >= limit or len(first) == 2**r:
+            break
+        s, rest = 0, z
+        while rest:
+            low = rest & -rest
+            s ^= columns[low.bit_length() - 1]
+            rest ^= low
+        first.setdefault(s, (q, z, prob))
+    law = _syndrome_law(model, columns, r)
+    missed = np.ones(2**r, bool)
+    missed[list(first)] = False
+    abandon = math.fsum(law[missed])
+    queries = math.fsum(law[s] * (q + 1) for s, (q, _, _) in first.items())
+    if abandon:  # never without a budget, where B * 0 would be inf * 0, a NaN
+        queries += limit * abandon
+    correct = math.fsum(prob for _, _, prob in first.values())
+    return LinearCodeExact(correct, abandon, queries, first)
+
+
+def linear_code_brute(cb, model: NoiseModel, budget: int | None = None) -> LinearCodeExact:
+    """``linear_code_exact`` by a sum over all 2^n noises z: each one's probability is the
+    product of its flip or transition probabilities, its rank comes from ``guess_rank``, its
+    syndrome from a matrix product with G's parity part, and z decodes correctly when it
+    has the least rank of its syndrome, within the budget. Only for small n."""
+    g = np.asarray(cb.generator, dtype=np.int64)
+    k, n = g.shape
+    words = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
+    syndromes = (words[:, :k] @ g[:, k:] + words[:, k:]) % 2 @ (1 << np.arange(n - k)[::-1])
+    ranks = np.array([guess_rank(model, z) for z in words.tolist()], dtype=float)
+    if isinstance(model, IIDNoise):
+        weights = words.sum(axis=1)
+        probs = model.pmf[1] ** weights * model.pmf[0] ** (n - weights)
+    else:
+        step = np.array(((1 - model.a, model.a), (model.b, 1 - model.b)))
+        probs = np.array(model.initial_dist)[words[:, 0]]
+        probs = probs * np.prod(step[words[:, :-1], words[:, 1:]], axis=1)
+    least = np.full(2 ** (n - k), math.inf)
+    np.minimum.at(least, syndromes, ranks)
+    limit = math.inf if budget is None else budget
+    queries = np.minimum(least[syndromes], limit)
+    hits = (ranks == least[syndromes]) & (ranks <= limit)
+    packed = words[hits] @ (1 << np.arange(n)[::-1])
+    first = {int(s): (int(r) - 1, int(z), float(p)) for s, r, z, p in
+             zip(syndromes[hits], ranks[hits], packed, probs[hits])}
+    return LinearCodeExact(math.fsum(probs[hits]), math.fsum(probs[least[syndromes] > limit]),
+                           math.fsum(probs * queries), first)

@@ -16,12 +16,11 @@ from grandkit.codebook import (
     sample_u_exact,
 )
 from grandkit.analysis import abandonment_threshold
-from grandkit.decoder import DecodeStatus, grand_decode
-from grandkit.guesswork import _guess_prefix, guess_rank, iter_guesses
+from grandkit.decoder import DecodeStatus, _leaders, grand_decode
+from grandkit.guesswork import guess_rank, iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
-    _unpack,
     bsc,
     sample_noise_with,
 )
@@ -29,6 +28,8 @@ from grandkit.noise_models import (
 from .oracles import (
     TupleIndexCodebook,
     brute_force_ml,
+    linear_code_brute,
+    linear_code_exact,
     sample_noise,
     sequence_log_prob,
     walk_decode,
@@ -186,7 +187,7 @@ def test_syndrome_lookup_decodes_like_the_walk_at_the_operating_point(budget):
     # abandon on each side of the prefix's end
     model = bsc(0.01)
     cb = build_linear_codebook(75, 54, seed=1)
-    assert len(_guess_prefix(model, 75)[0]) == 2851
+    assert _leaders(cb, model)[1] == 2851
     guesses = [z for z, _ in itertools.islice(iter_guesses(model, 75), 2853)]
     noise = [guesses[i] for i in (0, 75, 76, 2849, 2850, 2851, 2852)]
     rng = np.random.default_rng(budget)
@@ -208,7 +209,7 @@ def test_syndrome_lookup_decodes_like_the_walk_at_the_operating_point(budget):
 )
 def test_syndrome_lookup_decodes_like_the_walk(model, n, k):
     cb = build_linear_codebook(n, k, seed=n)
-    size = len(_guess_prefix(model, n)[0])
+    size = _leaders(cb, model)[1]
     assert (size == 0) == (model == bsc(0.5))
     rng = np.random.default_rng(k)
     for t in range(24):
@@ -223,7 +224,7 @@ def test_syndrome_lookup_decodes_like_the_walk(model, n, k):
 def test_syndrome_lookup_is_ml_where_the_prefix_holds_every_pattern(model):
     # n = 10: all 2^10 patterns fit in the prefix, so no decode walks
     cb = build_linear_codebook(10, 5, seed=3)
-    assert len(_guess_prefix(model, 10)[0]) == 2**10
+    assert _leaders(cb, model)[1] == 2**10
     words = [cb.encode(u) for u in itertools.product((0, 1), repeat=5)]
     explicit = ExplicitCodebook(n=10, rate=0.5, seed=0, alphabet_size=2, words=words)
     for v in range(2**10):
@@ -233,6 +234,49 @@ def test_syndrome_lookup_is_ml_where_the_prefix_holds_every_pattern(model):
         best = brute_force_ml(explicit, y, model)
         assert res.decoded_log_prob == sequence_log_prob(model, _xor(y, best))
         assert res.decoded_log_prob == sequence_log_prob(model, _xor(y, res.decoded))
+
+
+@pytest.mark.parametrize(
+    "model, n, k, budgets",
+    [
+        (bsc(0.05), 16, 8, (None, 20)),
+        (bsc(0.2), 12, 4, (None, 100)),
+        (BinaryMarkovNoise(0.05, 0.3), 14, 7, (None, 40)),
+        (BinaryMarkovNoise(0.1, 0.2, initial=(0.5, 0.5)), 12, 4, (None, 100)),
+    ],
+)
+def test_the_linear_code_oracle_sums_every_noise(model, n, k, budgets):
+    # the oracle's walk and syndrome law against a sum over all 2^n noises, each ranked
+    # by guess_rank; the budgets leave some syndromes unmet
+    cb = build_linear_codebook(n, k, seed=n)
+    for budget in budgets:
+        exact, brute = linear_code_exact(cb, model, budget), linear_code_brute(cb, model, budget)
+        assert exact.abandon > 0 if budget else exact.abandon == 0
+        for field in ("correct", "abandon", "queries"):
+            want = getattr(brute, field)
+            assert getattr(exact, field) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert exact.first.keys() == brute.first.keys()
+        for s, (q, z, prob) in brute.first.items():
+            assert exact.first[s][:2] == (q, z)
+            assert exact.first[s][2] == pytest.approx(prob, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, n, k, seed, patterns, syndromes",
+    [(bsc(0.01), 75, 54, 1, 2851, 2845), (BinaryMarkovNoise(0.05, 0.3), 24, 12, 24, 3938, 2637)],
+)
+def test_the_syndrome_table_holds_the_oracles_first_patterns(model, n, k, seed, patterns,
+                                                              syndromes):
+    # every syndrome the oracle meets within the head has an entry: its first pattern,
+    # with q(s) + 1 queries and that pattern's log-probability
+    cb = build_linear_codebook(n, k, seed)
+    table, size, _ = _leaders(cb, model)
+    assert (size, len(table)) == (patterns, syndromes)
+    exact = linear_code_exact(cb, model, budget=size)
+    assert {s: entry[:2] for s, entry in table.items()} == {
+        s: (q + 1, z) for s, (q, z, _) in exact.first.items()}
+    for s, (_, _, prob) in exact.first.items():
+        assert 2 ** table[s][2] == pytest.approx(prob, rel=1e-12)
 
 
 def test_one_code_keeps_one_syndrome_index_per_model():
@@ -259,7 +303,7 @@ def test_a_linear_decode_of_c_plus_z_is_c_plus_the_decode_of_z(model, n, k):
     # is the code of every word; at n = 12 the prefix holds every pattern, at
     # n = 24 uniform noise walks past it; the budgets end on each side of it
     cb = build_linear_codebook(n, k, seed=n + k)
-    size = len(_guess_prefix(model, n)[0])
+    size = _leaders(cb, model)[1]
     rng = np.random.default_rng(n * k)
     budgets = [None, 1] + [b for b in (size - 1, size, size + 1) if b > 1]
     for t in range(16):
@@ -455,10 +499,12 @@ def test_a_syndrome_lookup_hit_starts_no_guess_stream(monkeypatch):
     model = bsc(0.01)
     cb = build_linear_codebook(75, 54, seed=1)
     rng = np.random.default_rng(75)
-    noisy = [_noisy(cb, _unpack(z, 75), rng) for z in _guess_prefix(model, 75)[0]]
+    head = itertools.islice(iter_guesses(model, 75), 2851)
+    noisy = [_noisy(cb, z, rng) for z, _ in head]
     expected = {b: [walk_decode(cb, y, model, b) for y in noisy] for b in (None, 100)}
     assert max(r.queries for r in expected[None]) <= 2851
     expected[64026] = expected[None]  # so a budget past the prefix changes none
+    assert grand_decode(cb, noisy[0], model) == expected[None][0]  # builds the code's table
 
     def walk(*args):
         raise AssertionError("the guess stream was started")

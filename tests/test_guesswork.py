@@ -13,12 +13,10 @@ from scipy.optimize import brentq
 from grandkit import analysis
 from grandkit.analysis import _brentq, _weight_layers, rate_function_value
 from grandkit.codebook import build_linear_codebook
-from grandkit.decoder import grand_decode
+from grandkit.decoder import _PREFIX_CAP, _leaders, grand_decode
 from grandkit.guesswork import (
-    _PREFIX_CAP,
     _class_key,
     _class_table,
-    _guess_prefix,
     _markov_path_count,
     guess_groups,
     guess_rank,
@@ -108,10 +106,12 @@ def test_lazy_iteration_matches_enumerator(model):
     assert enum.emitted_count == model.alphabet_size**n
 
 
-@pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize(
-    # bsc(0.5): every class ties; bsc(0.6): the weights descend
-    "model", [bsc(0.1), bsc(0.5), bsc(0.6), BinaryMarkovNoise(0.1, 0.3), ZERO_PROB_MODELS[0]]
+    # bsc(0.5): every class ties; bsc(0.6): the weights descend; the chains run to n = 14
+    "model, n",
+    [pytest.param(model, n, id=f"model{i}-{n}") for i, model in enumerate(
+        [bsc(0.1), bsc(0.5), bsc(0.6), BinaryMarkovNoise(0.1, 0.3), ZERO_PROB_MODELS[0]])
+     for n in range(1, 15 if isinstance(model, BinaryMarkovNoise) else 13)],
 )
 def test_packed_pattern_stream_matches_enumerator(model, n):
     stream = [(_unpack(z, n), lp) for lp, zs in guess_groups(model, n) for z in zs]
@@ -125,23 +125,27 @@ def test_packed_pattern_stream_matches_enumerator(model, n):
         (BinaryMarkovNoise(0.05, 0.3), 24, 3938, 67),  # a string and its reverse share a group
         (bsc(0.1), 12, 2**12, 13),  # the whole space
         (bsc(0.5), 16, 0, 0),  # one tie group of 2^16
-        (IIDNoise((0.5, 0.2, 0.3)), 6, 729, 28),
     ],
 )
 def test_guess_prefix_is_the_head_of_the_guess_order(model, n, size, groups):
-    # whole tie groups, as many as fit in the cap, read off guess_groups
-    patterns, log_probs, skip = _guess_prefix(model, n)
-    assert (len(patterns), skip) == (size, groups)
+    # the decoder's syndrome table spans whole tie groups, as many as fit in the cap, read
+    # off guess_groups: each syndrome's first pattern there, its query count and log-prob
+    cb = build_linear_codebook(n, n // 2, seed=n)
+    table, patterns, skip = _leaders(cb, model)
+    assert (patterns, skip) == (size, groups)
     stream = ((z, lp) for lp, zs in guess_groups(model, n) for z in zs)
     head = list(itertools.islice(stream, size + 1))
-    assert list(zip(patterns, log_probs)) == head[:size]
+    first = {}
+    for queries, (z, lp) in enumerate(head[:size], 1):
+        first.setdefault(cb.bind(_unpack(z, n)).syndrome, (queries, z, lp))
+    assert table == first
     following = next(itertools.islice(guess_groups(model, n), skip, None), None)
     if following is None:
         assert size == model.alphabet_size**n
-    else:  # a walk past the prefix resumes at its next pattern, which opens a group too big
+    else:  # a walk past the head resumes at its next pattern, which opens a group too big
         lp, zs = following
         group = list(itertools.islice(zs, _PREFIX_CAP + 1))
-        assert (group[0], lp) == head[size] and lp not in log_probs[-1:]
+        assert (group[0], lp) == head[size] and (size == 0 or lp != head[size - 1][1])
         assert size + len(group) > _PREFIX_CAP
 
 
@@ -188,6 +192,8 @@ def _exact_prob(model, z) -> Fraction:
         (BinaryMarkovNoise(0.1, 0.1), 12),
         (BinaryMarkovNoise(0.25, 0.75), 12),  # an IID law in chain form
         (BinaryMarkovNoise(0.1, 0.2, initial=(0.5, 0.5)), 12),
+        (BinaryMarkovNoise(0.05, 0.3), 14),
+        (BinaryMarkovNoise(0.1, 0.2, initial=(0.5, 0.5)), 14),
     ],
 )
 def test_exact_ties_break_by_ascending_value(model, n):

@@ -19,7 +19,7 @@ from grandkit.simulator import (
     run_race,
     run_simulation,
 )
-from .oracles import run_race_exact, sample_noise
+from .oracles import linear_code_exact, run_race_exact, sample_noise
 from .test_codebook import HAMMING_G
 
 
@@ -145,6 +145,20 @@ def test_linear_mode_runs_and_is_reasonable():
     pred = 1.0 - an.bsc_success_prob_fine(n, 54 / 75, p)
     # random linear codes behave like the uniform ensemble, loosely
     assert rep.block_error_rate < max(10 * pred, 0.05)
+
+
+@pytest.mark.parametrize("budget", [None, 200])
+def test_linear_mode_closes_on_the_exact_oracle(budget):
+    # BSC(0.05), n = 24, k = 12, 20 000 trials: the error and abandonment rates each lie
+    # within 4 binomial sigma of the oracle's exact probability (a point not tuned to pass)
+    model, n, trials = bsc(0.05), 24, 20_000
+    rep = run_simulation(SimConfig(model=model, n=n, rate=0.5, trials=trials, mode="linear",
+                                   abandon_after=budget, seed=35))
+    exact = linear_code_exact(build_linear_codebook(n, 12, 35), model, budget)
+    assert exact.abandon > 0 if budget else exact.abandon == 0
+    for rate, p in ((rep.block_error_rate, 1 - exact.correct),
+                    (rep.abandonment_rate, exact.abandon)):
+        assert abs(rate - p) <= 4 * math.sqrt(p * (1 - p) / trials)
 
 
 @pytest.mark.parametrize(
