@@ -53,12 +53,16 @@ class _RenyiCurve:
     def _edge(self) -> tuple[float, float]:
         return _renyi_log_sum(self, 0.0)
 
+    def __hash__(self) -> int:  # set once: the rank and decoder caches hash on every lookup
+        return self._hash
+
 
 @dataclass(frozen=True)
 class IIDNoise(_RenyiCurve):
     """IID noise: each symbol drawn independently from ``pmf`` over {0..A-1}."""
 
     pmf: tuple[float, ...]
+    __hash__ = _RenyiCurve.__hash__  # kept: the dataclass's own would hash the pmf per call
 
     def __post_init__(self):
         # a tuple, so the model hashes for the caches keyed on it
@@ -69,6 +73,7 @@ class IIDNoise(_RenyiCurve):
             raise ValueError("pmf entries must be non-negative numbers")
         if not abs(sum(self.pmf) - 1.0) <= _PMF_TOL:
             raise ValueError("pmf must sum to 1")
+        object.__setattr__(self, "_hash", hash(self.pmf))  # numbers: alike in every process
 
     @property
     def alphabet_size(self) -> int:
@@ -102,6 +107,7 @@ class BinaryMarkovNoise(_RenyiCurve):
     a: float
     b: float
     initial: tuple[float, float] | None = None
+    __hash__ = _RenyiCurve.__hash__
 
     def __post_init__(self):
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
@@ -113,6 +119,7 @@ class BinaryMarkovNoise(_RenyiCurve):
                 raise ValueError("initial distribution must be a probability pair")
             if not abs(sum(self.initial) - 1.0) <= _PMF_TOL:
                 raise ValueError("initial distribution must sum to 1")
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.initial_dist)))
 
     @property
     def alphabet_size(self) -> int:
@@ -130,12 +137,7 @@ class BinaryMarkovNoise(_RenyiCurve):
     @property
     def transition_log_probs(self) -> tuple[float, float, float, float]:
         """Base-2 logs of (P00, P01, P10, P11)."""
-        return (
-            math.log2(1.0 - self.a),
-            math.log2(self.a),
-            math.log2(self.b),
-            math.log2(1.0 - self.b),
-        )
+        return tuple(map(math.log2, (1.0 - self.a, self.a, self.b, 1.0 - self.b)))
 
     @property
     def stationary_flip_probability(self) -> float:

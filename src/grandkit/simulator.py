@@ -6,9 +6,9 @@ Three modes, trading memory for fidelity:
 * ``linear`` — random systematic binary code with syndrome membership. A
   trial decodes the noise z on the all-zero codeword: y = c + z has z's
   syndrome, so it decodes to c + w, in as many queries, when z decodes to w;
-* ``race`` — no codebook at all: the noise guesswork rank races a sample of
-  the accidental-hit time drawn from its exact min-of-uniforms law, which is
-  what makes large block lengths simulable.
+* ``race`` — no codebook at all, which makes large block lengths simulable: the noise
+  guesswork rank races the accidental-hit time of its exact min-of-uniforms law, an integer
+  read from a certified float, or from mpmath past 2^47, at a near-tie or past |A|^n = 2^1000.
 
 All modes share one run path, the reporting schema and a deterministic
 seeding scheme: per-worker generators are spawned from the master seed and
@@ -148,32 +148,48 @@ class _Tally:
         self.histogram.update(other.histogram)
 
 
-def _u_screen(hit: UHitModel):
-    """A float test of (g, v): True only when U = ceil(T (1 - v^(1/M))),
-    the ``sample_u_exact`` value for v, certainly exceeds g; False when only
-    the exact U can tell.
+def _hit_time(hit: UHitModel):
+    """U = ceil(y*), y* = T (1 - v^(1/M)), as far as a trial with rank g needs it: inf
+    when U surely exceeds g, else ``sample_u_exact``'s U, read from a float y where it can.
 
-    U > g exactly when T (1 - v^(1/M)) > g. Each float log2 below is within a
-    few ulps of at most log2 T + 64, and the margin is hundreds of times that.
+    Below T = |A|^n = 2^1000, y = T * -expm1(ln v / M) is within 2^-50 of y* relatively:
+    log and expm1 err by at most an ulp (2^-52); float(T) (inexact past 2^53 unless a power
+    of two), float(M), the quotient and the product round once each (2^-53); 1 - e^-x passes
+    on at most x's relative error. So y (1 -/+ 2^-48), rounded, bracket y* with 2^-49 to spare:
+    U > g if the lower end exceeds g, and U is their ceiling if they share one (y < 2^47),
+    which sample_u_exact's 40 extra digits find too. If ln v / M is subnormal, y, y* < 2^-21
+    and U = 1. Past 2^1000 only U > g is tested, in log2, with a margin of 2^12 ulps.
     """
-    log2_total = hit.n * math.log2(hit.alphabet_size)
-    margin = 2.0**-40 * (log2_total + 64)
-    m, log2_m = hit.M_n, math.log2(hit.M_n)
+    log2_total, m = hit.n * math.log2(hit.alphabet_size), hit.M_n
+    if log2_total < 1000:  # and M <= T at a rate below 1
+        total, m = float(hit.alphabet_size**hit.n), float(m)
 
-    def exceeds(g: int, v: float) -> bool:
+        def hit_time(g: int, v: float):
+            y = total * -math.expm1(math.log(v) / m)
+            lo, hi = y * (1 - 2.0**-48), y * (1 + 2.0**-48)
+            if lo > g:
+                return math.inf
+            return math.ceil(hi) if math.ceil(lo) == math.ceil(hi) else sample_u_exact(hit, v)
+
+        return hit_time
+    margin, log2_m = 2.0**-40 * (log2_total + 64), math.log2(m)
+
+    def hit_time(g: int, v: float):
         t = -math.log(v)
-        # past float range, 1 - v^(1/M) is t / M to far below an ulp
-        log2_frac = math.log2(-math.expm1(-t / m)) if log2_m < 1000 else math.log2(t) - log2_m
-        return log2_total + log2_frac > math.log2(g) + margin
+        # from M = 2^900, 1 - v^(1/M) is t / M to far below an ulp, and t / M may be subnormal
+        log2_frac = math.log2(-math.expm1(-t / m)) if log2_m < 900 else math.log2(t) - log2_m
+        if log2_total + log2_frac > math.log2(g) + margin:
+            return math.inf
+        return sample_u_exact(hit, v)
 
-    return exceeds
+    return hit_time
 
 
 def _race_worker(args) -> _Tally:
     model, n, rate, trials, threshold, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     hit = UHitModel(n=n, rate=rate, alphabet_size=model.alphabet_size)
-    u_exceeds = _u_screen(hit)
+    hit_time = _hit_time(hit)
     tally = _Tally()
     for _ in range(trials):
         z = sample_noise_with(model, n, rng)
@@ -182,7 +198,7 @@ def _race_worker(args) -> _Tally:
         while v <= 0.0:
             v = rng.random()
         # an infinite u stands for an exact U that is never needed: U > g
-        u = math.inf if u_exceeds(g, v) else sample_u_exact(hit, v)
+        u = hit_time(g, v)
         queries = min(g, u) if threshold is None else min(g, u, threshold)
         abandoned = threshold is not None and min(g, u) > threshold
         # A tie g == u counts as an error: the accidental hit is queried first
@@ -311,16 +327,8 @@ def figure_sweep(
             "codebook_computations_per_bit": repr(_per_bit(R, n, log2_a)),
         }
         if trials > 0:
-            cfg = SimConfig(
-                model=model,
-                n=n,
-                rate=R,
-                trials=trials,
-                mode=mode,
-                seed=seed,
-                workers=workers,
-            )
-            rep = run_simulation(cfg)
+            rep = run_simulation(SimConfig(model=model, n=n, rate=R, trials=trials, mode=mode,
+                                           seed=seed, workers=workers))
             row["mc_block_error"] = repr(rep.block_error_rate)
             row["mc_queries_per_bit"] = repr(rep.avg_queries_per_bit)
         rows.append(row)

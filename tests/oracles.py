@@ -714,10 +714,14 @@ _EM_TERMS = ((1, 12, 1), (-1, 720, 3), (1, 30240, 5))
 
 def _sequence_prob_mp(model: NoiseModel, key) -> mpmath.mpf:
     """The probability of each sequence of class ``key``, in mpmath from the model's
-    parameters; the stationary start law is (b, a) / (a + b) in mpmath too, so a
-    stationary class and its reversal get one value."""
+    parameters. The IID pmf is divided by its mpmath sum: the floats 0.9 and 0.1 sum to
+    1 + 2.8e-17, which the classes at n = 800 would raise to a 2.2e-14 excess in total
+    mass. The stationary start law is (b, a) / (a + b) in mpmath too, so a stationary
+    class and its reversal get one value."""
     if isinstance(model, IIDNoise):
-        return mpmath.fprod(mpmath.mpf(p) ** c for p, c in zip(model.pmf, key))
+        pmf = [mpmath.mpf(p) for p in model.pmf]
+        total = mpmath.fsum(pmf)
+        return mpmath.fprod((p / total) ** c for p, c in zip(pmf, key))
     first, counts = key
     a, b = mpmath.mpf(model.a), mpmath.mpf(model.b)
     init = (b / (a + b), a / (a + b)) if model.initial is None else model.initial
@@ -800,6 +804,20 @@ def random_codebook_exact(model: NoiseModel, n: int, R: float, budget: int | Non
             if f_e * reach < 1e-40:  # the ranks left add under 1e-40 to either sum
                 break
         return float(error + 1 - within), float(queries)
+
+
+def guesswork_tail(model: NoiseModel, n: int, budget: int) -> float:
+    """P(G > B) for the budget B, summed off the class table with ``random_codebook_exact``'s
+    sequence probabilities: the groups before B, each cut at B, hold P(G <= B)."""
+    groups, _, _ = _class_table(model, n)
+    with mpmath.workdps(math.ceil(n * math.log10(model.alphabet_size)) + 40):
+        within = mpmath.mpf(0)
+        for _, members, s in groups:
+            if s >= budget:
+                break
+            ranks = min(sum(size for _, size in members), budget - s)
+            within += _sequence_prob_mp(model, members[0][0]) * ranks
+        return float(1 - within)
 
 
 def random_codebook_brute(model: NoiseModel, n: int, R: float, budget: int | None = None):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from grandkit.codebook import (
     build_linear_codebook,
     build_uniform_codebook,
 )
-from grandkit.guesswork import guess_groups, guess_rank
+from grandkit.guesswork import _class_table, guess_groups, guess_rank
 from grandkit.simulator import figure_sweep
 
 from .oracles import (
@@ -39,6 +40,22 @@ from .oracles import (
     sequence_log_prob,
 )
 from .test_guesswork import REFERENCE_MODELS
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: bsc(0.1), lambda: IIDNoise((0.8, 0.15, 0.05)),
+             lambda: BinaryMarkovNoise(0.05, 0.3),
+             lambda: BinaryMarkovNoise(0.1, 0.2, initial=(0.5, 0.5))],
+)
+def test_a_rebuilt_or_pickled_model_hashes_alike_and_hits_the_class_table(make):
+    """The hash is computed once per model. A model built again, and one pickled and
+    unpickled as a worker process receives it, compare and hash equal and find the
+    original's class table."""
+    model = make()
+    table = _class_table(model, 11)
+    for twin in (make(), pickle.loads(pickle.dumps(model))):
+        assert twin == model and repr(twin) == repr(model) and hash(twin) == hash(model)
+        assert _class_table(twin, 11) is table
 
 
 def test_uniform_iid_entropy_is_one():

@@ -346,19 +346,27 @@ RACE_CONFIGS = [
 def test_race_matches_exact_oracle(kwargs, monkeypatch):
     cfg = SimConfig(mode="race", **kwargs)
     expected = report_to_json(run_race_exact(cfg))
-    calls = []
+    exact, make = [], simulator._hit_time
 
-    def counted(hit, v):
-        calls.append(v)
-        return sample_u_exact(hit, v)
+    def counting(hit):
+        hit_time = make(hit)
 
-    monkeypatch.setattr(simulator, "sample_u_exact", counted)
+        def counted(g, v):
+            u = hit_time(g, v)
+            if u < math.inf:
+                exact.append(u)
+            return u
+
+        return counted
+
+    monkeypatch.setattr(simulator, "_hit_time", counting)
     rep = run_race(cfg)
     assert report_to_json(rep) == expected
-    # an error is U <= G, which only the exact U can show, or an abandonment
+    # an error is U <= G, which only an exact U can show, by float or by
+    # sample_u_exact, or an abandonment
     errors = round(rep.block_error_rate * cfg.trials)
-    assert len(calls) >= errors - round(rep.abandonment_rate * cfg.trials)
-    assert len(calls) < cfg.trials
+    assert len(exact) >= errors - round(rep.abandonment_rate * cfg.trials)
+    assert len(exact) < cfg.trials
 
 
 def test_race_matches_exact_oracle_two_workers():
@@ -376,10 +384,18 @@ def _v_for_u(hit, u):
         return float((1 - (mpmath.mpf(u) - 0.5) / total) ** hit.M_n)
 
 
+@pytest.fixture
+def hit_time_or_defer(monkeypatch):
+    """``simulator._hit_time`` with ``sample_u_exact`` stubbed out, so that None
+    marks a trial the floats defer to it."""
+    monkeypatch.setattr(simulator, "sample_u_exact", lambda hit, v: None)
+    return simulator._hit_time
+
+
 @pytest.mark.parametrize("n, rate", [(75, 0.2), (100, 0.4), (1500, 0.9)])
-def test_screen_defers_at_near_ties(n, rate):
+def test_screen_defers_at_near_ties(n, rate, hit_time_or_defer):
     hit = UHitModel(n=n, rate=rate)
-    exceeds = simulator._u_screen(hit)
+    hit_time = hit_time_or_defer(hit)
     rng = np.random.default_rng(0)
     # T / M = 2^(n (1 - R)): hit times from 2^-4 to 2^2 times that, all > 2^50
     for e in range(round(n * (1 - rate)) - 4, round(n * (1 - rate)) + 3):
@@ -387,17 +403,30 @@ def test_screen_defers_at_near_ties(n, rate):
         u = sample_u_exact(hit, v)
         assert u > 2**50
         for g in (u - 1, u, u + 1):
-            assert not exceeds(g, v)
-        assert exceeds(u // 2, v)
+            assert hit_time(g, v) is None
+        assert hit_time(u // 2, v) == math.inf
+
+
+@pytest.mark.parametrize("n, rate", [(1096, 0.909), (1103, 0.9065)])
+def test_screen_defers_where_t_over_m_is_subnormal(n, rate, hit_time_or_defer):
+    """v = 1 - 2^-53, the float nearest 1, and 2^969 < M < 2^1000: t / M is subnormal,
+    with 21 bits or more, so its log2 can be off by 2^-21, past the screen's margin.
+    The screen must not claim U > U."""
+    hit = UHitModel(n=n, rate=rate)
+    hit_time, v = hit_time_or_defer(hit), 1 - 2.0**-53
+    u = sample_u_exact(hit, v)
+    assert 2**969 < hit.M_n < 2**1000 < 2**n
+    assert hit_time(u, v) is None
+    assert hit_time(u // 2, v) == math.inf
 
 
 @pytest.mark.parametrize(
     "n, rate, pairs", [(10, 0.9, 25_000), (24, 0.5, 25_000), (75, 0.72, 25_000),
                        (75, 0.2, 25_000), (1500, 0.9, 200)],
 )
-def test_screen_never_disagrees_with_exact_sample(n, rate, pairs):
+def test_screen_never_disagrees_with_exact_sample(n, rate, pairs, hit_time_or_defer):
     hit = UHitModel(n=n, rate=rate)
-    exceeds = simulator._u_screen(hit)
+    hit_time = hit_time_or_defer(hit)
     total = 2**n
     rng = np.random.default_rng(n)
     decided = 0
@@ -415,10 +444,41 @@ def test_screen_never_disagrees_with_exact_sample(n, rate, pairs):
             g = min(max(int(mpmath.mpf(2) ** (n + est + shift)), 1), total)
         else:
             g = int(rng.integers(1, min(total, 2**62), endpoint=True))
-        if exceeds(g, v):
+        if hit_time(g, v) == math.inf:
             decided += 1
             assert sample_u_exact(hit, v) > g
     assert decided > pairs // 4
+
+
+@pytest.mark.parametrize(
+    "hit", [UHitModel(n=10, rate=0.9), UHitModel(n=75, rate=0.72), UHitModel(n=75, rate=0.4),
+            UHitModel(n=12, rate=0.5, alphabet_size=3), UHitModel(n=40, rate=0.5, alphabet_size=3),
+            UHitModel(n=60, rate=0.1)],
+    ids=repr,
+)
+def test_certified_hit_time_equals_exact_sample_or_defers(hit, hit_time_or_defer):
+    """v within 512 ulps of the level where T (1 - v^(1/M)) is an integer u, for u
+    from 2^-6 to 2^4 times T / M: below 2^47 as well as past 2^50, and with T = 3^12
+    and 3^40, no power of two, the second past 2^53, where float(T) rounds. With g = T,
+    U > g is never the answer, so the floats give U itself, which must be
+    ``sample_u_exact``'s, or defer (None)."""
+    hit_time = hit_time_or_defer(hit)
+    total = hit.alphabet_size**hit.n
+    rng = np.random.default_rng(hit.n)
+    certified = deferred = 0
+    for _ in range(400):
+        u = min(max(round(total / hit.M_n * 2.0 ** rng.uniform(-6, 4)), 1), 2**52 - 1)
+        v0 = _v_for_u(hit, u + 0.5)  # T (1 - v0^(1/M)) = u, up to v0's rounding
+        v = v0 + int(rng.integers(-512, 512, endpoint=True)) * math.ulp(v0)
+        exact = sample_u_exact(hit, v)
+        answer = hit_time(total, v)
+        if answer is None:
+            deferred += 1
+        else:
+            certified += 1
+            assert answer == exact and exact < 2**47
+    # every hit time here lies past 2^47 at T / M = 2^54; elsewhere both answers occur
+    assert deferred > 0 and (certified == 0 if hit.n == 60 else certified > 0)
 
 
 @pytest.mark.parametrize(
