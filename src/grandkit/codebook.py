@@ -7,9 +7,9 @@ first non-transmitted codeword is encountered, which for a uniformly drawn
 codebook is the minimum of M_n independent uniforms on {1, ..., |A|^n}.
 
 Membership is one method, ``bind(y)``: a test of noise patterns z (packed ints when
-binary) against the received word y, giving the codeword y (-) z or None. ``contains``
-and ``decode_to_info`` look the word up as y with z = 0. A linear code also gives H z
-(``_syndrome``) for the decoder's syndrome table.
+binary) against the received word y, giving the codeword y (-) z or None; ``contains``
+looks the word up as y with z = 0. A linear code reads y once, packed and with H y
+(``_read``), for the decoder's syndrome table, and gives H z (``_syndrome``) for its build.
 """
 
 from __future__ import annotations
@@ -78,20 +78,24 @@ def codebook_size(alphabet_size: int, n: int, rate: float) -> int:
 
 
 class _Membership:
-    """``bind`` and ``contains`` for both codebooks, which check the word once for
-    ``_bind``. A word with a symbol outside the alphabet is no member."""
+    """``bind`` and ``contains`` for both codebooks: ``_read`` checks the word once, ``_bind``
+    tests patterns against what it read. A word with a symbol outside the alphabet is no member."""
 
     def bind(self, y):
         """Membership of y (-) z for the received word ``y``: a function of the noise
         pattern z (a packed int when binary, else an int tuple) giving that codeword, or None."""
+        return self._bind(self._read(y))
+
+    def _read(self, y):
+        """``y`` as ``_checked`` gives it; ValueError when a symbol lies outside the alphabet."""
         if (checked := _checked(y, self.alphabet_size, self.n)) is None:
             raise ValueError(f"received word has a symbol outside 0..{self.alphabet_size - 1}")
-        return self._bind(checked)
+        return checked
 
     def contains(self, word) -> bool:
         zero = 0 if self.alphabet_size == 2 else (0,) * self.n
         word = _checked(word, self.alphabet_size, self.n)
-        return word is not None and self._bind(word)(zero) is not None
+        return word is not None and self.bind(word)(zero) is not None
 
 
 @dataclass(eq=False)
@@ -211,8 +215,8 @@ class LinearCodebook(_Membership):
 
     The code is kept as G's rows, packed as ints in ``_pack``'s order: ``encode`` XORs
     them, and H's columns, int bitmasks, are their parity bits beside the identity. A byte
-    table per 8 columns gives H y for membership's syndrome check, ``_syndrome`` gives H z
-    for the decoder's syndrome table, and the info word of a codeword is its first ``k`` bits.
+    table per 8 columns gives H y (``_read``) for membership, ``_syndrome`` gives H z for
+    the decoder's syndrome table, and the info word of a codeword is its first ``k`` bits.
     """
 
     generator: tuple[tuple[int, ...], ...]
@@ -246,7 +250,7 @@ class LinearCodebook(_Membership):
     def rate(self) -> float:
         return self.k / self.n
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 2**self.k
 
@@ -254,15 +258,17 @@ class LinearCodebook(_Membership):
         """H z for the packed pattern ``z``, H's columns at its set bits XORed."""
         return _xor_columns(self._columns, z)
 
-    def _bind(self, y):
-        """``bind`` for the checked ``y``, carrying s = H y, read from the byte tables, as
-        ``syndrome``: y XOR z is a codeword when s XOR H's columns at z's bits is zero."""
-        n, columns, tables, y_packed = self.n, self._columns, self._tables, _pack(y)
-        y_bytes = y_packed.to_bytes(len(tables), "little")
-        s_y = reduce(int.__xor__, map(list.__getitem__, tables, y_bytes), 0)
-        hit = lambda z: None if _xor_columns(columns, z, s_y) else _unpack(y_packed ^ z, n)
-        hit.syndrome = s_y
-        return hit
+    def _read(self, y) -> tuple[int, int]:
+        """The received word ``y``, checked, packed, and H y from the byte tables."""
+        y, s = _pack(_Membership._read(self, y)), 0
+        for table, byte in zip(self._tables, y.to_bytes(len(self._tables), "little")):
+            s ^= table[byte]
+        return y, s
+
+    def _bind(self, read):
+        """``bind`` for ``_read``'s (y, s = H y): y XOR z is a codeword when H z = s."""
+        (y, s), n, columns = read, self.n, self._columns
+        return lambda z: None if _xor_columns(columns, z, s) else _unpack(y ^ z, n)
 
     def encode(self, info_word) -> tuple[int, ...]:
         if (u := _checked(info_word, 2, self.k)) is None:
@@ -270,10 +276,9 @@ class LinearCodebook(_Membership):
         return _unpack(reduce(int.__xor__, compress(self._rows, u), 0), self.n)
 
     def decode_to_info(self, word) -> tuple[int, ...]:
-        word = _checked(word, 2, self.n)
-        if word is None:
+        if (word := _checked(word, 2, self.n)) is None:
             raise NotACodewordError("word is not binary")
-        if self._bind(word)(0) is None:
+        if self._read(word)[1]:  # a codeword has H y = 0
             raise NotACodewordError("word is not in the codebook")
         return tuple(word[: self.k])
 

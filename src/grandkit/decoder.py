@@ -1,15 +1,14 @@
 """Noise-guessing decoders.
 
 ``grand_decode`` walks noise patterns in decreasing-likelihood order, as
-``guesswork.guess_groups`` emits them, and asks the codebook, bound once to
-the received word y with ``cb.bind(y)``, whether y (-) z is a member; the
-first member is a maximum-likelihood decoding. With a query budget, such as
-``analysis.abandonment_threshold`` sets, it abandons instead (GRANDAB). A
-binary pattern is a packed int, so no tuple is built per guess. For a linear
-code this module also owns the guess order's head: ``_leaders`` maps the syndrome
-of each pattern in its leading whole tie groups to the first pattern with it (a
-truncated coset-leader table), one table per code and model, so one lookup of H y
-answers those guesses and the guess stream starts only past them.
+``guesswork.guess_groups`` emits them, and asks the codebook, bound once to the received
+word y, whether y (-) z is a member; the first member is a maximum-likelihood decoding.
+With a query budget, such as ``analysis.abandonment_threshold`` sets, it abandons instead
+(GRANDAB). A binary pattern is a packed int, so no tuple is built per guess. For a linear
+code this module also owns the guess order's head: ``_leaders`` maps the syndrome of each
+pattern in its leading whole tie groups to the first pattern with it (a truncated
+coset-leader table), one per code and model. A decode reads y once, packed with H y
+(``cb._read``); a table hit is the answer, and only a miss binds the walk to that read.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from enum import Enum
 
 from .codebook import Codebook, LinearCodebook
 from .guesswork import _class_table, guess_groups
-from .noise_models import NoiseModel, _positive_int
+from .noise_models import NoiseModel, _positive_int, _unpack
 
 __all__ = [
     "DecodeStatus",
@@ -81,15 +80,17 @@ def grand_decode(
         raise ValueError("model and codebook alphabets disagree")
     if max_queries is not None:
         max_queries = _positive_int("max_queries", max_queries)
-    hit, queries, skip = cb.bind(y), 0, 0
-    if isinstance(cb, LinearCodebook):
-        # the walk would test the head's first ``queries`` patterns; one lookup does
+    if not isinstance(cb, LinearCodebook):
+        hit, queries, skip = cb.bind(y), 0, 0
+    else:  # the walk would test the head's first ``queries`` patterns; one lookup does
+        y, s = cb._read(y)
         table, size, skip = _leaders(cb, model)
         queries = size if max_queries is None else min(max_queries, size)
-        if (first := table.get(hit.syndrome)) is not None and first[0] <= queries:
-            return DecodeResult(hit(first[1]), first[0], DecodeStatus.DECODED, first[2])
+        if (lead := table.get(s)) is not None and lead[0] <= queries:  # (queries, z, log p)
+            return DecodeResult(_unpack(y ^ lead[1], cb.n), lead[0], DecodeStatus.DECODED, lead[2])
         if queries == max_queries:
             return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
+        hit = cb._bind((y, s))  # a miss: the walk tests the same y and H y
     for lp, patterns in itertools.islice(guess_groups(model, cb.n), skip, None):
         for z in patterns:
             queries += 1

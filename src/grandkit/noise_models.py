@@ -75,7 +75,7 @@ class IIDNoise(_RenyiCurve):
             raise ValueError("pmf must sum to 1")
         object.__setattr__(self, "_hash", hash(self.pmf))  # numbers: alike in every process
 
-    @property
+    @cached_property  # read by every decode and rank
     def alphabet_size(self) -> int:
         return len(self.pmf)
 

@@ -729,6 +729,24 @@ def _sequence_prob_mp(model: NoiseModel, key) -> mpmath.mpf:
     return mpmath.mpf(init[first]) * mpmath.fprod(p**c for p, c in zip(trans, counts))
 
 
+@lru_cache(maxsize=2)
+def _hit_end(T: int, M: int, x: int, prec: int):
+    """``_hit_sums``' terms at one end x of its range, at the working precision ``prec``
+    the caller has set: (u^(M+1), u^(M+2), (f^(m)(x) for m = 0..5)), u = 1 - x/T. Kept for
+    the next call, whose range starts where this one ended: one group's last rank."""
+    Tm = mpmath.mpf(T)
+    u = 1 - x / Tm
+    powers = [u ** (M - 5)]  # u^(M-5), ..., u^(M+2), multiplied up so u = 0 needs no care
+    for _ in range(7):
+        powers.append(powers[-1] * u)
+    # f^(m)(x) = (-1/T)^m M (M - 1) ... (M - m + 1) u^(M - m), m = 0..5
+    derivs, fall = [], mpmath.mpf(1)
+    for m in range(6):
+        derivs.append((-1 / Tm) ** m * fall * powers[5 - m])
+        fall *= M - m
+    return powers[6], powers[7], tuple(derivs)
+
+
 def _hit_sums(T: int, M: int, a: int, b: int):
     """(sum f(x), sum x f(x), f(a), f(b)) over the integers x in [a, b], where
     f(x) = (1 - x/T)^M = P(U > x), by Euler-Maclaurin with three corrections,
@@ -741,19 +759,8 @@ def _hit_sums(T: int, M: int, a: int, b: int):
     Tm = mpmath.mpf(T)
     if 16 * M > T:
         raise ValueError("Euler-Maclaurin needs M/T <= 1/16")
-    ends = []
-    for x in (a, b):
-        u = 1 - x / Tm
-        powers = [u ** (M - 5)]  # u^(M-5), ..., u^(M+2), multiplied up so u = 0 needs no care
-        for _ in range(7):
-            powers.append(powers[-1] * u)
-        # f^(m)(x) = (-1/T)^m M (M - 1) ... (M - m + 1) u^(M - m), m = 0..5
-        derivs, fall = [], mpmath.mpf(1)
-        for m in range(6):
-            derivs.append((-1 / Tm) ** m * fall * powers[5 - m])
-            fall *= M - m
-        ends.append((x, powers[6], powers[7], derivs))
-    (xa, ua1, ua2, da), (xb, ub1, ub2, db) = ends
+    (xa, ua1, ua2, da), (xb, ub1, ub2, db) = ((x, *_hit_end(T, M, x, mpmath.mp.prec))
+                                              for x in (a, b))
     sum_f = Tm / (M + 1) * (ua1 - ub1) + (da[0] + db[0]) / 2
     sum_xf = Tm**2 * ((ua1 - ub1) / (M + 1) - (ua2 - ub2) / (M + 2)) + (xa * da[0] + xb * db[0]) / 2
     for num, den, m in _EM_TERMS:

@@ -530,6 +530,97 @@ def test_success_slopes_approach_the_success_exponent():
         assert beta - L <= n * gap <= beta + L
 
 
+MARKOV = BinaryMarkovNoise(0.05, 0.3)
+
+
+def _markov_run_slopes(model: BinaryMarkovNoise, x: float) -> tuple[float, float, float]:
+    """(I_N(x), D', H') for the chain, with D' and H' taken per run of ones, the chain's
+    layer in the bands below. A run of ones costs c = log2((1 - a)(1 - b) / (a b)) bits of
+    -log2 p, 5.47 at Markov(0.05, 0.3), and a one inside a run only log2((1 - a) / (1 - b)),
+    0.44. At the tilt rho with x(rho) = x on the Legendre curve of the chain's Renyi
+    log-sum, sequence counts grow by 2^(rho t) and masses fall by 2^(-(1 - rho) t) as -log2 p
+    grows by t bits, so H' = rho c and D' = (1 - rho) c; D'/H' = (1 - rho) / rho is the
+    slope of I_N at x, as the BSC's D'/H' is."""
+    rho = brentq(lambda r: an._legendre_point(model, r)[0] - x, 1e-3, 8.0, xtol=1e-15)
+    c = math.log2((1 - model.a) * (1 - model.b) / (model.a * model.b))
+    return an._legendre_point(model, rho)[1], (1 - rho) * c, rho * c
+
+
+def test_markov_block_error_slopes_approach_the_error_exponent():
+    """Markov(0.05, 0.3), R = 0.35, above the chain's critical rate 1 - x* = 0.166: the
+    slopes (log2 P(n) - log2 P(2n)) / n of GRAND's exact error P(n) on a uniform random
+    codebook (``random_codebook_exact``) over n = 24, 48, 96 lie above eps(R) = I_N(1 - R)
+    by (beta +- L) / n. The band follows the BSC's, with the chain's own prefactor:
+    - The error is the mass of the noise past the level of -log2 p where c l reaches 1.
+      A type of the chain (its ones and its runs) holds a product of two run-length
+      binomials, n^(-1) 2^(n h); summed along the level line, over a window n^(1/2) wide,
+      and geometrically across it, both that mass and the count l carry n^(-1/2), as a
+      BSC weight layer does. So beta = (1 + D'/H')/2 as there.
+    - What replaces the crossing weight layer is the crossing run count: moving the
+      crossing by one run maps the types onto themselves, and scales the terms past it
+      by 2^(-D') and those before it by 2^(H' - D'). The Theta factor's log2 then has
+      slope within [-D', H' - D'] per run and spans at most L = D' (H' - D') / H'.
+      A one inside a run is a period too, and would give L = 0.07, but only where the
+      counts inside one run count grow geometrically in the ones; at the crossing, about
+      0.09 n runs, their binomials C(k - 1, m - 1) are far from that for n <= 96.
+    """
+    R = 0.35
+    eps = an.error_exponent(MARKOV, R)
+    rate, d_slope, h_slope = _markov_run_slopes(MARKOV, 1 - R)
+    assert eps == pytest.approx(rate, rel=1e-9) and R > 1 - an.critical_rate_x_star(MARKOV)
+    beta, L = (1 + d_slope / h_slope) / 2, d_slope * (h_slope - d_slope) / h_slope
+    error = {n: random_codebook_exact(MARKOV, n, R)[0] for n in (24, 48, 96)}
+    for n in (24, 48):
+        gap = (math.log2(error[n]) - math.log2(error[2 * n])) / n - eps
+        assert beta - L <= n * gap <= beta + L
+
+
+def test_markov_success_slopes_approach_the_success_exponent():
+    """Markov(0.05, 0.3), R = 0.75, above capacity 0.629: the exact success probability
+    P(n) = 1 - ``random_codebook_exact``'s error over n = 24, 48, 96 decays at the success
+    exponent I_N(1 - R), with the band of ``test_success_slopes_approach_the_success_exponent``
+    read per run of ones, as in the Markov error test above: now rho > 1 and D' < 0,
+    beta = (1 + D'/H')/2, and as c falls through one run log2 P rises at H' times the mean
+    of c G under the weights P(G = j) e^(-c j), within [0, H'], so the Theta factor's log2
+    has slope within [D', H' + D'] per run and spans at most L = -D' (H' + D') / H'.
+    """
+    R = 0.75
+    eps_s = an.success_exponent(MARKOV, R)
+    rate, d_slope, h_slope = _markov_run_slopes(MARKOV, 1 - R)
+    assert eps_s == pytest.approx(rate, rel=1e-9) and d_slope < 0
+    beta, L = (1 + d_slope / h_slope) / 2, -d_slope * (h_slope + d_slope) / h_slope
+    success = {n: 1 - random_codebook_exact(MARKOV, n, R)[0] for n in (24, 48, 96)}
+    for n in (24, 48):
+        gap = (math.log2(success[n]) - math.log2(success[2 * n])) / n - eps_s
+        assert beta - L <= n * gap <= beta + L
+
+
+def test_markov_grandab_error_slopes_approach_the_grandab_exponent():
+    """Markov(0.05, 0.3), R = 0.35, delta = 0.15, where eps_AB = I_N(H + delta) = 0.0121
+    lies below eps(R) = 0.0460, so abandonment sets the rate. P(n) is GRANDAB's exact error
+    with B = ``abandonment_threshold(n, H, delta)``, 2^50 at n = 96, under its 64-bit cap.
+    The band is ``test_grandab_error_slopes_approach_the_grandab_exponent``'s read per run
+    of ones: with the run's sequences taken as one layer of counts and masses geometric
+    in runs (the ones inside a run only smooth the fall), P(G > B) has log2 slope within
+    [-S, 0] per run against B, S = H' (2^D' - 1) / (1 - 2^-H'), and the Theta factor's
+    log2 spans at most L = D' (S - D') / S about beta = (1 + D'/H')/2. An error before
+    abandonment has a share falling like 2^(-n (1 - R - H - delta)), 2^(-0.13 n), in the
+    o(1) term.
+    """
+    R, delta = 0.35, 0.15
+    H = shannon_entropy_rate(MARKOV)
+    eps_ab = an.grandab_error_exponent(MARKOV, R, delta)
+    rate, d_slope, h_slope = _markov_run_slopes(MARKOV, H + delta)
+    assert eps_ab == pytest.approx(rate, rel=1e-9) and eps_ab < an.error_exponent(MARKOV, R)
+    S = h_slope * (2**d_slope - 1) / (1 - 2**-h_slope)
+    beta, L = (1 + d_slope / h_slope) / 2, d_slope * (S - d_slope) / S
+    error = {n: random_codebook_exact(MARKOV, n, R, an.abandonment_threshold(n, H, delta))[0]
+             for n in (24, 48, 96)}
+    for n in (24, 48):
+        gap = (math.log2(error[n]) - math.log2(error[2 * n])) / n - eps_ab
+        assert beta - L <= n * gap <= beta + L
+
+
 def test_block_error_single_codeword_regime():
     # M_n = 1: the hit time is one uniform; compare with the direct sum
     # over ranks using the exact uniform survival

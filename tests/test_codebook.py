@@ -396,17 +396,26 @@ def test_linear_encode_is_matrix_product():
 
 def test_linear_generator_parity_orthogonal():
     # membership is exactly a zero syndrome under H = [P^T | I]; H y is read
-    # from one table per byte of y, so the lengths straddle the byte edges
-    for n in (1, 7, 8, 9, 15, 16, 17, 75):
+    # from one table per byte of y, so the lengths straddle the byte edges. Up to
+    # n = 10 every word is asked: the (10, 5) code's 32 codewords and 992 other words
+    for n in (1, 7, 8, 9, 10, 15, 16, 17, 75):
         k = (n + 1) // 2
         cb = build_linear_codebook(n, k, seed=8)
         g = np.array(cb.generator, dtype=np.uint8)
         h = np.concatenate([g[:, k:].T, np.eye(n - k, dtype=np.uint8)], axis=1)
         assert not ((g @ h.T) % 2).any()
         rng = np.random.default_rng(8)
-        for w in rng.integers(0, 2, size=(300, n)):
+        words = (np.array(list(itertools.product((0, 1), repeat=n))) if n <= 10
+                 else rng.integers(0, 2, size=(300, n)))
+        for w in words:
             for word in (w, cb.encode(w[:k])):
-                assert cb.contains(word) == (not ((h @ word) % 2).any()), n
+                member = not ((h @ word) % 2).any()
+                assert cb.contains(word) == member, n
+                if member:
+                    assert cb.decode_to_info(word) == tuple(int(b) for b in word[:k])
+                else:
+                    with pytest.raises(NotACodewordError, match="not in the codebook"):
+                        cb.decode_to_info(word)
 
 
 def test_linear_bind_at_the_operating_point_matches_re_encoding():

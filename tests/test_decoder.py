@@ -428,6 +428,8 @@ _ACCEPTED = {
     "tuple": lambda w: w,
     "list": list,
     "int ndarray": np.array,
+    "int64 ndarray": lambda w: np.array(w, dtype=np.int64),
+    "uint8 ndarray": lambda w: np.array(w, dtype=np.uint8),
     "float ndarray": lambda w: np.array(w, dtype=float),
     "array.array": lambda w: array.array("i", w),
     "bytes": bytes,
@@ -441,6 +443,7 @@ _ACCEPTED = {
 _REJECTED = {
     "0.7": lambda w: (0.7,) + w[1:],
     "0.7 in a list": lambda w: [0.7] + list(w[1:]),
+    "0.5": lambda w: w[:-1] + (0.5,),
     "-1": lambda w: w[:-1] + (-1,),
     "2": lambda w: w[:-1] + (2,),
     "300": lambda w: w[:-1] + (300,),
@@ -468,6 +471,8 @@ def _outcome(call, *args):
 @pytest.mark.parametrize("kind", [*_ACCEPTED, *_REJECTED, *_SHORT])
 def test_the_boundary_accepts_and_rejects_each_input_type(kind, codebook):
     cb, model = _BOUNDARY_CODEBOOKS[codebook]
+    if isinstance(cb, LinearCodebook):  # a copy no decode has seen: no syndrome table yet
+        cb = LinearCodebook(cb.generator)
     a = cb.alphabet_size
     calls = (cb.contains, cb.decode_to_info, lambda w: grand_decode(cb, w, model))
     c = cb.encode((0, 1, 1, 0) if isinstance(cb, LinearCodebook) else 1)
@@ -491,6 +496,8 @@ def test_the_boundary_accepts_and_rejects_each_input_type(kind, codebook):
                 cb.decode_to_info(y)
             with pytest.raises(ValueError, match="outside"):
                 grand_decode(cb, y, model)
+        # the first word meets a linear code before its syndrome table is built, the second after
+        assert grand_decode(cb, word, model).decoded is not None
 
 
 def test_a_syndrome_lookup_hit_starts_no_guess_stream(monkeypatch):

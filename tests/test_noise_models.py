@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -48,13 +49,19 @@ from .test_guesswork import REFERENCE_MODELS
              lambda: BinaryMarkovNoise(0.1, 0.2, initial=(0.5, 0.5))],
 )
 def test_a_rebuilt_or_pickled_model_hashes_alike_and_hits_the_class_table(make):
-    """The hash is computed once per model. A model built again, and one pickled and
-    unpickled as a worker process receives it, compare and hash equal and find the
-    original's class table."""
+    """The hash is computed once per model, and an IID model's alphabet size at its first
+    read. A model built again, and one pickled and unpickled as a worker process receives
+    it, before those reads or after, compare and hash equal, give the same alphabet size
+    and fields, and find the original's class table."""
+    fresh = pickle.dumps(make())
     model = make()
-    table = _class_table(model, 11)
-    for twin in (make(), pickle.loads(pickle.dumps(model))):
+    table, size = _class_table(model, 11), model.alphabet_size
+    assert size == len(getattr(model, "pmf", (0, 1)))
+    assert [f.name for f in dataclasses.fields(model)] == (
+        ["pmf"] if isinstance(model, IIDNoise) else ["a", "b", "initial"])
+    for twin in (make(), pickle.loads(pickle.dumps(model)), pickle.loads(fresh)):
         assert twin == model and repr(twin) == repr(model) and hash(twin) == hash(model)
+        assert twin.alphabet_size == size and dataclasses.fields(twin) == dataclasses.fields(model)
         assert _class_table(twin, 11) is table
 
 
