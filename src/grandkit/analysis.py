@@ -4,11 +4,12 @@ Everything here is derived from two rate functions: I_N, the large-deviation
 rate of the noise guesswork, and I_U(x) = 1 - R - x, the rate of the first
 accidental codeword hit. I_N is computed here on its Legendre curve
 (``rate_function_value``): the curve down to gamma, the linear segment
-H_min - x below it, and +inf past the support edge. Their interplay yields
-error and success exponents, complexity exponents, the abandonment margin
-delta and the GRANDAB query budget ceil(2^(n(H + delta))) it sets, and --
-for the binary symmetric channel -- a finite-blocklength approximation of the
-block error probability and the expected query count.
+H_min - x below it, and +inf past the support edge. Root solves on the curve
+share its bracket points, rho = 0 and 2^k, which each model keeps. Their
+interplay yields error and success exponents, complexity exponents, the
+abandonment margin delta and the GRANDAB query budget ceil(2^(n(H + delta)))
+it sets, and -- for the binary symmetric channel -- a finite-blocklength
+approximation of the block error probability and the expected query count.
 """
 
 from __future__ import annotations
@@ -76,26 +77,24 @@ def _rho_bracket(f) -> tuple[float, float]:
     """(rho, f(rho)) for ``f`` decreasing in rho with f(0) > 0: rho doubles
     from 1 until f(rho) <= 0, so [0, rho] brackets the root, or until f(rho)
     stops moving while still positive: the root then lies past float reach,
-    on the limit rho -> inf."""
+    on the limit rho -> inf. Each model keeps the curve's points at these rho (``_points``)."""
     rho, last = 1.0, None
     while (val := f(rho)) > 0.0 and val != last:
         rho, last = 2.0 * rho, val
     return rho, val
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100):
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100,
+            fb: float | None = None):  # f(b), when the caller has it
     """A root of ``f`` on the sign-changing bracket [a, b] by Brent's method (Brent 1973):
     an exact port of scipy's ``brentq.c`` (defaults rtol = 4 eps, maxiter = 100), the same
     float operations in the same order, kept so that outputs stay byte-identical without
     scipy. ValueError for a same-sign bracket or a NaN value, RuntimeError past maxiter."""
-
-    def call(x: float) -> float:
-        if math.isnan(fx := f(x)):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = f(xpre), (f(xcur) if fb is None else fb)
+    if math.isnan(fpre) or math.isnan(fcur):
+        x = xpre if math.isnan(fpre) else xcur
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
@@ -126,7 +125,8 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter:
             spre = scur = sbis  # bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        if math.isnan(fcur := f(xcur)):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
@@ -139,7 +139,7 @@ def rate_function_value(model: NoiseModel, x: float) -> float:
     """
     if not 0.0 <= _number("x", x) <= 1.0:
         return math.inf
-    edge, slope = model._edge
+    edge, slope = _renyi_log_sum(model, 0.0)
     if x >= edge:
         return max(0.0, -slope - edge) if x == edge else math.inf
 
@@ -149,7 +149,7 @@ def rate_function_value(model: NoiseModel, x: float) -> float:
     hi, val = _rho_bracket(f)
     if val > 0.0:
         return min_entropy_rate(model) - x
-    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15))[1])
+    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15, fb=val))[1])
 
 
 def capacity(model: NoiseModel) -> float:
@@ -245,7 +245,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
     """
     if _number("R", R) >= 1.0 - min_entropy_rate(model):
         return None
-    edge, slope = model._edge
+    edge, slope = _renyi_log_sum(model, 0.0)
     if -slope <= 1.0 - R:
         return edge
 
@@ -257,7 +257,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
         # Only the dominant term is left and -L' still exceeds 1 - R: R is
         # within float error of 1 - H_min, and y* is the Legendre point.
         return _legendre_point(model, hi)[0]
-    rho = float(_brentq(f, 0.0, hi, xtol=1e-14))
+    rho = float(_brentq(f, 0.0, hi, xtol=1e-14, fb=val))
     return _renyi_log_sum(model, rho)[0] + rho * (1.0 - R)
 
 
@@ -291,8 +291,8 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
     if f(0.0) < 0.0:
         raise ValueError(f"target exponent {t:.4g} exceeds the rate function's range")
     delta = 0.0  # f(1) >= 0, t within float error of I(H) = 0, puts the root where x <= H
-    if f(1.0) < 0.0:
-        rho = _brentq(f, 0.0, 1.0, xtol=1e-14)
+    if (f1 := f(1.0)) < 0.0:
+        rho = _brentq(f, 0.0, 1.0, xtol=1e-14, fb=f1)
         delta = _legendre_point(model, rho)[0] - shannon_entropy_rate(model)
     if delta <= 0.0:
         raise ValueError("abandonment target gives a non-positive margin")

@@ -42,6 +42,20 @@ class DecodeResult:
     decoded_log_prob: float | None
 
 
+# DecodeResult(...) sets each slot through object.__setattr__; its slots' setters take half the time
+_SET_DECODED, _SET_QUERIES, _SET_STATUS, _SET_LOG_PROB = (
+    vars(DecodeResult)[name].__set__ for name in DecodeResult.__slots__)
+
+
+def _result(decoded, queries: int, status: DecodeStatus, log_prob) -> DecodeResult:
+    result = object.__new__(DecodeResult)
+    _SET_DECODED(result, decoded)
+    _SET_QUERIES(result, queries)
+    _SET_STATUS(result, status)
+    _SET_LOG_PROB(result, log_prob)
+    return result
+
+
 # Most patterns _leaders tabulates; at BSC(0.01), n = 75 it holds weights 0-2
 # (2851 patterns), where weight 3 would bring it to 70 376.
 _PREFIX_CAP = 2**12
@@ -87,16 +101,16 @@ def grand_decode(
         table, size, skip = _leaders(cb, model)
         queries = size if max_queries is None else min(max_queries, size)
         if (lead := table.get(s)) is not None and lead[0] <= queries:  # (queries, z, log p)
-            return DecodeResult(_unpack(y ^ lead[1], cb.n), lead[0], DecodeStatus.DECODED, lead[2])
+            return _result(_unpack(y ^ lead[1], cb.n), lead[0], DecodeStatus.DECODED, lead[2])
         if queries == max_queries:
-            return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
+            return _result(None, queries, DecodeStatus.ABANDONED, None)
         hit = cb._bind((y, s))  # a miss: the walk tests the same y and H y
     for lp, patterns in itertools.islice(guess_groups(model, cb.n), skip, None):
         for z in patterns:
             queries += 1
             codeword = hit(z)
             if codeword is not None:
-                return DecodeResult(codeword, queries, DecodeStatus.DECODED, lp)
+                return _result(codeword, queries, DecodeStatus.DECODED, lp)
             if queries == max_queries:
-                return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
+                return _result(None, queries, DecodeStatus.ABANDONED, None)
     # unreached: the walk holds every z, -inf classes too, so it meets y (-) z for a codeword

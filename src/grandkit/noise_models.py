@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -31,10 +32,10 @@ _PMF_TOL = 1e-12
 
 
 class _RenyiCurve:
-    """Constants of the Renyi log-sum L(rho), kept on the model from its first
-    use: the natural logs L is built from, their max ``top``, the logs minus
-    ``top`` and ln|A| (``_log_terms``); (L, L') at rho = 0 (``_edge``), where
-    L(0) = log_|A| #{p_i > 0} is the support edge of I_N."""
+    """Constants of the Renyi log-sum L(rho), kept on the model from its first use: the
+    natural logs L is built from, their max ``top``, the logs minus ``top`` and ln|A|
+    (``_log_terms``); (L, L') at rho = 0, the support edge L(0) = log_|A| #{p_i > 0} of
+    I_N, and at the powers of two rho >= 1 that root brackets double through (``_points``)."""
 
     @cached_property
     def _log_terms(self) -> tuple[tuple[float, ...], float, tuple[float, ...], float]:
@@ -50,8 +51,8 @@ class _RenyiCurve:
         return logs, top, tuple(l - top for l in logs), math.log(self.alphabet_size)
 
     @cached_property
-    def _edge(self) -> tuple[float, float]:
-        return _renyi_log_sum(self, 0.0)
+    def _points(self) -> dict[float, tuple[float, float]]:
+        return {}
 
     def __hash__(self) -> int:  # set once: the rank and decoder caches hash on every lookup
         return self._hash
@@ -157,23 +158,29 @@ def _renyi_log_sum(model: NoiseModel, rho: float) -> tuple[float, float]:
     """(L, L') at ``rho`` >= 0, base |A|: L(rho) = log sum p_i^rho for IID
     noise, the log of the Perron root of [P_ij^rho] for the Markov chain.
 
-    L is convex, with L(rho) = (1 - rho) H_rho, L(1) = 0 and -L'(1) = H; every
-    entropy rate below is read off it. Each term is scaled by the dominant
-    one, so large rho neither underflows nor loses the derivative. The logs,
-    shifted by the dominant one, are taken once per model (``_log_terms``).
+    L is convex, with L(rho) = (1 - rho) H_rho, L(1) = 0 and -L'(1) = H; every entropy
+    rate below is read off it. Each term is scaled by the dominant one, so large rho
+    neither underflows nor loses the derivative. The shifted logs are taken once per model
+    (``_log_terms``), as are the points at rho = 0 and at powers of two >= 1 (``_points``).
     """
+    if (point := model._points.get(rho)) is not None:
+        return point
     logs, top, shifted, log_a = model._log_terms
-    w = [math.exp(rho * s) for s in shifted]
     if isinstance(model, IIDNoise):
+        w = [math.exp(rho * s) for s in shifted]
         lam = sum(w)
-        dlam = sum(wi * l for wi, l in zip(w, logs))
+        dlam = sum(map(mul, w, logs))
     else:
-        (l1, l2, lc), (d1, d2, c) = logs, w
+        (l1, l2, lc), (s1, s2, sc) = logs, shifted
+        d1, d2, c = math.exp(rho * s1), math.exp(rho * s2), math.exp(rho * sc)
         root = math.hypot(d1 - d2, 2.0 * c)
         lam = (d1 + d2 + root) / 2.0
         cross = ((d1 - d2) * (d1 * l1 - d2 * l2) + 4.0 * c * c * lc) / root if root else 0.0
         dlam = (d1 * l1 + d2 * l2 + cross) / 2.0
-    return (rho * top + math.log(lam)) / log_a, dlam / lam / log_a
+    point = (rho * top + math.log(lam)) / log_a, dlam / lam / log_a
+    if not rho or rho >= 1.0 and math.frexp(rho)[0] == 0.5:  # rho = 0 or a bracket's doubling
+        model._points[rho] = point
+    return point
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from grandkit import analysis as an
+from grandkit import noise_models as nm
 from grandkit.analysis import _rho_bracket, rate_function_value
 from grandkit.guesswork import iter_guesses
 from grandkit.noise_models import (
@@ -28,6 +30,7 @@ from .oracles import (
     grand_rate_function,
     random_codebook_exact,
     rate_function_I_U,
+    renyi_log_sum_direct,
     supercritical_threshold_crossing,
 )
 
@@ -763,3 +766,34 @@ def test_exponent_report_fields():
     assert rep.s == 0.0
     assert rep.epsilon_AB is not None
     assert rep.epsilon_AB <= rep.epsilon + 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, delta",
+    [
+        (bsc(0.01), None),  # the margin of --auto-delta at n = 75, p_abandon = 0.01
+        (bsc(0.1), 0.3),
+        (BinaryMarkovNoise(0.002, 0.2), 0.05),
+        (IIDNoise((0.6, 0.4, 0.0)), 0.1),
+    ],
+    ids=repr,
+)
+def test_exponent_reports_equal_those_of_the_unstored_curve(monkeypatch, model, delta):
+    """Over a 99-rate grid, every report field has the repr it has when each (L, L') is
+    computed afresh: the oracle's formula in place of ``_renyi_log_sum``, which keeps no
+    point on the model, and the per-model caches emptied before each side."""
+    rates = [0.0123 + 0.01 * i for i in range(99)]
+
+    def reports():
+        for cached in (shannon_entropy_rate, renyi_entropy_rate, an.critical_rate_x_star,
+                       an._abandonment_rate):
+            cached.cache_clear()
+        fresh = dataclasses.replace(model)  # no point kept yet
+        d = an.select_delta(fresh, 75, 0.01, 0.01) if delta is None else delta
+        return [[repr(v) for v in dataclasses.astuple(an.exponent_report(fresh, R, d))]
+                for R in rates]
+
+    kept = reports()
+    monkeypatch.setattr(an, "_renyi_log_sum", renyi_log_sum_direct)
+    monkeypatch.setattr(nm, "_renyi_log_sum", renyi_log_sum_direct)
+    assert reports() == kept

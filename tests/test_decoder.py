@@ -1,4 +1,5 @@
 import array
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from grandkit.codebook import (
     sample_u_exact,
 )
 from grandkit.analysis import abandonment_threshold
-from grandkit.decoder import DecodeStatus, _leaders, grand_decode
+from grandkit.decoder import DecodeResult, DecodeStatus, _leaders, grand_decode
 from grandkit.guesswork import guess_rank, iter_guesses
 from grandkit.noise_models import (
     BinaryMarkovNoise,
@@ -184,7 +185,8 @@ def test_syndrome_lookup_decodes_like_the_walk_at_the_operating_point(budget):
     # the cached prefix is weights 0-2, 2851 patterns: the noise is each guess at
     # its edges (the last weight-1, the first weight-2, the last in the prefix and
     # the first two past it) and random noise of weight 0-4; the budgets hit and
-    # abandon on each side of the prefix's end
+    # abandon on each side of the prefix's end. Built slot by slot, each result is the
+    # frozen, slotted dataclass that DecodeResult(...) builds, positionally or by keyword
     model = bsc(0.01)
     cb = build_linear_codebook(75, 54, seed=1)
     assert _leaders(cb, model)[1] == 2851
@@ -197,7 +199,14 @@ def test_syndrome_lookup_decodes_like_the_walk_at_the_operating_point(budget):
             noise.append(tuple(int(i in flips) for i in range(75)))
     for z in noise:
         y = _noisy(cb, z, rng)
-        assert grand_decode(cb, y, model, max_queries=budget) == walk_decode(cb, y, model, budget)
+        res = grand_decode(cb, y, model, max_queries=budget)
+        assert res == walk_decode(cb, y, model, budget)
+        fields = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        for built in (DecodeResult(*fields.values()), DecodeResult(**fields)):
+            assert (built, repr(built), hash(built)) == (res, repr(res), hash(res))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.queries = 0
+        assert not hasattr(res, "__dict__")
 
 
 @pytest.mark.parametrize(

@@ -323,10 +323,19 @@ def test_list_initial_is_stored_as_a_tuple():
 )
 def test_renyi_log_sum_equals_direct_formula(model):
     """The per-model log terms give the very floats of the formula that
-    takes them on every call."""
-    for rho in (0.0, 1e-3, 0.5, 1.0, 2.0, 37.0, 1e6):
-        assert _renyi_log_sum(model, rho) == renyi_log_sum_direct(model, rho)
-    assert model._edge == renyi_log_sum_direct(model, 0.0)
+    takes them on every call. Each rho is asked twice: rho = 0 and the powers
+    of two rho >= 1, the points root brackets visit, are kept on the model at
+    the first call and read back at the second; no other rho is kept."""
+    model = dataclasses.replace(model)  # a model no test has asked yet
+    kept = (0.0, 1.0, 2.0, 4.0, 2.0**10)
+    for rho in (0.0, 1e-3, 0.5, 0.7, 1.0, 2.0, 4.0, 37.0, 2.0**10, 1e6):
+        assert rho not in model._points
+        cold = _renyi_log_sum(model, rho)
+        assert (rho in model._points) == (rho in kept)
+        again = _renyi_log_sum(model, rho)
+        assert cold == again == renyi_log_sum_direct(model, rho)
+        assert rho not in kept or again is model._points[rho]
+    assert sorted(model._points) == list(kept)
     logs, log_a = _log_terms(model)
     assert min_entropy_rate(model) == -max(logs) / log_a
 
