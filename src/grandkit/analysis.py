@@ -84,14 +84,13 @@ def _rho_bracket(f) -> tuple[float, float]:
     return rho, val
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100,
-            fb: float | None = None):  # f(b), when the caller has it
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 2.0**-50, maxiter: int = 100):
     """A root of ``f`` on the sign-changing bracket [a, b] by Brent's method (Brent 1973):
     an exact port of scipy's ``brentq.c`` (defaults rtol = 4 eps, maxiter = 100), the same
     float operations in the same order, kept so that outputs stay byte-identical without
     scipy. ValueError for a same-sign bracket or a NaN value, RuntimeError past maxiter."""
     xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), (f(xcur) if fb is None else fb)
+    fpre, fcur = f(xpre), f(xcur)
     if math.isnan(fpre) or math.isnan(fcur):
         x = xpre if math.isnan(fpre) else xcur
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
@@ -149,7 +148,7 @@ def rate_function_value(model: NoiseModel, x: float) -> float:
     hi, val = _rho_bracket(f)
     if val > 0.0:
         return min_entropy_rate(model) - x
-    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15, fb=val))[1])
+    return max(0.0, _legendre_point(model, _brentq(f, 0.0, hi, xtol=1e-15))[1])
 
 
 def capacity(model: NoiseModel) -> float:
@@ -257,7 +256,7 @@ def supercritical_threshold_y_star(model: NoiseModel, R: float) -> float | None:
         # Only the dominant term is left and -L' still exceeds 1 - R: R is
         # within float error of 1 - H_min, and y* is the Legendre point.
         return _legendre_point(model, hi)[0]
-    rho = float(_brentq(f, 0.0, hi, xtol=1e-14, fb=val))
+    rho = float(_brentq(f, 0.0, hi, xtol=1e-14))
     return _renyi_log_sum(model, rho)[0] + rho * (1.0 - R)
 
 
@@ -291,8 +290,8 @@ def select_delta(model: NoiseModel, n: int, p_abandon: float, p: float) -> float
     if f(0.0) < 0.0:
         raise ValueError(f"target exponent {t:.4g} exceeds the rate function's range")
     delta = 0.0  # f(1) >= 0, t within float error of I(H) = 0, puts the root where x <= H
-    if (f1 := f(1.0)) < 0.0:
-        rho = _brentq(f, 0.0, 1.0, xtol=1e-14, fb=f1)
+    if f(1.0) < 0.0:
+        rho = _brentq(f, 0.0, 1.0, xtol=1e-14)
         delta = _legendre_point(model, rho)[0] - shannon_entropy_rate(model)
     if delta <= 0.0:
         raise ValueError("abandonment target gives a non-positive margin")

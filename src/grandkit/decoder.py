@@ -34,26 +34,22 @@ class DecodeStatus(Enum):
     ABANDONED = "abandoned"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)  # __init__ skips object.__setattr__: half the cost
 class DecodeResult:
     decoded: tuple[int, ...] | None
     queries: int
     status: DecodeStatus
     decoded_log_prob: float | None
 
+    def __init__(self, decoded, queries, status, decoded_log_prob):
+        _set_decoded(self, decoded)
+        _set_queries(self, queries)
+        _set_status(self, status)
+        _set_log_prob(self, decoded_log_prob)
 
-# DecodeResult(...) sets each slot through object.__setattr__; its slots' setters take half the time
-_SET_DECODED, _SET_QUERIES, _SET_STATUS, _SET_LOG_PROB = (
+
+_set_decoded, _set_queries, _set_status, _set_log_prob = (
     vars(DecodeResult)[name].__set__ for name in DecodeResult.__slots__)
-
-
-def _result(decoded, queries: int, status: DecodeStatus, log_prob) -> DecodeResult:
-    result = object.__new__(DecodeResult)
-    _SET_DECODED(result, decoded)
-    _SET_QUERIES(result, queries)
-    _SET_STATUS(result, status)
-    _SET_LOG_PROB(result, log_prob)
-    return result
 
 
 # Most patterns _leaders tabulates; at BSC(0.01), n = 75 it holds weights 0-2
@@ -101,16 +97,16 @@ def grand_decode(
         table, size, skip = _leaders(cb, model)
         queries = size if max_queries is None else min(max_queries, size)
         if (lead := table.get(s)) is not None and lead[0] <= queries:  # (queries, z, log p)
-            return _result(_unpack(y ^ lead[1], cb.n), lead[0], DecodeStatus.DECODED, lead[2])
+            return DecodeResult(_unpack(y ^ lead[1], cb.n), lead[0], DecodeStatus.DECODED, lead[2])
         if queries == max_queries:
-            return _result(None, queries, DecodeStatus.ABANDONED, None)
+            return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
         hit = cb._bind((y, s))  # a miss: the walk tests the same y and H y
     for lp, patterns in itertools.islice(guess_groups(model, cb.n), skip, None):
         for z in patterns:
             queries += 1
             codeword = hit(z)
             if codeword is not None:
-                return _result(codeword, queries, DecodeStatus.DECODED, lp)
+                return DecodeResult(codeword, queries, DecodeStatus.DECODED, lp)
             if queries == max_queries:
-                return _result(None, queries, DecodeStatus.ABANDONED, None)
+                return DecodeResult(None, queries, DecodeStatus.ABANDONED, None)
     # unreached: the walk holds every z, -inf classes too, so it meets y (-) z for a codeword

@@ -166,13 +166,12 @@ def _renyi_log_sum(model: NoiseModel, rho: float) -> tuple[float, float]:
     if (point := model._points.get(rho)) is not None:
         return point
     logs, top, shifted, log_a = model._log_terms
+    w = [math.exp(rho * s) for s in shifted]
     if isinstance(model, IIDNoise):
-        w = [math.exp(rho * s) for s in shifted]
         lam = sum(w)
         dlam = sum(map(mul, w, logs))
     else:
-        (l1, l2, lc), (s1, s2, sc) = logs, shifted
-        d1, d2, c = math.exp(rho * s1), math.exp(rho * s2), math.exp(rho * sc)
+        (l1, l2, lc), (d1, d2, c) = logs, w
         root = math.hypot(d1 - d2, 2.0 * c)
         lam = (d1 + d2 + root) / 2.0
         cross = ((d1 - d2) * (d1 * l1 - d2 * l2) + 4.0 * c * c * lc) / root if root else 0.0

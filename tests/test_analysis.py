@@ -797,3 +797,27 @@ def test_exponent_reports_equal_those_of_the_unstored_curve(monkeypatch, model, 
     monkeypatch.setattr(an, "_renyi_log_sum", renyi_log_sum_direct)
     monkeypatch.setattr(nm, "_renyi_log_sum", renyi_log_sum_direct)
     assert reports() == kept
+
+
+@pytest.mark.parametrize("model", SMOOTH_MODELS + [IIDNoise((0.6, 0.4, 0.0))], ids=repr)
+def test_the_model_keeps_every_point_a_root_bracket_visits(monkeypatch, model):
+    """I_N and y* solves over a grid: the points the model keeps are rho = 0 and exactly
+    the rho their brackets double through, so no solve computes a bracket point twice.
+    Fails if the bracket's schedule and the points noise_models keeps drift apart."""
+    model = dataclasses.replace(model)  # no point kept yet
+    visited = set()
+
+    def spy(f):
+        def g(rho):
+            visited.add(rho)
+            return f(rho)
+
+        return _rho_bracket(g)
+
+    monkeypatch.setattr(an, "_rho_bracket", spy)
+    h_min, edge = min_entropy_rate(model), _renyi_log_sum(model, 0.0)[0]
+    for t in [i / 20 for i in range(1, 20)] + [2.0**-i for i in range(5, 40, 5)]:
+        rate_function_value(model, h_min + (edge - h_min) * t)
+        an.supercritical_threshold_y_star(model, (1.0 - h_min) * (1.0 - t))
+    assert max(visited) >= 4.0
+    assert set(model._points) == visited | {0.0}

@@ -185,8 +185,8 @@ def test_syndrome_lookup_decodes_like_the_walk_at_the_operating_point(budget):
     # the cached prefix is weights 0-2, 2851 patterns: the noise is each guess at
     # its edges (the last weight-1, the first weight-2, the last in the prefix and
     # the first two past it) and random noise of weight 0-4; the budgets hit and
-    # abandon on each side of the prefix's end. Built slot by slot, each result is the
-    # frozen, slotted dataclass that DecodeResult(...) builds, positionally or by keyword
+    # abandon on each side of the prefix's end. DecodeResult's own __init__ sets its slots
+    # directly: each result stays frozen and slotted, built positionally or by keyword
     model = bsc(0.01)
     cb = build_linear_codebook(75, 54, seed=1)
     assert _leaders(cb, model)[1] == 2851

@@ -26,7 +26,6 @@ from grandkit.noise_models import (
     BinaryMarkovNoise,
     IIDNoise,
     bsc,
-    _renyi_log_sum,
     _unpack,
     min_entropy_rate,
     model_error_probability,
@@ -620,12 +619,11 @@ BRENTQ_CALL_SITE_MODELS = [
 @pytest.mark.parametrize("model", BRENTQ_CALL_SITE_MODELS, ids=repr)
 def test_brentq_port_matches_scipy_at_every_call_site(monkeypatch, model):
     """Each call site's own function and bracket: the port's root and
-    scipy's must be the same float. An f(b) the call site passes on is f's."""
+    scipy's must be the same float."""
     roots = []
 
-    def both(f, a, b, xtol, fb=None):
-        assert fb is None or fb == f(b), (b, fb)
-        ours = _brentq(f, a, b, xtol=xtol, fb=fb)
+    def both(f, a, b, xtol):
+        ours = _brentq(f, a, b, xtol=xtol)
         assert ours == brentq(f, a, b, xtol=xtol), (a, b, xtol)
         roots.append(ours)
         return ours
@@ -642,23 +640,6 @@ def test_brentq_port_matches_scipy_at_every_call_site(monkeypatch, model):
         # p_abandon below p_block_target: at p n >= 1 equal targets leave no rate
         analysis.max_achievable_rate(model, 75, p, 1e-2, 1e-3)
     assert len(roots) >= 20
-
-
-def test_brentq_given_the_bracket_end_value_finds_the_same_root():
-    """A root search that passes on f(b), as the bracket search has it, ends on
-    the very float of one that evaluates f(b) itself: an I_N root, a y* root and
-    a select_delta root."""
-    m01, markov, m001 = bsc(0.1), BinaryMarkovNoise(0.002, 0.2), bsc(0.01)
-    t = -math.log2(0.01 * 0.75) / 75
-    searches = [
-        (lambda rho: analysis._legendre_point(m01, rho)[0] - 0.3, 1e-15),
-        (lambda rho: -_renyi_log_sum(markov, rho)[1] - 0.02, 1e-14),  # R = 0.98
-        (lambda rho: analysis._legendre_point(m001, rho)[1] - t, 1e-14),
-    ]
-    for f, xtol in searches:
-        b, fb = analysis._rho_bracket(f)
-        assert fb < 0.0 < f(0.0)
-        assert _brentq(f, 0.0, b, xtol=xtol, fb=fb) == _brentq(f, 0.0, b, xtol=xtol)
 
 
 def test_brentq_port_raises_like_scipy():
